@@ -258,6 +258,13 @@ def _cmd_verify(parser, args) -> int:
     return 1 if checks.has_failures(outcomes) else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
 
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     p.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
     p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_output(p)
 
     p = subs.add_parser("transition", help="sweeps for several cycle sizes plus tail slopes")
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     p.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
     p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_output(p)
 
     p = subs.add_parser("compare", help="exact vs approximate distributions at one time")

@@ -10,10 +10,12 @@ distance stays under eps).  The oscillatory small-gamma regime dips
 transiently below eps long before settling, so `sustained` is the
 default and is what the sweep module uses.
 
-Distances come from one of five evaluation methods: `exact` (spectral
-propagator of the dense generator), `s-literal` / `rho` (fixed-step RK4
-of either master equation), `perturbative` (shifted-mode reconstruction)
-and `large-gamma-closed-form` (slow-branch diffusion).
+Distances come from one of five evaluation methods: `exact` (the
+Fourier-block propagator of the literal-S generator: one small
+diagonal-plus-rank-one block per index sum, see DiagonalPropagator),
+`s-literal` / `rho` (fixed-step RK4 of either master equation, guarded
+to n <= MAX_DENSE_N), `perturbative` (shifted-mode reconstruction) and
+`large-gamma-closed-form` (slow-branch diffusion).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .evolution import (
     DiagonalPropagator,
     TimeSeries,
     build_full_operator,
+    _check_dense_size,
     effective_step,
     rk4_step_matrix,
     _as_state_vector,
@@ -145,7 +148,7 @@ class _PerturbativeDistance:
 
 
 class _SpectralDistance:
-    """Distance curve of the dense-generator spectral propagator."""
+    """Distance curve of the Fourier-block propagator."""
 
     def __init__(self, config: WalkConfig) -> None:
         self._prop = DiagonalPropagator(config, model="s-literal")
@@ -168,6 +171,7 @@ class _SteppedDistance:
     """
 
     def __init__(self, config: WalkConfig, model: str, times: np.ndarray, dt: float) -> None:
+        _check_dense_size(config)
         self._op = build_full_operator(config, model).matrix
         self._gamma = config.gamma
         self._dt_request = dt

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import IntegrationError
 from .mixing import mixing_time
 from .model import WalkConfig
 
@@ -23,7 +25,8 @@ DEFAULT_EPS = 0.01
 DEFAULT_GAMMA_MIN = 1e-3
 DEFAULT_GAMMA_MAX = 1e2
 DEFAULT_GAMMA_POINTS = 25
-# Dense-exponential sweeps grow as N^6; integrate instead above this size.
+# Largest N whose default sweep method is the Fourier-block `exact`
+# propagator (O(N^3) setup per gamma); larger N default to RK4.
 EXACT_METHOD_MAX_N = 20
 
 _REFINE_RELATIVE_WIDTH = 1e-2
@@ -32,9 +35,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One gamma of a sweep; reason says why a point failed, if it did."""
+
     gamma: float
     t_mix: float
     converged: bool
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,21 @@ def default_method(n: int) -> str:
     return "exact" if n <= EXACT_METHOD_MAX_N else "s-literal"
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Processes for a sweep: no more than requested, CPUs, or grid points."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def _evaluate_point(task: tuple[int, float, float, str, str]) -> SweepPoint:
     n, gamma, eps, method, mode = task
     try:
         result = mixing_time(WalkConfig(n=n, gamma=gamma), eps, method=method, mode=mode)
-        return SweepPoint(gamma=gamma, t_mix=result.t_mix, converged=result.converged)
-    except Exception:
-        return SweepPoint(gamma=gamma, t_mix=float("nan"), converged=False)
+    except (ValueError, IntegrationError, np.linalg.LinAlgError) as exc:
+        return SweepPoint(gamma=gamma, t_mix=float("nan"), converged=False,
+                          reason=f"{type(exc).__name__}: {exc}")
+    return SweepPoint(gamma=gamma, t_mix=result.t_mix, converged=result.converged)
 
 
 def sweep_gamma(
@@ -104,10 +118,12 @@ def sweep_gamma(
 ) -> SweepResult:
     """Measure the mixing time at every gamma of a sorted positive grid.
 
-    Per-point failures are recorded as converged=False rather than
-    raised.  With jobs > 1 the points run in a process pool; collection
-    order is fixed by the grid, so the result is identical to a
-    sequential run.
+    A point whose measurement fails with a ValueError, IntegrationError
+    or LinAlgError is recorded as converged=False, t_mix=nan, with the
+    error in its reason; any other exception propagates.  With jobs > 1
+    the points run in a pool of worker_count(jobs, grid size) processes;
+    collection order is fixed by the grid, so the result is identical to
+    a sequential run.
     """
     if gammas is None:
         gammas = default_gamma_grid()
@@ -120,8 +136,9 @@ def sweep_gamma(
         method = default_method(n)
 
     tasks = [(int(n), float(g), float(eps), method, mode) for g in gammas]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             points = tuple(pool.map(_evaluate_point, tasks))
     else:
         points = tuple(_evaluate_point(task) for task in tasks)

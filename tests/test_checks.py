@@ -1,9 +1,12 @@
 """The cross-validation suite itself: outcomes, formatting, exit logic."""
 
+import re
+
 import pytest
 
 from decowalk.checks import (
     CheckOutcome,
+    degenerate_zero_coupling,
     format_report,
     has_failures,
     representation_agreement,
@@ -25,6 +28,15 @@ class TestRunChecks:
         assert {o.name for o in seam} == {
             "seam-discrepancy-n5", "seam-discrepancy-n6", "seam-discrepancy-n7"
         }
+
+
+class TestIndexSumDecoupling:
+    def test_asserts_over_a_counted_population(self):
+        (outcome,) = degenerate_zero_coupling()
+        assert outcome.status == "PASS"
+        count = int(re.search(r"over (\d+) entries", outcome.detail).group(1))
+        # Entries across classes: N^4 - N^3 per model, n = 3..12.
+        assert count == 2 * sum(n**4 - n**3 for n in range(3, 13))
 
 
 class TestRepresentationAgreement:

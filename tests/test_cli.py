@@ -141,6 +141,13 @@ class TestSweep:
                   "--output", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["sweep", "--n", "4"], ["transition", "--ns", "4"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_rejects_jobs_below_one(self, tmp_path, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--jobs", jobs, "--output", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
 
 class TestTransition:
     def test_multi_n_rows_and_slope_lines(self, tmp_path):

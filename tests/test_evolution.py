@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from decowalk import evolution, mixing
 from decowalk.evolution import (
     DiagonalPropagator,
     TimeGrid,
@@ -227,3 +228,64 @@ class TestDiagonalPropagator:
         prop = DiagonalPropagator(WalkConfig(n=7, gamma=0.0))
         assert prop.mode == "eig"
         np.testing.assert_allclose(prop.distribution(0.0), initial_state(WalkConfig(n=7)).diagonal(), atol=1e-12)
+
+    def test_agreement_gate(self):
+        # Both models, n = 3..16, gamma from 0 to 100: the block route
+        # matches the dense exponential to 1e-12.
+        worst = 0.0
+        for model in ("s-literal", "rho"):
+            for n in range(3, 17):
+                for gamma in (0.0, 1e-3, 0.05, 0.3, 1.0, 10.0, 100.0):
+                    config = WalkConfig(n=n, gamma=gamma)
+                    prop = DiagonalPropagator(config, model)
+                    for t in (0.0, 1.0, 40.0):
+                        oracle = np.real(exact_evolve(config, t, model).diagonal())
+                        worst = max(worst, np.abs(prop.distribution(t) - oracle).max())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_exceptional_point_falls_back_to_expm(self, model):
+        # At n=4, gamma=1 block s=1 is defective: double root -1/2.
+        config = WalkConfig(n=4, gamma=1.0)
+        prop = DiagonalPropagator(config, model)
+        assert prop.mode == "expm"
+        times = np.array([0.0, 0.5, 3.0, 40.0])
+        oracle = np.array([np.real(exact_evolve(config, t, model).diagonal()) for t in times])
+        np.testing.assert_allclose(prop.distributions(times), oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prop.distribution(3.0), oracle[2], rtol=0, atol=1e-12)
+
+    def test_never_builds_the_dense_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense generator built")
+
+        monkeypatch.setattr(evolution, "build_full_operator", refuse)
+        prop = DiagonalPropagator(WalkConfig(n=100, gamma=0.5))
+        assert abs(prop.distribution(10.0).sum() - 1.0) <= 1e-12
+
+    def test_rejects_negative_times(self):
+        prop = DiagonalPropagator(WalkConfig(n=5, gamma=0.5))
+        with pytest.raises(ValueError):
+            prop.distribution(-1.0)
+        with pytest.raises(ValueError):
+            prop.distributions(np.array([0.0, -1.0]))
+
+
+class TestDenseSizeGuard:
+    """RK4 routes refuse n > MAX_DENSE_N before building any N^2 x N^2 array."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_dense_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense generator built")
+
+        monkeypatch.setattr(evolution, "build_full_operator", refuse)
+        monkeypatch.setattr(mixing, "build_full_operator", refuse)
+
+    def test_integrate(self):
+        with pytest.raises(ValueError, match="n <= 64"):
+            integrate(WalkConfig(n=65, gamma=1.0), TimeGrid(t_end=1.0))
+
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
+    def test_stepped_mixing_time(self, method):
+        with pytest.raises(ValueError, match="n <= 64"):
+            mixing.mixing_time(WalkConfig(n=65, gamma=1.0), 0.01, method=method)

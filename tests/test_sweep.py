@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from decowalk import sweep
 from decowalk.sweep import (
     DEFAULT_GAMMA_POINTS,
     EXACT_METHOD_MAX_N,
@@ -14,6 +15,7 @@ from decowalk.sweep import (
     sweep_gamma,
     tail_slopes,
     transition_report,
+    worker_count,
 )
 
 
@@ -59,7 +61,20 @@ class TestSweepGamma:
         result = sweep_gamma(5, gammas=np.array([0.1, 1.0]), method="bogus")
         assert all(not p.converged for p in result.points)
         assert all(np.isnan(p.t_mix) for p in result.points)
+        assert all(p.reason.startswith("ValueError: unknown method") for p in result.points)
         assert result.gamma_opt is None and result.t_opt is None
+
+    def test_successful_points_carry_no_reason(self):
+        result = sweep_gamma(4, gammas=np.array([0.5, 2.0]))
+        assert all(p.converged and p.reason is None for p in result.points)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(sweep, "mixing_time", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            sweep_gamma(5, gammas=np.array([0.1, 1.0]))
 
     def test_grid_guards(self):
         with pytest.raises(ValueError):
@@ -68,6 +83,26 @@ class TestSweepGamma:
             sweep_gamma(5, gammas=np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             sweep_gamma(5, gammas=np.array([-1.0, 1.0]))
+
+
+class TestWorkerCount:
+    def test_clamped_to_cpus_and_grid(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+        assert worker_count(1, 25) == 1
+        assert worker_count(3, 25) == 3
+        assert worker_count(10**6, 25) == 4
+        assert worker_count(10**6, 2) == 2
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        assert worker_count(8, 25) == 1
+
+    def test_rejects_below_one(self):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError):
+                worker_count(jobs, 25)
+        with pytest.raises(ValueError):
+            sweep_gamma(5, gammas=np.array([0.1, 1.0]), jobs=0)
 
 
 def _synthetic_sweep(t_mixes, converged=None):
