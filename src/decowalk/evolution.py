@@ -12,7 +12,10 @@ are computed three ways,
   with O(N^3) setup and O(N^2) exponentials per time.
 
 The first two build the dense generator and are guarded to
-n <= MAX_DENSE_N; the block propagator never forms it.
+n <= MAX_DENSE_N; the block propagator never forms it.  Its mode sum,
+ModeSum, is the one evaluator behind every analytic distribution: the
+perturbative route (spectral) fills the same blocks with first-order
+rates.
 
 For a linear autonomous system the classical RK4 update is exactly the
 degree-4 Taylor polynomial of the step map,
@@ -303,8 +306,60 @@ _SECULAR_RESIDUAL_TOL = 1e-12
 # exact_evolve stayed below 1e-13 up to a ratio of 20 and reached 1.3e-12
 # at 62.
 _CANCEL_TOL = 10.0
-# Times per chunk of DiagonalPropagator evaluation: _CHUNK_ENTRIES / N^2.
+# Times per chunk of ModeSum evaluation: _CHUNK_ENTRIES / N^2.
 _CHUNK_ENTRIES = 1 << 20
+
+
+class ModeSum:
+    """Vertex distribution from vertex 0 as a sum over the index-sum blocks.
+
+    P_j(t) = 1/N + Re sum_s c_s omega^(s j) f_s(t) for s = 1..N/2, with
+    c_s = 2/N^2 (1/N^2 at s = N/2) folding in f_(N-s) = conj(f_s); the
+    s = 0 block is the stationary uniform term.  blocks holds one entry
+    per s, either (rates, amps), so that f_s(t) = sum_k amps_k
+    exp(rates_k t), or (B, r), a block evaluated as r^T expm(t B) r.
+    """
+
+    def __init__(self, n: int, blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        self.n = n
+        vertices = np.arange(n)
+        rates, weights = [], []
+        self.dense = []
+        for s, (first, second) in enumerate(blocks, start=1):
+            scale = (1.0 if 2 * s == n else 2.0) / n**2
+            phase = scale * np.exp(2j * np.pi * s * vertices / n)
+            if first.ndim == 2:
+                self.dense.append((phase, first, second))
+            else:
+                rates.append(first)
+                weights.append(np.outer(phase, second))
+        rates = np.concatenate(rates) if rates else np.zeros(0, dtype=complex)
+        weights = np.concatenate(weights, axis=1) if weights else np.zeros((n, 0))
+        # Re(W exp(z t)) in real arithmetic: real exp, cos and sin take
+        # half the time of a complex exp.
+        self._decay, self._freq = rates.real.copy(), rates.imag.copy()
+        self._weights_re, self._weights_im = weights.real.copy(), weights.imag.copy()
+
+    def distributions(self, times: np.ndarray) -> np.ndarray:
+        """Distributions at many times, shape (len(times), n)."""
+        times = np.asarray(times, dtype=float).ravel()
+        if times.size and times.min() < 0:
+            raise ValueError("times must be >= 0")
+        out = np.empty((times.size, self.n))
+        # Both the mode count and a dense block's size are below N^2, so
+        # every temporary holds at most _CHUNK_ENTRIES values.
+        step = max(1, _CHUNK_ENTRIES // self.n**2)
+        for lo in range(0, times.size, step):
+            chunk = times[lo:lo + step]
+            envelope = np.exp(np.outer(self._decay, chunk))
+            angle = np.outer(self._freq, chunk)
+            total = (self._weights_re @ (envelope * np.cos(angle))
+                     - self._weights_im @ (envelope * np.sin(angle)))
+            for phase, block, root in self.dense:
+                flows = scipy.linalg.expm(chunk[:, None, None] * block)
+                total += np.real(np.outer(phase, flows @ root @ root))
+            out[lo:lo + chunk.size] = 1.0 / self.n + total.T
+        return out
 
 
 class DiagonalPropagator:
@@ -317,14 +372,10 @@ class DiagonalPropagator:
         B_s = diag(lambda_m) - gamma I + (gamma/N) 1 1^T
 
     (rates from _block_rates).  The vertex-0 start has flat Fourier
-    coefficients, so
-
-        P_j(t) = N^-2 sum_s omega^(s j) f_s(t),   f_s(t) = 1^T exp(t B_s) 1.
-
-    f_0 = N is the stationary uniform term and f_(N-s) = conj(f_s), so
-    only 0 < s <= N/2 is worked out.  Modes with equal rates are merged
-    with summed weights c_m.  The rates that 1^T can see are the roots z
-    of the secular equation
+    coefficients, so P_j(t) = N^-2 sum_s omega^(s j) f_s(t) with
+    f_s(t) = 1^T exp(t B_s) 1, a ModeSum.  Modes with equal rates are
+    merged with summed weights c_m.  The rates that 1^T can see are the
+    roots z of the secular equation
 
         h(z) = sum_m c_m (lambda_m - z) / (z + gamma - lambda_m) = 0,
 
@@ -340,58 +391,22 @@ class DiagonalPropagator:
         self.config = config
         self.model = model
         self.n = n = config.n
-        vertices = np.arange(n)
-        rates, weights = [], []
-        self._fallback = []
+        blocks = []
         for s in range(1, n // 2 + 1):
             beta, counts = _block_rates(n, s, model)
-            # f_(N-s) = conj(f_s): the conjugate block doubles block s.
-            scale = (1.0 if 2 * s == n else 2.0) / n**2
-            phase = scale * np.exp(2j * np.pi * s * vertices / n)
             found = _block_modes(beta, counts, config.gamma, n)
             if found is None:
-                block = _merged_block(beta, counts, config.gamma, n)
-                self._fallback.append((phase, block, np.sqrt(counts)))
-                continue
-            z, amp = found
-            rates.append(z)
-            weights.append(np.outer(phase, amp))
-        rates = np.concatenate(rates) if rates else np.zeros(0, dtype=complex)
-        weights = np.concatenate(weights, axis=1) if weights else np.zeros((n, 0))
-        # Re(W exp(z t)) in real arithmetic: real exp, cos and sin take
-        # half the time of a complex exp.
-        self._decay, self._freq = rates.real.copy(), rates.imag.copy()
-        self._weights_re, self._weights_im = weights.real.copy(), weights.imag.copy()
-        self.mode = "expm" if self._fallback else "eig"
+                found = (_merged_block(beta, counts, config.gamma, n), np.sqrt(counts))
+            blocks.append(found)
+        self._modes = ModeSum(n, blocks)
+        self.mode = "expm" if self._modes.dense else "eig"
 
     def distribution(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        return self._evaluate(np.array([float(t)]))[0]
+        return self._modes.distributions(np.array([float(t)]))[0]
 
     def distributions(self, times: np.ndarray) -> np.ndarray:
         """Distributions at many times, shape (len(times), n)."""
-        times = np.asarray(times, dtype=float)
-        if times.size and times.min() < 0:
-            raise ValueError("times must be >= 0")
-        return self._evaluate(times.ravel())
-
-    def _evaluate(self, times: np.ndarray) -> np.ndarray:
-        out = np.empty((times.size, self.n))
-        # Both the mode count and a merged block's size are below N^2, so
-        # every temporary holds at most _CHUNK_ENTRIES values.
-        step = max(1, _CHUNK_ENTRIES // self.n**2)
-        for lo in range(0, times.size, step):
-            chunk = times[lo:lo + step]
-            envelope = np.exp(np.outer(self._decay, chunk))
-            angle = np.outer(self._freq, chunk)
-            total = (self._weights_re @ (envelope * np.cos(angle))
-                     - self._weights_im @ (envelope * np.sin(angle)))
-            for phase, block, root in self._fallback:
-                flows = scipy.linalg.expm(chunk[:, None, None] * block)
-                total += np.real(np.outer(phase, flows @ root @ root))
-            out[lo:lo + chunk.size] = 1.0 / self.n + total.T
-        return out
+        return self._modes.distributions(times)
 
 
 def _block_rates(n: int, s: int, model: str) -> tuple[np.ndarray, np.ndarray]:

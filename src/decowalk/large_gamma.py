@@ -127,21 +127,22 @@ def mode_rates(k: int, config: WalkConfig) -> ModeRates:
     return ModeRates(k=k, gamma0=gamma0, gamma1=gamma1)
 
 
-def closed_form_a(config: WalkConfig, t: float) -> np.ndarray:
+def closed_form_a(config: WalkConfig, t: float | np.ndarray) -> np.ndarray:
     """Slow-branch vertex distribution at strong dephasing.
 
     a_j(t) = (1/N) sum_k exp(-sin^2(pi k / N) t / (2 gamma)) omega^{jk}:
     the classical heat kernel on the cycle with per-direction hop rate
     1/(8 gamma), started at vertex 0.  Fast transients (rates close to
-    gamma) are dropped.
+    gamma) are dropped.  An array of times gives one row per time.
     """
     if config.gamma <= 0:
         raise ValueError("closed_form_a needs gamma > 0")
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError(f"t must be >= 0, got {t}")
     k = np.arange(config.n)
-    weights = np.exp(-np.sin(np.pi * k / config.n) ** 2 * t / (2.0 * config.gamma))
-    return np.real(np.fft.ifft(weights))
+    weights = np.exp(-np.sin(np.pi * k / config.n) ** 2 * t[..., None] / (2.0 * config.gamma))
+    return np.real(np.fft.ifft(weights, axis=-1))
 
 
 def classical_heat_kernel(n: int, hop_rate: float, t: float) -> np.ndarray:

@@ -10,12 +10,15 @@ distance stays under eps).  The oscillatory small-gamma regime dips
 transiently below eps long before settling, so `sustained` is the
 default and is what the sweep module uses.
 
-Distances come from one of five evaluation methods: `exact` (the
-Fourier-block propagator of the literal-S generator: one small
-diagonal-plus-rank-one block per index sum, see DiagonalPropagator),
-`s-literal` / `rho` (fixed-step RK4 of either master equation, guarded
-to n <= MAX_DENSE_N), `perturbative` (shifted-mode reconstruction) and
-`large-gamma-closed-form` (slow-branch diffusion).
+Every method is one callable, times -> distributions of shape
+(len(times), n), used for the grid and for each bisection midpoint.
+The analytic methods are mode sums: `exact` and `perturbative` are the
+same evolution.ModeSum over the index-sum blocks of the literal-S
+generator, solved exactly (DiagonalPropagator) or at first order
+(spectral._PerturbativeKernel), and `large-gamma-closed-form` is the
+heat-kernel mode sum of the slow branch (large_gamma.closed_form_a).
+`s-literal` / `rho` step either master equation with RK4, guarded to
+n <= MAX_DENSE_N.
 """
 
 from __future__ import annotations
@@ -118,52 +121,8 @@ def default_horizon(config: WalkConfig, eps: float) -> float:
     return 10.0 * max(small, large)
 
 
-class _ClosedFormDistance:
-    """Distance curve of a directly evaluable distribution family."""
-
-    def __init__(self, fn, n: int) -> None:
-        self._fn = fn
-        self._uniform = uniform_distribution(n)
-
-    def grid(self, times: np.ndarray) -> np.ndarray:
-        return np.array([self.at(float(t)) for t in times])
-
-    def at(self, t: float) -> float:
-        return total_variation(self._fn(t), self._uniform)
-
-
-class _PerturbativeDistance:
-    """Distance curve of the shifted-mode reconstruction (vectorised)."""
-
-    def __init__(self, config: WalkConfig) -> None:
-        self._kernel = _PerturbativeKernel(config)
-        self._uniform = uniform_distribution(config.n)
-
-    def grid(self, times: np.ndarray) -> np.ndarray:
-        dists = self._kernel.distributions(times)
-        return np.abs(dists - self._uniform).sum(axis=1)
-
-    def at(self, t: float) -> float:
-        return float(self.grid(np.array([t]))[0])
-
-
-class _SpectralDistance:
-    """Distance curve of the Fourier-block propagator."""
-
-    def __init__(self, config: WalkConfig) -> None:
-        self._prop = DiagonalPropagator(config, model="s-literal")
-        self._uniform = uniform_distribution(config.n)
-
-    def grid(self, times: np.ndarray) -> np.ndarray:
-        dists = self._prop.distributions(times)
-        return np.abs(dists - self._uniform).sum(axis=1)
-
-    def at(self, t: float) -> float:
-        return total_variation(self._prop.distribution(t), self._uniform)
-
-
-class _SteppedDistance:
-    """Distance curve of an RK4 trajectory on a uniform coarse grid.
+class _SteppedDistributions:
+    """Vertex distributions of an RK4 trajectory stored on a uniform coarse grid.
 
     States are stored at every coarse sample; off-grid requests advance
     from the nearest stored state with a freshly sized step, so bisection
@@ -176,7 +135,6 @@ class _SteppedDistance:
         self._gamma = config.gamma
         self._dt_request = dt
         self._diag = _diag_indices(config.n)
-        self._uniform = uniform_distribution(config.n)
         self._times = times
         span = float(times[1] - times[0])
         dt_eff, per_cell = effective_step(span, dt, config.gamma)
@@ -188,33 +146,28 @@ class _SteppedDistance:
             vec = hop @ vec
             self._states[k] = vec
 
-    def grid(self, times: np.ndarray) -> np.ndarray:
-        dists = np.real(self._states[:, self._diag])
-        return np.abs(dists - self._uniform).sum(axis=1)
-
-    def at(self, t: float) -> float:
-        idx = int(np.searchsorted(self._times, t, side="right")) - 1
-        idx = max(0, min(idx, self._times.size - 1))
-        delta = float(t - self._times[idx])
-        vec = self._states[idx]
-        if delta > 1e-12 * max(1.0, abs(t)):
+    def distributions(self, times: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self._times, times, side="right") - 1
+        idx = np.clip(idx, 0, self._times.size - 1)
+        out = np.real(self._states[idx[:, None], self._diag])
+        off_grid = times - self._times[idx] > 1e-12 * np.maximum(1.0, np.abs(times))
+        for k in np.flatnonzero(off_grid):
+            delta = float(times[k] - self._times[idx[k]])
             dt_eff, steps = effective_step(delta, self._dt_request, self._gamma)
             hop = np.linalg.matrix_power(rk4_step_matrix(self._op, dt_eff), steps)
-            vec = hop @ vec
-        dist = np.real(vec[self._diag])
-        return total_variation(dist, self._uniform)
+            out[k] = np.real((hop @ self._states[idx[k]])[self._diag])
+        return out
 
 
-def _make_distance(config: WalkConfig, method: str, times: np.ndarray, dt: float):
+def _route(config: WalkConfig, method: str, times: np.ndarray, dt: float):
+    """times -> vertex distributions, shape (len(times), n), of one method."""
     if method == "exact":
-        return _SpectralDistance(config)
+        return DiagonalPropagator(config).distributions
     if method in ("s-literal", "rho"):
-        return _SteppedDistance(config, method, times, dt)
+        return _SteppedDistributions(config, method, times, dt).distributions
     if method == "perturbative":
-        return _PerturbativeDistance(config)
-    if method == "large-gamma-closed-form":
-        return _ClosedFormDistance(lambda t: closed_form_a(config, t), config.n)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        return _PerturbativeKernel(config).distributions
+    return lambda ts: closed_form_a(config, ts)
 
 
 def mixing_time(
@@ -244,8 +197,13 @@ def mixing_time(
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
     times = np.linspace(0.0, float(horizon), GRID_INTERVALS + 1)
-    distance = _make_distance(config, method, times, dt)
-    below = distance.grid(times) <= eps
+    distributions = _route(config, method, times, dt)
+    uniform = uniform_distribution(config.n)
+
+    def distance(ts: np.ndarray) -> np.ndarray:
+        return np.abs(distributions(ts) - uniform).sum(axis=1)
+
+    below = distance(times) <= eps
     if mode == "sustained":
         below = np.logical_and.accumulate(below[::-1])[::-1]
 
@@ -264,7 +222,7 @@ def mixing_time(
     lo, hi = float(times[first - 1]), float(times[first])
     while hi - lo > RELATIVE_BRACKET * hi:
         mid = 0.5 * (lo + hi)
-        if distance.at(mid) <= eps:
+        if distance(np.array([mid]))[0] <= eps:
             hi = mid
         else:
             lo = mid

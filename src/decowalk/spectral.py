@@ -13,11 +13,14 @@ when (m+n) is congruent to (m'+n') mod N.  Eigenvalues coincide in three
 patterns (equal indices, index sums congruent to zero, and swapped index
 pairs), and working inside those blocks gives the first-order shifts
 
-    -gamma (N-1)/N   for equal-index and unpaired modes,
+    -gamma (N-1)/N   for equal-index and zero-sum modes,
     -gamma (N-2)/N   for swapped-pair modes.
 
 Summing the shifted modes reconstructs the distribution at small gamma,
 and bounding the mode sum gives the small-dephasing mixing-time bound.
+The reconstruction is an evolution.ModeSum over the same index-sum
+blocks that DiagonalPropagator solves exactly: perturbative means those
+blocks at first order, each rank-one damping term cut to its diagonal.
 Everything here also covers the gamma = 0 walk in closed form.
 """
 
@@ -27,9 +30,10 @@ import math
 
 import numpy as np
 
+from .evolution import ModeSum, _block_rates
 from .model import WalkConfig
 
-DEGENERACY_CLASSES = ("zero", "diagonal", "off-diagonal", "simple")
+DEGENERACY_CLASSES = ("zero", "diagonal", "off-diagonal")
 
 
 def cycle_eigenvalues(n: int) -> np.ndarray:
@@ -100,17 +104,14 @@ def classify_degeneracy(m: int, n: int, size: int) -> str:
     `zero`: index sum congruent to 0 mod N (eigenvalue 0; these modes
     drop out of the distribution reconstruction).  `diagonal`: m = n.
     `off-diagonal`: m != n with the swapped partner (n, m) distinct,
-    giving an effective two-fold degeneracy.  `simple` is the fallback
-    for anything unpaired (unreachable on Z_N x Z_N, kept for clarity).
+    giving an effective two-fold degeneracy.
     """
     _check_mode(m, n, size)
     if (m + n) % size == 0:
         return "zero"
     if m == n:
         return "diagonal"
-    if (n, m) != (m, n):
-        return "off-diagonal"
-    return "simple"
+    return "off-diagonal"
 
 
 def u_similarity(m: int, n: int, m2: int, n2: int, size: int, gamma: float) -> float:
@@ -154,38 +155,26 @@ def _check_mode(m: int, n: int, size: int) -> None:
 
 
 class _PerturbativeKernel:
-    """Shifted mode rates grouped by index sum, for fast evaluation.
+    """First-order shifted modes as a ModeSum over the index-sum blocks.
 
-    For s = (m+n) mod N != 0 the class members are (m, (s-m) mod N) with
-    m free, exactly N modes per class; zero-sum modes are excluded and
-    replaced by the stationary uniform term.
+    Block s of the literal-S generator is diag(lambda_m) - gamma I plus
+    the rank-one term (gamma/N) 1 1^T.  At first order only the diagonal
+    of the merged block survives, so a merged mode of weight c (1 for
+    m = s-m, 2 for a swap pair) keeps amplitude c and its undamped rate
+    shifted by -gamma + gamma c / N: -gamma (N-1)/N for c = 1 and
+    -gamma (N-2)/N for c = 2.
     """
 
     def __init__(self, config: WalkConfig) -> None:
-        n = config.n
-        self.n = n
-        s = np.arange(1, n)[:, None]
-        m = np.arange(n)[None, :]
-        k = (s - m) % n
-        lam = 0.5j * (np.sin(2.0 * np.pi * m / n) + np.sin(2.0 * np.pi * k / n))
-        shift = np.where(
-            m == k,
-            -config.gamma * (n - 1) / n,
-            -config.gamma * (n - 2) / n,
-        )
-        self.rates = lam + shift  # shape (n-1, n)
-        j = np.arange(n)[None, :]
-        self.fourier = np.exp(2j * np.pi * np.arange(1, n)[:, None] * j / n)
+        n, gamma = config.n, config.gamma
+        blocks = []
+        for s in range(1, n // 2 + 1):
+            beta, counts = _block_rates(n, s, "s-literal")
+            blocks.append((1j * beta - gamma + gamma * counts / n, counts))
+        self._modes = ModeSum(n, blocks)
 
     def distributions(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        out = np.empty((times.size, self.n))
-        for lo in range(0, times.size, 256):
-            hi = min(lo + 256, times.size)
-            block = times[lo:hi, None, None]
-            class_sums = np.exp(block * self.rates[None, :, :]).sum(axis=2)
-            out[lo:hi] = 1.0 / self.n + np.real(class_sums @ self.fourier) / self.n**2
-        return out
+        return self._modes.distributions(times)
 
 
 def perturbative_distribution(config: WalkConfig, t: float) -> np.ndarray:

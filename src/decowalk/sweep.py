@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import IntegrationError
+from .evolution import IntegrationError, _check_dense_size
 from .mixing import mixing_time
 from .model import WalkConfig
 
@@ -98,6 +98,12 @@ def worker_count(jobs: int, tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, tasks)
 
 
+def _check_sweep_size(n: int, method: str) -> None:
+    """Refuse an RK4 sweep whose every point would fail the dense-size guard."""
+    if method in ("s-literal", "rho"):
+        _check_dense_size(WalkConfig(n=n))
+
+
 def _evaluate_point(task: tuple[int, float, float, str, str]) -> SweepPoint:
     n, gamma, eps, method, mode = task
     try:
@@ -120,10 +126,11 @@ def sweep_gamma(
 
     A point whose measurement fails with a ValueError, IntegrationError
     or LinAlgError is recorded as converged=False, t_mix=nan, with the
-    error in its reason; any other exception propagates.  With jobs > 1
-    the points run in a pool of worker_count(jobs, grid size) processes;
-    collection order is fixed by the grid, so the result is identical to
-    a sequential run.
+    error in its reason; any other exception propagates.  An RK4 method
+    (s-literal, rho) with n > MAX_DENSE_N is refused before any point
+    runs.  With jobs > 1 the points run in a pool of worker_count(jobs,
+    grid size) processes; collection order is fixed by the grid, so the
+    result is identical to a sequential run.
     """
     if gammas is None:
         gammas = default_gamma_grid()
@@ -134,6 +141,7 @@ def sweep_gamma(
         raise ValueError("gamma grid must be positive and strictly increasing")
     if method is None:
         method = default_method(n)
+    _check_sweep_size(n, method)
 
     tasks = [(int(n), float(g), float(eps), method, mode) for g in gammas]
     workers = worker_count(jobs, len(tasks))
@@ -231,8 +239,11 @@ def transition_report(
     """Sweep every requested cycle size and fit both tail exponents.
 
     The per-N curves exhibit the coherence-limited 1/gamma tail, the
-    diffusive gamma tail, and the interior optimum in between.
+    diffusive gamma tail, and the interior optimum in between.  Every
+    size is checked against the dense-size guard before any is swept.
     """
+    for n in ns:
+        _check_sweep_size(n, method or default_method(n))
     entries = []
     for n in ns:
         result = sweep_gamma(n, eps=eps, gammas=gammas, method=method, jobs=jobs)

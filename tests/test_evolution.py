@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decowalk import evolution, mixing
+from decowalk import evolution, mixing, sweep
+from decowalk.cli import main
 from decowalk.evolution import (
     DiagonalPropagator,
     TimeGrid,
@@ -289,3 +290,30 @@ class TestDenseSizeGuard:
     def test_stepped_mixing_time(self, method):
         with pytest.raises(ValueError, match="n <= 64"):
             mixing.mixing_time(WalkConfig(n=65, gamma=1.0), 0.01, method=method)
+
+    @pytest.mark.parametrize("method", [None, "s-literal", "rho"])
+    def test_sweep_is_refused_before_any_point(self, method):
+        with pytest.raises(ValueError, match="n <= 64"):
+            sweep.sweep_gamma(65, gammas=np.array([0.1, 1.0]), method=method)
+
+    def test_transition_checks_every_size_first(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was measured")
+
+        monkeypatch.setattr(sweep, "mixing_time", refuse)
+        with pytest.raises(ValueError, match="n <= 64"):
+            sweep.transition_report([5, 65], gammas=np.array([0.1, 1.0]))
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "65", "--points", "3"],
+        ["transition", "--ns", "5,65", "--points", "3"],
+    ])
+    def test_cli_exits_with_the_reason(self, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was measured")
+
+        monkeypatch.setattr(sweep, "mixing_time", refuse)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "n <= 64" in captured.err

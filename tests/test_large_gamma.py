@@ -156,6 +156,19 @@ class TestClosedFormA:
         with pytest.raises(ValueError):
             closed_form_a(WalkConfig(n=5, gamma=0.0), 1.0)
 
+    def test_many_times_equal_stacked_single_times(self):
+        config = WalkConfig(n=9, gamma=6.0)
+        times = np.array([0.0, 0.5, 20.0, 300.0, 1e6])
+        rows = closed_form_a(config, times)
+        assert rows.shape == (5, 9)
+        assert np.array_equal(rows, np.array([closed_form_a(config, float(t)) for t in times]))
+
+    def test_rejects_any_negative_time(self):
+        with pytest.raises(ValueError):
+            closed_form_a(WalkConfig(n=5, gamma=4.0), -1.0)
+        with pytest.raises(ValueError):
+            closed_form_a(WalkConfig(n=5, gamma=4.0), np.array([0.0, 3.0, -1e-9]))
+
 
 class TestHeatKernelIdentity:
     def test_matches_classical_walk(self):

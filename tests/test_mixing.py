@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from decowalk import mixing
 from decowalk.evolution import TimeGrid, TimeSeries, integrate
 from decowalk.large_gamma import closed_form_a, large_gamma_bounds
 from decowalk.mixing import (
@@ -136,6 +137,21 @@ class TestMixingTime:
         before = total_variation(closed_form_a(config, result.t_mix - result.bracket), uniform)
         assert at_mix <= 0.01 + 1e-9
         assert before > 0.01
+
+    def test_closed_form_is_called_once_per_search_step(self, monkeypatch):
+        # One call for the whole grid, then one per bisection midpoint.
+        calls = []
+
+        def counted(config, t):
+            calls.append(np.shape(t))
+            return closed_form_a(config, t)
+
+        monkeypatch.setattr(mixing, "closed_form_a", counted)
+        result = mixing_time(WalkConfig(n=30, gamma=5.0), 0.01, method="large-gamma-closed-form")
+        assert result.converged
+        assert calls[0] == (mixing.GRID_INTERVALS + 1,)
+        assert calls[1:] and all(shape == (1,) for shape in calls[1:])
+        assert len(calls) <= 1 + 20
 
     def test_stepped_methods_match_spectral(self):
         # s-literal shares its generator with the exact method at any N;

@@ -242,6 +242,23 @@ class TestPerturbativeDistribution:
         )
         assert worst <= 1e-2
 
+    def test_matches_brute_force_mode_sum(self):
+        # Independent route: every torus mode with nonzero index sum,
+        # one by one, at its perturbed_eigenvalue and phase omega^((m+k) j)/N^2.
+        worst = 0.0
+        for n in range(3, 17):
+            modes = [(m, k) for m in range(n) for k in range(n) if (m + k) % n]
+            sums = np.array([m + k for m, k in modes])
+            phases = np.exp(2j * np.pi * np.outer(sums, np.arange(n)) / n) / n**2
+            for gamma in (0.0, 1e-4, 1e-2, 0.3):
+                config = WalkConfig(n=n, gamma=gamma)
+                rates = np.array([perturbed_eigenvalue(m, k, config) for m, k in modes])
+                for t in (0.0, 1.0, 40.0, 500.0):
+                    brute = 1.0 / n + np.real(np.exp(rates * t) @ phases)
+                    probs = perturbative_distribution(config, t)
+                    worst = max(worst, np.abs(probs - brute).max())
+        assert worst <= 1e-12
+
 
 class TestSmallGammaBound:
     def test_frozen_value_n20(self):
