@@ -11,7 +11,6 @@ the dephasing rate that mixes fastest.
 
 from .evolution import (
     DiagonalPropagator,
-    FullOperator,
     IntegrationError,
     TimeGrid,
     TimeSeries,

@@ -76,12 +76,12 @@ def stencil_operator_consistency() -> list[CheckOutcome]:
     config = WalkConfig(n=5, gamma=0.7)
     out = []
     s = _random_symmetric(rng, 5)
-    op = build_full_operator(config, "s-literal").matrix
+    op = build_full_operator(config, "s-literal")
     gap = np.abs((op @ s.ravel()).reshape(5, 5) - s_rhs(config, s)).max()
     out.append(_outcome("stencil-operator-consistency-s", gap <= 1e-14,
                         f"max gap {gap:.3e} (tol 1e-14)"))
     rho = _random_hermitian(rng, 5)
-    op = build_full_operator(config, "rho").matrix
+    op = build_full_operator(config, "rho")
     gap = np.abs((op @ rho.ravel()).reshape(5, 5) - rho_rhs(config, rho)).max()
     out.append(_outcome("stencil-operator-consistency-rho", gap <= 1e-14,
                         f"max gap {gap:.3e} (tol 1e-14)"))
@@ -95,7 +95,7 @@ def stationary_uniform() -> list[CheckOutcome]:
     worst = max(
         np.abs(s_rhs(config, uniform)).max(),
         np.abs(rho_rhs(config, uniform.astype(complex))).max(),
-        np.abs(build_full_operator(config).matrix @ uniform.ravel()).max(),
+        np.abs(build_full_operator(config) @ uniform.ravel()).max(),
     )
     return [_outcome("stationary-uniform", worst <= 1e-15,
                      f"max derivative {worst:.3e} (tol 1e-15)")]
@@ -105,7 +105,7 @@ def rk4_matches_exponential() -> list[CheckOutcome]:
     """Fixed-step RK4 agrees with the dense-exponential oracle."""
     config = WalkConfig(n=5, gamma=1.0)
     series = integrate(config, TimeGrid(t_end=20.0, dt=1e-3, sample_stride=100))
-    op = build_full_operator(config).matrix
+    op = build_full_operator(config)
     hop = scipy.linalg.expm(op * (series.times[1] - series.times[0]))
     vec = initial_state(config).ravel()
     worst = 0.0
@@ -166,7 +166,7 @@ def torus_eigen_equation() -> list[CheckOutcome]:
     """Fourier modes diagonalise the undamped generator."""
     worst = 0.0
     for n in range(3, 9):
-        op = build_full_operator(WalkConfig(n=n, gamma=0.0)).matrix
+        op = build_full_operator(WalkConfig(n=n, gamma=0.0))
         for m in range(n):
             for k in range(n):
                 vec = torus_eigenvector(m, k, n)
@@ -213,7 +213,7 @@ def degenerate_zero_coupling() -> list[CheckOutcome]:
         sums = np.add.outer(np.arange(n), np.arange(n)).ravel() % n
         across = sums[:, None] != sums[None, :]
         for model in ("s-literal", "rho"):
-            op = build_full_operator(WalkConfig(n=n, gamma=1.3), model).matrix
+            op = build_full_operator(WalkConfig(n=n, gamma=1.3), model)
             conjugated = basis.conj().T @ op @ basis
             worst = max(worst, float(np.abs(conjugated[across]).max()))
             entries += int(across.sum())

@@ -22,7 +22,7 @@ import numpy as np
 from . import checks
 from .evolution import IntegrationError, TimeGrid, exact_evolve, integrate
 from .large_gamma import closed_form_a, large_gamma_bounds
-from .mixing import METHODS, MODES, default_horizon, mixing_time
+from .mixing import METHODS, MODES, mixing_time
 from .model import WalkConfig
 from .spectral import perturbative_distribution, small_gamma_mixing_bound, unitary_distribution
 from .sweep import (
@@ -113,9 +113,8 @@ def _cmd_mixing(parser, args) -> int:
     config = _guard(parser, lambda: WalkConfig(n=args.n, gamma=args.gamma))
     if not 0 < args.eps <= 2:
         parser.error(f"eps must lie in (0, 2], got {args.eps}")
-    horizon = args.horizon if args.horizon is not None else default_horizon(config, args.eps)
     result = mixing_time(config, args.eps, method=args.method, mode=args.mode,
-                         horizon=horizon, dt=args.dt)
+                         horizon=args.horizon, dt=args.dt)
     _write_json(args.output, {
         "command": "mixing",
         "n": args.n,
@@ -156,6 +155,14 @@ def _cmd_bounds(parser, args) -> int:
     return 0
 
 
+def _failure_lines(prefix: str, points) -> list[str]:
+    """One '# failed' metadata line per failed sweep point, with its reason."""
+    return [
+        f"# failed {prefix}gamma={_fmt(p.gamma)} reason={' '.join(p.reason.split())}"
+        for p in points if p.reason is not None
+    ]
+
+
 def _gamma_grid_from_args(parser, args) -> np.ndarray:
     if not (args.gamma_min > 0 and args.gamma_max > args.gamma_min and args.points >= 2):
         parser.error("need 0 < gamma-min < gamma-max and points >= 2")
@@ -176,6 +183,7 @@ def _cmd_sweep(parser, args) -> int:
         f"# gamma_opt={'none' if result.gamma_opt is None else _fmt(result.gamma_opt)} "
         f"t_opt={'none' if result.t_opt is None else _fmt(result.t_opt)}",
         _DEFAULTS_LINE,
+        *_failure_lines("", result.points),
         "gamma,t_mix,converged",
     ]
     rows = [
@@ -215,6 +223,8 @@ def _cmd_transition(parser, args) -> int:
             f"small_slope={s_small} large_slope={s_large}"
         )
     meta.append(_DEFAULTS_LINE)
+    for entry in report.entries:
+        meta += _failure_lines(f"n={entry.n} ", entry.sweep.points)
     meta.append("n,gamma,t_mix,converged")
     rows = []
     for entry in report.entries:

@@ -12,10 +12,10 @@ are computed three ways,
   with O(N^3) setup and O(N^2) exponentials per time.
 
 The first two build the dense generator and are guarded to
-n <= MAX_DENSE_N; the block propagator never forms it.  Its mode sum,
-ModeSum, is the one evaluator behind every analytic distribution: the
-perturbative route (spectral) fills the same blocks with first-order
-rates.
+n <= MAX_DENSE_N; the block propagator never forms it and is guarded to
+n <= MAX_MODESUM_N.  Its mode sum, ModeSum, is the one evaluator behind
+every analytic distribution: the perturbative route (spectral) fills
+the same blocks with first-order rates.
 
 For a linear autonomous system the classical RK4 update is exactly the
 degree-4 Taylor polynomial of the step map,
@@ -49,6 +49,9 @@ MODELS = ("s-literal", "rho")
 # RK4 step matrices) refuse larger N: at n = 200 one step matrix would
 # take 12.8 GB.
 MAX_DENSE_N = 64
+# Mode sums hold an n x ~N^2/4 weight table: peak memory grew 4 / 19 /
+# 163 MiB at n = 64 / 128 / 256, so n = 512 takes about 1.3 GiB.
+MAX_MODESUM_N = 512
 
 
 class IntegrationError(RuntimeError):
@@ -57,7 +60,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Fixed-step integration window with subsampled output.
+    """Fixed-step integration window [0, t_end] with subsampled output.
 
     dt is a request; the integrator may shrink it to respect stiffness
     (see integrate).  Samples are kept every sample_stride accepted
@@ -67,30 +70,14 @@ class TimeGrid:
     t_end: float
     dt: float = 0.01
     sample_stride: int = 10
-    t_start: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.t_start < self.t_end):
-            raise ValueError(
-                f"need 0 <= t_start < t_end, got [{self.t_start}, {self.t_end}]"
-            )
-        if not (0 < self.dt <= self.t_end - self.t_start):
-            raise ValueError(f"dt must lie in (0, t_end - t_start], got {self.dt}")
+        if not self.t_end > 0:
+            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        if not (0 < self.dt <= self.t_end):
+            raise ValueError(f"dt must lie in (0, t_end], got {self.dt}")
         if int(self.sample_stride) != self.sample_stride or self.sample_stride < 1:
             raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
-
-
-@dataclass(frozen=True)
-class FullOperator:
-    """Generator matrix acting on the flattened state.
-
-    Row index is the output entry (mu, nu) flattened as mu*n + nu, column
-    index the input entry (alpha, beta) flattened the same way.
-    """
-
-    matrix: np.ndarray
-    n: int
-    model: str
 
 
 @dataclass
@@ -99,8 +86,6 @@ class TimeSeries:
 
     times: np.ndarray
     dists: np.ndarray
-    config: WalkConfig
-    model: str
     dt_used: float
     states: list[np.ndarray] | None = None
 
@@ -118,12 +103,20 @@ def _check_dense_size(config: WalkConfig) -> None:
         )
 
 
-def build_full_operator(config: WalkConfig, model: str = "s-literal") -> FullOperator:
-    """Assemble the dense generator of the chosen picture.
+def _check_modesum_size(n: int) -> None:
+    """Refuse n > MAX_MODESUM_N before any block of a mode sum is built."""
+    if n > MAX_MODESUM_N:
+        raise ValueError(f"mode sum guarded to n <= {MAX_MODESUM_N}, got {n}")
 
-    Each row holds the four cyclic-neighbour couplings of the stencil
-    plus the damping -gamma on off-diagonal entries (mu != nu).  Applying
-    the matrix to a flattened state reproduces s_rhs or rho_rhs entrywise.
+
+def build_full_operator(config: WalkConfig, model: str = "s-literal") -> np.ndarray:
+    """Assemble the dense N^2 x N^2 generator of the chosen picture.
+
+    Row index is the output entry (mu, nu) flattened as mu*n + nu, column
+    index the input entry (alpha, beta) flattened the same way.  Each row
+    holds the four cyclic-neighbour couplings of the stencil plus the
+    damping -gamma on off-diagonal entries (mu != nu).  Applying the
+    matrix to a flattened state reproduces s_rhs or rho_rhs entrywise.
     """
     _check_model(model)
     n = config.n
@@ -135,29 +128,19 @@ def build_full_operator(config: WalkConfig, model: str = "s-literal") -> FullOpe
         dtype = complex
         coeffs = (0.25j, -0.25j, -0.25j, 0.25j)
     mat = np.zeros((n * n, n * n), dtype=dtype)
-    for mu in range(n):
-        for nu in range(n):
-            row = mu * n + nu
-            cols = (
-                mu * n + (nu + 1) % n,
-                ((mu + 1) % n) * n + nu,
-                ((mu - 1) % n) * n + nu,
-                mu * n + (nu - 1) % n,
-            )
-            for col, c in zip(cols, coeffs):
-                mat[row, col] += c
-            if mu != nu:
-                mat[row, row] -= config.gamma
-    return FullOperator(matrix=mat, n=n, model=model)
-
-
-def _default_initial(config: WalkConfig, model: str) -> np.ndarray:
-    return initial_state(config) if model == "s-literal" else initial_density(config)
+    rows = np.arange(n * n)
+    mu, nu = np.divmod(rows, n)
+    # += rather than =: adding -0.25j to a zero keeps a +0.0 real part.
+    for (dmu, dnu), c in zip(((0, 1), (1, 0), (-1, 0), (0, -1)), coeffs):
+        mat[rows, ((mu + dmu) % n) * n + (nu + dnu) % n] += c
+    damped = rows[mu != nu]
+    mat[damped, damped] -= config.gamma
+    return mat
 
 
 def _as_state_vector(config: WalkConfig, model: str, initial: np.ndarray | None) -> np.ndarray:
     if initial is None:
-        initial = _default_initial(config, model)
+        initial = initial_state(config) if model == "s-literal" else initial_density(config)
     state = np.asarray(initial)
     if state.shape != (config.n, config.n):
         raise ValueError(f"initial state must be {config.n}x{config.n}, got {state.shape}")
@@ -188,7 +171,7 @@ def exact_evolve(
     _check_dense_size(config)
     op = build_full_operator(config, model)
     vec = _as_state_vector(config, model, initial)
-    out = scipy.linalg.expm(op.matrix * t) @ vec
+    out = scipy.linalg.expm(op * t) @ vec
     return out.reshape(config.n, config.n)
 
 
@@ -247,9 +230,8 @@ def integrate(
     trace0 = float(np.real(vec[diag].sum()))
     trace_tol = 1e-10 * max(1.0, abs(trace0))
 
-    span = grid.t_end - grid.t_start
-    dt_eff, n_steps = effective_step(span, grid.dt, config.gamma)
-    step = rk4_step_matrix(op.matrix, dt_eff)
+    dt_eff, n_steps = effective_step(grid.t_end, grid.dt, config.gamma)
+    step = rk4_step_matrix(op, dt_eff)
     stride = int(grid.sample_stride)
     step_stride = np.linalg.matrix_power(step, stride)
 
@@ -257,7 +239,7 @@ def integrate(
     if sample_steps[-1] != n_steps:
         sample_steps.append(n_steps)
 
-    times = grid.t_start + dt_eff * np.asarray(sample_steps, dtype=float)
+    times = dt_eff * np.asarray(sample_steps, dtype=float)
     times[-1] = grid.t_end
     dists = np.empty((len(sample_steps), n))
     states: list[np.ndarray] | None = [] if keep_states else None
@@ -285,14 +267,7 @@ def integrate(
         done = target
         record(pos, vec)
 
-    return TimeSeries(
-        times=times,
-        dists=dists,
-        config=config,
-        model=model,
-        dt_used=dt_eff,
-        states=states,
-    )
+    return TimeSeries(times=times, dists=dists, dt_used=dt_eff, states=states)
 
 
 # Newton steps that polish each secular root from its eigenvalue guess.
@@ -387,10 +362,9 @@ class DiagonalPropagator:
     """
 
     def __init__(self, config: WalkConfig, model: str = "s-literal") -> None:
+        _check_modesum_size(config.n)
         _check_model(model)
-        self.config = config
-        self.model = model
-        self.n = n = config.n
+        n = config.n
         blocks = []
         for s in range(1, n // 2 + 1):
             beta, counts = _block_rates(n, s, model)

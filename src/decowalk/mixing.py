@@ -30,6 +30,7 @@ import numpy as np
 
 from .evolution import (
     DiagonalPropagator,
+    IntegrationError,
     TimeSeries,
     build_full_operator,
     _check_dense_size,
@@ -127,11 +128,12 @@ class _SteppedDistributions:
     States are stored at every coarse sample; off-grid requests advance
     from the nearest stored state with a freshly sized step, so bisection
     refinements reuse the integration instead of restarting from t = 0.
+    A non-finite stored or advanced state raises IntegrationError.
     """
 
     def __init__(self, config: WalkConfig, model: str, times: np.ndarray, dt: float) -> None:
         _check_dense_size(config)
-        self._op = build_full_operator(config, model).matrix
+        self._op = build_full_operator(config, model)
         self._gamma = config.gamma
         self._dt_request = dt
         self._diag = _diag_indices(config.n)
@@ -145,6 +147,9 @@ class _SteppedDistributions:
         for k in range(1, times.size):
             vec = hop @ vec
             self._states[k] = vec
+        finite = np.isfinite(self._states.view(float)).all(axis=1)
+        if not finite.all():
+            raise IntegrationError(f"non-finite RK4 state at t={times[np.argmin(finite)]:g}")
 
     def distributions(self, times: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._times, times, side="right") - 1
@@ -155,7 +160,10 @@ class _SteppedDistributions:
             delta = float(times[k] - self._times[idx[k]])
             dt_eff, steps = effective_step(delta, self._dt_request, self._gamma)
             hop = np.linalg.matrix_power(rk4_step_matrix(self._op, dt_eff), steps)
-            out[k] = np.real((hop @ self._states[idx[k]])[self._diag])
+            state = hop @ self._states[idx[k]]
+            if not np.isfinite(state.view(float)).all():
+                raise IntegrationError(f"non-finite RK4 state at t={times[k]:g}")
+            out[k] = np.real(state[self._diag])
         return out
 
 

@@ -30,10 +30,8 @@ import math
 
 import numpy as np
 
-from .evolution import ModeSum, _block_rates
+from .evolution import ModeSum, _block_rates, _check_modesum_size
 from .model import WalkConfig
-
-DEGENERACY_CLASSES = ("zero", "diagonal", "off-diagonal")
 
 
 def cycle_eigenvalues(n: int) -> np.ndarray:
@@ -166,6 +164,7 @@ class _PerturbativeKernel:
     """
 
     def __init__(self, config: WalkConfig) -> None:
+        _check_modesum_size(config.n)
         n, gamma = config.n, config.gamma
         blocks = []
         for s in range(1, n // 2 + 1):

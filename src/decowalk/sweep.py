@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import IntegrationError, _check_dense_size
+from .evolution import IntegrationError, _check_dense_size, _check_modesum_size
 from .mixing import mixing_time
 from .model import WalkConfig
 
@@ -28,6 +28,9 @@ DEFAULT_GAMMA_POINTS = 25
 # Largest N whose default sweep method is the Fourier-block `exact`
 # propagator (O(N^3) setup per gamma); larger N default to RK4.
 EXACT_METHOD_MAX_N = 20
+
+# Converged points per tail in the log-log slope fits of tail_slopes.
+_TAIL_POINTS = 5
 
 _REFINE_RELATIVE_WIDTH = 1e-2
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -54,7 +57,6 @@ class SweepResult:
     n: int
     eps: float
     method: str
-    mode: str
     points: tuple[SweepPoint, ...]
     gamma_opt: float | None
     t_opt: float | None
@@ -99,15 +101,17 @@ def worker_count(jobs: int, tasks: int) -> int:
 
 
 def _check_sweep_size(n: int, method: str) -> None:
-    """Refuse an RK4 sweep whose every point would fail the dense-size guard."""
+    """Refuse a sweep whose every point would fail a size guard."""
     if method in ("s-literal", "rho"):
         _check_dense_size(WalkConfig(n=n))
+    if method in ("exact", "perturbative"):
+        _check_modesum_size(n)
 
 
-def _evaluate_point(task: tuple[int, float, float, str, str]) -> SweepPoint:
-    n, gamma, eps, method, mode = task
+def _evaluate_point(task: tuple[int, float, float, str]) -> SweepPoint:
+    n, gamma, eps, method = task
     try:
-        result = mixing_time(WalkConfig(n=n, gamma=gamma), eps, method=method, mode=mode)
+        result = mixing_time(WalkConfig(n=n, gamma=gamma), eps, method=method)
     except (ValueError, IntegrationError, np.linalg.LinAlgError) as exc:
         return SweepPoint(gamma=gamma, t_mix=float("nan"), converged=False,
                           reason=f"{type(exc).__name__}: {exc}")
@@ -119,15 +123,15 @@ def sweep_gamma(
     eps: float = DEFAULT_EPS,
     gammas: np.ndarray | None = None,
     method: str | None = None,
-    mode: str = "sustained",
     jobs: int = 1,
 ) -> SweepResult:
-    """Measure the mixing time at every gamma of a sorted positive grid.
+    """Measure the sustained mixing time at every gamma of a sorted positive grid.
 
     A point whose measurement fails with a ValueError, IntegrationError
     or LinAlgError is recorded as converged=False, t_mix=nan, with the
     error in its reason; any other exception propagates.  An RK4 method
-    (s-literal, rho) with n > MAX_DENSE_N is refused before any point
+    (s-literal, rho) with n > MAX_DENSE_N, or a mode-sum method (exact,
+    perturbative) with n > MAX_MODESUM_N, is refused before any point
     runs.  With jobs > 1 the points run in a pool of worker_count(jobs,
     grid size) processes; collection order is fixed by the grid, so the
     result is identical to a sequential run.
@@ -143,7 +147,7 @@ def sweep_gamma(
         method = default_method(n)
     _check_sweep_size(n, method)
 
-    tasks = [(int(n), float(g), float(eps), method, mode) for g in gammas]
+    tasks = [(int(n), float(g), float(eps), method) for g in gammas]
     workers = worker_count(jobs, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -157,7 +161,7 @@ def sweep_gamma(
         best = min(converged, key=lambda p: p.t_mix)
         gamma_opt, t_opt = best.gamma, best.t_mix
     return SweepResult(
-        n=int(n), eps=float(eps), method=method, mode=mode,
+        n=int(n), eps=float(eps), method=method,
         points=points, gamma_opt=gamma_opt, t_opt=t_opt,
     )
 
@@ -185,7 +189,7 @@ def optimal_gamma(result: SweepResult, refine: bool = True) -> tuple[float, floa
         return best_gamma, best_t
 
     def measure(gamma: float) -> float:
-        point = _evaluate_point((result.n, gamma, result.eps, result.method, result.mode))
+        point = _evaluate_point((result.n, gamma, result.eps, result.method))
         return point.t_mix if point.converged and math.isfinite(point.t_mix) else math.inf
 
     lo, hi = converged[arg - 1].gamma, converged[arg + 1].gamma
@@ -211,22 +215,22 @@ def optimal_gamma(result: SweepResult, refine: bool = True) -> tuple[float, floa
     return best_gamma, best_t
 
 
-def tail_slopes(result: SweepResult, points_per_tail: int = 5) -> tuple[float | None, float | None]:
+def tail_slopes(result: SweepResult) -> tuple[float | None, float | None]:
     """Log-log slopes of T_mix(gamma) over the smallest and largest gammas.
 
-    Fits least-squares lines through the first and last points_per_tail
+    Fits least-squares lines through the first and last _TAIL_POINTS
     converged points; returns None for a tail with fewer points.
     """
     converged = [p for p in result.points if p.converged and math.isfinite(p.t_mix)]
 
     def fit(chunk: list[SweepPoint]) -> float | None:
-        if len(chunk) < points_per_tail:
+        if len(chunk) < _TAIL_POINTS:
             return None
         x = np.log10([p.gamma for p in chunk])
         y = np.log10([p.t_mix for p in chunk])
         return float(np.polyfit(x, y, 1)[0])
 
-    return fit(converged[:points_per_tail]), fit(converged[-points_per_tail:])
+    return fit(converged[:_TAIL_POINTS]), fit(converged[-_TAIL_POINTS:])
 
 
 def transition_report(
@@ -240,7 +244,7 @@ def transition_report(
 
     The per-N curves exhibit the coherence-limited 1/gamma tail, the
     diffusive gamma tail, and the interior optimum in between.  Every
-    size is checked against the dense-size guard before any is swept.
+    size is checked against the size guards before any is swept.
     """
     for n in ns:
         _check_sweep_size(n, method or default_method(n))

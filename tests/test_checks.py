@@ -1,6 +1,7 @@
 """The cross-validation suite itself: outcomes, formatting, exit logic."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,20 @@ class TestRunChecks:
         assert {o.name for o in seam} == {
             "seam-discrepancy-n5", "seam-discrepancy-n6", "seam-discrepancy-n7"
         }
+
+
+class TestCommittedReport:
+    def test_matches_a_fresh_run(self):
+        # Detail figures may move in their last digits between machines;
+        # the checks, their verdicts and the summary may not.
+        committed = (Path(__file__).parent.parent / "verification_report.txt").read_text()
+        fresh = format_report(run_checks())
+
+        def verdicts(report):
+            lines = report.splitlines()
+            return [line.split(":", 1)[0] for line in lines[:-1]], lines[-1]
+
+        assert verdicts(committed) == verdicts(fresh)
 
 
 class TestIndexSumDecoupling:

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from decowalk import sweep
 from decowalk.cli import main
 
 
@@ -147,6 +148,49 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(command + ["--jobs", jobs, "--output", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+
+MESSAGE = "horizon must be positive and finite, got nan"
+
+
+def _fail_at_gamma_one(monkeypatch):
+    real = sweep.mixing_time
+
+    def flaky(config, *args, **kwargs):
+        if config.gamma == 1.0:
+            raise ValueError(MESSAGE)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "mixing_time", flaky)
+
+
+class TestFailedPoints:
+    def test_sweep_prints_the_reason(self, tmp_path, monkeypatch):
+        _fail_at_gamma_one(monkeypatch)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n", "4", "--gamma-min", "0.1", "--gamma-max", "10",
+                     "--points", "3", "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        failed = [line for line in lines if line.startswith("# failed")]
+        assert failed == [f"# failed gamma=1 reason=ValueError: {MESSAGE}"]
+        assert lines.index(failed[0]) == lines.index("gamma,t_mix,converged") - 1
+        assert "1,nan,false" in lines
+
+    def test_transition_names_the_size(self, tmp_path, monkeypatch):
+        _fail_at_gamma_one(monkeypatch)
+        out = tmp_path / "transition.csv"
+        assert main(["transition", "--ns", "4,5", "--gamma-min", "0.1", "--gamma-max", "10",
+                     "--points", "3", "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line for line in lines if line.startswith("# failed")] == [
+            f"# failed n={n} gamma=1 reason=ValueError: {MESSAGE}" for n in (4, 5)
+        ]
+        assert lines[lines.index("n,gamma,t_mix,converged") - 3].startswith("# defaults:")
+
+    def test_clean_sweep_has_no_failure_lines(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n", "4", "--points", "3", "--output", str(out)]) == 0
+        assert not any(line.startswith("# failed") for line in out.read_text().splitlines())
 
 
 class TestTransition:

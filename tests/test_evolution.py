@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decowalk import evolution, mixing, sweep
+from decowalk import evolution, mixing, spectral, sweep
 from decowalk.cli import main
 from decowalk.evolution import (
     DiagonalPropagator,
@@ -18,6 +18,30 @@ from decowalk.evolution import (
 from decowalk.model import WalkConfig, initial_state, rho_rhs, s_rhs
 
 
+def _loop_operator(config, model):
+    """The generator assembled one entry at a time: the reference layout."""
+    n = config.n
+    if model == "s-literal":
+        dtype, coeffs = float, (0.25, 0.25, -0.25, -0.25)
+    else:
+        dtype, coeffs = complex, (0.25j, -0.25j, -0.25j, 0.25j)
+    mat = np.zeros((n * n, n * n), dtype=dtype)
+    for mu in range(n):
+        for nu in range(n):
+            row = mu * n + nu
+            cols = (
+                mu * n + (nu + 1) % n,
+                ((mu + 1) % n) * n + nu,
+                ((mu - 1) % n) * n + nu,
+                mu * n + (nu - 1) % n,
+            )
+            for col, c in zip(cols, coeffs):
+                mat[row, col] += c
+            if mu != nu:
+                mat[row, row] -= config.gamma
+    return mat
+
+
 def random_symmetric(rng, n):
     raw = rng.normal(size=(n, n))
     return 0.5 * (raw + raw.T)
@@ -25,8 +49,9 @@ def random_symmetric(rng, n):
 
 class TestTimeGrid:
     def test_rejects_reversed_window(self):
-        with pytest.raises(ValueError):
-            TimeGrid(t_end=1.0, t_start=2.0)
+        for t_end in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                TimeGrid(t_end=t_end)
 
     def test_rejects_oversized_dt(self):
         with pytest.raises(ValueError):
@@ -41,7 +66,7 @@ class TestBuildFullOperator:
     def test_matches_stencil_s(self):
         rng = np.random.default_rng(7)
         config = WalkConfig(n=6, gamma=1.3)
-        op = build_full_operator(config).matrix
+        op = build_full_operator(config)
         s = random_symmetric(rng, 6)
         np.testing.assert_allclose(
             (op @ s.ravel()).reshape(6, 6), s_rhs(config, s), atol=1e-14
@@ -50,7 +75,7 @@ class TestBuildFullOperator:
     def test_matches_stencil_rho(self):
         rng = np.random.default_rng(8)
         config = WalkConfig(n=5, gamma=0.4)
-        op = build_full_operator(config, "rho").matrix
+        op = build_full_operator(config, "rho")
         rho = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         rho = 0.5 * (rho + rho.conj().T)
         np.testing.assert_allclose(
@@ -58,33 +83,44 @@ class TestBuildFullOperator:
         )
 
     def test_undamped_rows_have_four_quarter_entries(self):
-        op = build_full_operator(WalkConfig(n=3, gamma=0.0)).matrix
+        op = build_full_operator(WalkConfig(n=3, gamma=0.0))
         for row in op:
             nonzero = row[row != 0.0]
             assert nonzero.size == 4
             assert np.all(np.abs(nonzero) == 0.25)
 
     def test_damping_sits_on_off_diagonal_rows(self):
-        op = build_full_operator(WalkConfig(n=3, gamma=2.0)).matrix
+        op = build_full_operator(WalkConfig(n=3, gamma=2.0))
         for mu in range(3):
             for nu in range(3):
                 row = mu * 3 + nu
                 assert op[row, row] == (0.0 if mu == nu else -2.0)
 
     def test_annihilates_uniform_diagonal(self):
-        op = build_full_operator(WalkConfig(n=7, gamma=0.9)).matrix
+        op = build_full_operator(WalkConfig(n=7, gamma=0.9))
         uniform = (np.eye(7) / 7).ravel()
         assert np.abs(op @ uniform).max() < 1e-16
 
     def test_diagonal_coordinate_column_sums_vanish(self):
         # No generator column feeds net weight into the diagonal sum.
-        op = build_full_operator(WalkConfig(n=5, gamma=1.1)).matrix
+        op = build_full_operator(WalkConfig(n=5, gamma=1.1))
         diag_rows = np.arange(5) * 5 + np.arange(5)
         np.testing.assert_allclose(op[diag_rows, :].sum(axis=0), 0.0, atol=1e-15)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
             build_full_operator(WalkConfig(n=4), "heisenberg")
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_bytes_match_the_entrywise_loop(self, model):
+        # Same entries, signed zeros included, as the per-entry assembly.
+        for n in (*range(3, 17), 64):
+            for gamma in (0.0, 1e-3, 1.3, 100.0):
+                config = WalkConfig(n=n, gamma=gamma)
+                got, want = build_full_operator(config, model), _loop_operator(config, model)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                # Bitwise, as 8-byte words: tobytes() equality without the copies.
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestExactEvolve:
@@ -130,7 +166,7 @@ class TestIntegrate:
     def test_matches_exponential_oracle(self):
         config = WalkConfig(n=4, gamma=0.5)
         series = integrate(config, TimeGrid(t_end=50.0, dt=1e-3, sample_stride=1000))
-        op = build_full_operator(config).matrix
+        op = build_full_operator(config)
         hop = scipy.linalg.expm(op * (series.times[1] - series.times[0]))
         vec = initial_state(config).ravel()
         worst = 0.0
@@ -156,7 +192,7 @@ class TestIntegrate:
         # Errors at dt and dt/2 sit well above the rounding floor, so the
         # ratio shows the h^4 order of the scheme.
         config = WalkConfig(n=5, gamma=1.0)
-        op = build_full_operator(config).matrix
+        op = build_full_operator(config)
         exact = (scipy.linalg.expm(op * 10.0) @ initial_state(config).ravel())
         errors = []
         for dt in (0.1, 0.05):
@@ -317,3 +353,45 @@ class TestDenseSizeGuard:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "n <= 64" in captured.err
+
+
+class TestModeSumSizeGuard:
+    """Mode-sum routes refuse n > MAX_MODESUM_N before any block is built."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_blocks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(evolution, "_block_modes", refuse)
+        monkeypatch.setattr(evolution, "_block_rates", refuse)
+        monkeypatch.setattr(spectral, "_block_rates", refuse)
+        monkeypatch.setattr(sweep, "mixing_time", refuse)
+
+    def test_propagator(self):
+        with pytest.raises(ValueError, match="n <= 512"):
+            DiagonalPropagator(WalkConfig(n=513, gamma=1.0))
+
+    def test_perturbative_kernel(self):
+        with pytest.raises(ValueError, match="n <= 512"):
+            spectral._PerturbativeKernel(WalkConfig(n=513, gamma=1e-3))
+
+    @pytest.mark.parametrize("method", ["exact", "perturbative"])
+    def test_sweep_is_refused_before_any_point(self, method):
+        with pytest.raises(ValueError, match="n <= 512"):
+            sweep.sweep_gamma(513, gammas=np.array([0.1, 1.0]), method=method)
+
+    def test_transition_checks_every_size_first(self):
+        with pytest.raises(ValueError, match="n <= 512"):
+            sweep.transition_report([5, 513], gammas=np.array([0.1, 1.0]), method="exact")
+
+    @pytest.mark.parametrize("argv", [
+        ["mixing", "--n", "513", "--gamma", "1"],
+        ["mixing", "--n", "513", "--gamma", "1e-3", "--method", "perturbative"],
+        ["sweep", "--n", "513", "--method", "exact", "--points", "3"],
+    ])
+    def test_cli_exits_with_the_reason(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "n <= 512" in captured.err

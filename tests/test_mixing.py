@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decowalk import mixing
-from decowalk.evolution import TimeGrid, TimeSeries, integrate
+from decowalk.evolution import IntegrationError, TimeGrid, TimeSeries, integrate, rk4_step_matrix
 from decowalk.large_gamma import closed_form_a, large_gamma_bounds
 from decowalk.mixing import (
     average_distribution,
@@ -51,8 +51,6 @@ class TestAverageDistribution:
         return TimeSeries(
             times=np.asarray(times, dtype=float),
             dists=np.asarray(dists, dtype=float),
-            config=WalkConfig(n=3),
-            model="s-literal",
             dt_used=1.0,
         )
 
@@ -162,6 +160,24 @@ class TestMixingTime:
         exact8 = mixing_time(WalkConfig(n=8, gamma=1.0), 0.05, method="exact")
         rho8 = mixing_time(WalkConfig(n=8, gamma=1.0), 0.05, method="rho")
         assert rho8.t_mix == pytest.approx(exact8.t_mix, rel=5e-4)
+
+    @pytest.mark.parametrize("poisoned_call", [0, 1])
+    def test_non_finite_rk4_state_raises(self, monkeypatch, poisoned_call):
+        # Call 0 builds the coarse-grid hop, later calls the off-grid
+        # advances of the bisection; a NaN in either must not read as
+        # "not converged".
+        calls = []
+
+        def poisoned(generator, dt):
+            step = rk4_step_matrix(generator, dt)
+            if len(calls) == poisoned_call:
+                step[0, 0] = np.nan
+            calls.append(dt)
+            return step
+
+        monkeypatch.setattr(mixing, "rk4_step_matrix", poisoned)
+        with pytest.raises(IntegrationError, match="non-finite RK4 state at t="):
+            mixing_time(WalkConfig(n=6, gamma=1.0), 0.01, method="s-literal")
 
     def test_perturbative_stays_under_small_dephasing_bound(self):
         config = WalkConfig(n=8, gamma=0.01)

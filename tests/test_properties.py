@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decowalk.evolution import DiagonalPropagator, exact_evolve
+from decowalk.evolution import DiagonalPropagator, TimeGrid, exact_evolve, integrate
 from decowalk.mixing import total_variation, uniform_distribution
 from decowalk.model import WalkConfig
 
@@ -38,3 +38,21 @@ def test_rows_are_probability_vectors(case):
     np.testing.assert_allclose(dists.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     for row in dists:
         assert 0.0 <= total_variation(row, uniform_distribution(n)) <= 2.0
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(
+    st.integers(min_value=3, max_value=10),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    st.floats(min_value=0.01, max_value=20.0, allow_nan=False),
+    st.sampled_from(["s-literal", "rho"]),
+))
+def test_rk4_matches_block_propagator(case):
+    # Dense RK4 steps against the Fourier-block mode sum, at every RK4
+    # sample time.
+    n, gamma, t_end, model = case
+    config = WalkConfig(n=n, gamma=gamma)
+    series = integrate(config, TimeGrid(t_end=t_end, dt=0.01), model)
+    blocks = DiagonalPropagator(config, model).distributions(series.times)
+    assert np.abs(series.dists - blocks).max() <= 1e-8
+    np.testing.assert_allclose(series.dists.sum(axis=1), 1.0, rtol=0, atol=1e-12)

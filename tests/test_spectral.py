@@ -119,7 +119,7 @@ class TestTorusModes:
     def test_eigen_equation(self):
         worst = 0.0
         for n in range(3, 9):
-            op = build_full_operator(WalkConfig(n=n, gamma=0.0)).matrix
+            op = build_full_operator(WalkConfig(n=n, gamma=0.0))
             for m in range(n):
                 for k in range(n):
                     vec = torus_eigenvector(m, k, n)

@@ -115,7 +115,7 @@ def _synthetic_sweep(t_mixes, converged=None):
     ok = [p for p in points if p.converged]
     best = min(ok, key=lambda p: p.t_mix) if ok else None
     return SweepResult(
-        n=5, eps=0.01, method="exact", mode="sustained", points=points,
+        n=5, eps=0.01, method="exact", points=points,
         gamma_opt=best.gamma if best else None, t_opt=best.t_mix if best else None,
     )
 
@@ -160,7 +160,7 @@ class TestTailSlopes:
         gammas = np.logspace(-2, 1, 10)
         points = tuple(SweepPoint(g, 7.0 / g, True) for g in gammas)
         result = SweepResult(
-            n=5, eps=0.01, method="exact", mode="sustained",
+            n=5, eps=0.01, method="exact",
             points=points, gamma_opt=gammas[-1], t_opt=7.0 / gammas[-1],
         )
         small, large = tail_slopes(result)
