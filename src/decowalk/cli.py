@@ -8,29 +8,32 @@ report).  Outputs are deterministic: identical invocations produce
 byte-identical files.  Numbers are serialized with 17 significant
 digits, so doubles round-trip exactly; CSV metadata lines are prefixed
 with '#' and always record the package defaults.  Exit codes: 0 success,
-2 usage error, 1 computation failure.
+2 usage error (any flag value outside its domain, checked by the
+validators of decowalk.model), 1 computation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import checks
-from .evolution import IntegrationError, TimeGrid, exact_evolve, integrate
+from .evolution import IntegrationError, TimeGrid, check_table_size, exact_evolve, integrate
 from .large_gamma import closed_form_a, large_gamma_bounds
 from .mixing import METHODS, MODES, mixing_time
-from .model import WalkConfig
+from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
 from .spectral import perturbative_distribution, small_gamma_mixing_bound, unitary_distribution
 from .sweep import (
     DEFAULT_EPS,
     DEFAULT_GAMMA_MAX,
     DEFAULT_GAMMA_MIN,
     DEFAULT_GAMMA_POINTS,
-    default_method,
+    default_gamma_grid,
     sweep_gamma,
     transition_report,
 )
@@ -59,6 +62,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
+    """Write payload as JSON, refusing NaN and infinities, which JSON cannot carry."""
+    for key, value in payload.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} is {value}; JSON output carries only finite numbers")
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -71,19 +78,20 @@ def _trajectory_csv(meta: list[str], times, dists) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _guard(parser: argparse.ArgumentParser, build):
-    """Run flag-range validation; report violations as usage errors."""
+@contextlib.contextmanager
+def _guard(parser: argparse.ArgumentParser):
+    """Report a flag value that a validator rejects as a usage error."""
     try:
-        return build()
+        yield
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
 
 
 def _cmd_evolve(parser, args) -> int:
-    config, grid = _guard(parser, lambda: (
-        WalkConfig(n=args.n, gamma=args.gamma),
-        TimeGrid(t_end=args.t_max, dt=args.dt, sample_stride=args.stride),
-    ))
+    with _guard(parser):
+        config = WalkConfig(n=args.n, gamma=args.gamma)
+        check_positive("t_max", args.t_max)
+        grid = TimeGrid(t_end=args.t_max, dt=args.dt, sample_stride=args.stride)
     series = integrate(config, grid, model=args.model)
     meta = [
         "# decowalk evolve",
@@ -95,11 +103,13 @@ def _cmd_evolve(parser, args) -> int:
 
 
 def _cmd_unitary(parser, args) -> int:
-    _guard(parser, lambda: WalkConfig(n=args.n))
-    if args.t_max <= 0 or args.dt <= 0:
-        parser.error("t-max and dt must be > 0")
-    count = int(np.floor(args.t_max / args.dt + 1e-9)) + 1
-    times = np.arange(count) * args.dt
+    with _guard(parser):
+        check_cycle_size(args.n)
+        check_positive("t_max", args.t_max)
+        check_positive("dt", args.dt)
+    count = np.floor(args.t_max / args.dt + 1e-9) + 1
+    check_table_size(count, 8 * args.n)
+    times = np.arange(int(count)) * args.dt
     dists = np.array([unitary_distribution(args.n, float(t)) for t in times])
     meta = [
         "# decowalk unitary",
@@ -110,9 +120,10 @@ def _cmd_unitary(parser, args) -> int:
 
 
 def _cmd_mixing(parser, args) -> int:
-    config = _guard(parser, lambda: WalkConfig(n=args.n, gamma=args.gamma))
-    if not 0 < args.eps <= 2:
-        parser.error(f"eps must lie in (0, 2], got {args.eps}")
+    with _guard(parser):
+        config = WalkConfig(n=args.n, gamma=args.gamma)
+        check_eps(args.eps)
+        check_positive("dt", args.dt)
     result = mixing_time(config, args.eps, method=args.method, mode=args.mode,
                          horizon=args.horizon, dt=args.dt)
     _write_json(args.output, {
@@ -132,14 +143,9 @@ def _cmd_mixing(parser, args) -> int:
 
 
 def _cmd_bounds(parser, args) -> int:
-    if args.gamma <= 0:
-        parser.error("bounds require gamma > 0")
-    if not 0 < args.eps < 2:
-        parser.error(f"eps must lie in (0, 2), got {args.eps}")
-    small, report = _guard(parser, lambda: (
-        small_gamma_mixing_bound(args.n, args.gamma, args.eps),
-        large_gamma_bounds(args.n, args.gamma, args.eps),
-    ))
+    with _guard(parser):
+        small = small_gamma_mixing_bound(args.n, args.gamma, args.eps)
+        report = large_gamma_bounds(args.n, args.gamma, args.eps)
     _write_json(args.output, {
         "command": "bounds",
         "n": args.n,
@@ -163,22 +169,15 @@ def _failure_lines(prefix: str, points) -> list[str]:
     ]
 
 
-def _gamma_grid_from_args(parser, args) -> np.ndarray:
-    if not (args.gamma_min > 0 and args.gamma_max > args.gamma_min and args.points >= 2):
-        parser.error("need 0 < gamma-min < gamma-max and points >= 2")
-    return np.logspace(np.log10(args.gamma_min), np.log10(args.gamma_max), args.points)
-
-
 def _cmd_sweep(parser, args) -> int:
-    _guard(parser, lambda: WalkConfig(n=args.n))
-    if not 0 < args.eps <= 2:
-        parser.error(f"eps must lie in (0, 2], got {args.eps}")
-    grid = _gamma_grid_from_args(parser, args)
-    method = args.method or default_method(args.n)
-    result = sweep_gamma(args.n, eps=args.eps, gammas=grid, method=method, jobs=args.jobs)
+    with _guard(parser):
+        check_cycle_size(args.n)
+        check_eps(args.eps)
+        grid = default_gamma_grid(args.points, args.gamma_min, args.gamma_max)
+    result = sweep_gamma(args.n, eps=args.eps, gammas=grid, method=args.method, jobs=args.jobs)
     meta = [
         "# decowalk sweep",
-        f"# n={args.n} eps={_fmt(args.eps)} method={method} mode=sustained "
+        f"# n={args.n} eps={_fmt(args.eps)} method={result.method} mode=sustained "
         f"gamma_min={_fmt(args.gamma_min)} gamma_max={_fmt(args.gamma_max)} points={args.points}",
         f"# gamma_opt={'none' if result.gamma_opt is None else _fmt(result.gamma_opt)} "
         f"t_opt={'none' if result.t_opt is None else _fmt(result.t_opt)}",
@@ -201,11 +200,10 @@ def _cmd_transition(parser, args) -> int:
         parser.error(f"could not parse --ns {args.ns!r}; expected comma-separated integers")
     if not ns:
         parser.error("--ns must list at least one cycle size")
-    for n in ns:
-        _guard(parser, lambda n=n: WalkConfig(n=n))
-    if not 0 < args.eps <= 2:
-        parser.error(f"eps must lie in (0, 2], got {args.eps}")
-    grid = _gamma_grid_from_args(parser, args)
+    with _guard(parser):
+        check_cycle_size(min(ns))
+        check_eps(args.eps)
+        grid = default_gamma_grid(args.points, args.gamma_min, args.gamma_max)
     report = transition_report(ns, eps=args.eps, gammas=grid,
                                method=args.method, jobs=args.jobs)
     meta = [
@@ -237,11 +235,10 @@ def _cmd_transition(parser, args) -> int:
 
 
 def _cmd_compare(parser, args) -> int:
-    config = _guard(parser, lambda: WalkConfig(n=args.n, gamma=args.gamma))
-    if args.gamma <= 0:
-        parser.error("compare requires gamma > 0 (the diffusive column needs it)")
-    if args.t < 0:
-        parser.error("t must be >= 0")
+    with _guard(parser):
+        config = WalkConfig(n=args.n, gamma=args.gamma)
+        check_positive("gamma", args.gamma)  # the large-gamma column needs it
+        check_times(args.t)
     p_exact = exact_evolve(config, args.t).diagonal()
     p_pert = perturbative_distribution(config, args.t)
     p_large = closed_form_a(config, args.t)

@@ -37,6 +37,8 @@ import scipy.linalg
 
 from .model import (
     WalkConfig,
+    check_positive,
+    check_times,
     initial_density,
     initial_state,
     rho_rhs,
@@ -52,6 +54,11 @@ MAX_DENSE_N = 64
 # Mode sums hold an n x ~N^2/4 weight table: peak memory grew 4 / 19 /
 # 163 MiB at n = 64 / 128 / 256, so n = 512 takes about 1.3 GiB.
 MAX_MODESUM_N = 512
+# A trajectory table is held whole in memory before it is written out.
+# Cap it near the peak a mode sum may take at MAX_MODESUM_N, so that no
+# sampling request needs more memory than the largest computation the
+# package accepts.
+MAX_TABLE_BYTES = 5 << 28  # 1.25 GiB
 
 
 class IntegrationError(RuntimeError):
@@ -72,10 +79,10 @@ class TimeGrid:
     sample_stride: int = 10
 
     def __post_init__(self) -> None:
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if not (0 < self.dt <= self.t_end):
-            raise ValueError(f"dt must lie in (0, t_end], got {self.dt}")
+        check_positive("t_end", self.t_end)
+        check_positive("dt", self.dt)
+        if self.dt > self.t_end:
+            raise ValueError(f"dt must not exceed t_end={self.t_end}, got {self.dt}")
         if int(self.sample_stride) != self.sample_stride or self.sample_stride < 1:
             raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
 
@@ -107,6 +114,15 @@ def _check_modesum_size(n: int) -> None:
     """Refuse n > MAX_MODESUM_N before any block of a mode sum is built."""
     if n > MAX_MODESUM_N:
         raise ValueError(f"mode sum guarded to n <= {MAX_MODESUM_N}, got {n}")
+
+
+def check_table_size(rows: float, row_bytes: int) -> None:
+    """Refuse a table of rows x row_bytes above MAX_TABLE_BYTES before it is built."""
+    if rows * row_bytes > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"trajectory table of {rows:.3g} rows x {row_bytes} bytes exceeds "
+            f"the {MAX_TABLE_BYTES}-byte budget"
+        )
 
 
 def build_full_operator(config: WalkConfig, model: str = "s-literal") -> np.ndarray:
@@ -166,8 +182,7 @@ def exact_evolve(
     n <= MAX_DENSE_N, where the N^2 x N^2 exponential is still cheap.
     """
     _check_model(model)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_times(t)
     _check_dense_size(config)
     op = build_full_operator(config, model)
     vec = _as_state_vector(config, model, initial)
@@ -193,10 +208,13 @@ def effective_step(span: float, dt_request: float, gamma: float) -> tuple[float,
 
     The off-diagonal damping rate gamma sets the fastest time scale, so
     the step is capped at 0.1 / max(gamma, 1).  Returns (dt, step count)
-    with dt dividing the span exactly.
+    with dt dividing the span exactly; raises ValueError when the step
+    count overflows a double.
     """
     cap = 0.1 / max(gamma, 1.0)
     base = min(dt_request, cap)
+    if not math.isfinite(span / base):
+        raise ValueError(f"a span of {span:g} in steps of {base:g} overflows the step count")
     n_steps = max(1, math.ceil(span / base - 1e-9))
     return span / n_steps, n_steps
 
@@ -219,29 +237,34 @@ def integrate(
     divides the window exactly.  Every sample is checked for finiteness
     and for conservation of the diagonal sum (within 1e-10 of its initial
     value); violations raise IntegrationError.  Guarded to n <= MAX_DENSE_N,
-    since the step matrix is dense N^2 x N^2.
+    since the step matrix is dense N^2 x N^2, and to output tables of at
+    most MAX_TABLE_BYTES (stored states included).
     """
     _check_model(model)
     _check_dense_size(config)
+    n = config.n
+    dt_eff, n_steps = effective_step(grid.t_end, grid.dt, config.gamma)
+    stride = int(grid.sample_stride)
+    # Density-picture states are complex.
+    row_bytes = n * n * (16 if model == "rho" else 8) if keep_states else 8 * n
+    check_table_size(-(-n_steps // stride) + 1, row_bytes)
+
     op = build_full_operator(config, model)
     vec = _as_state_vector(config, model, initial)
-    n = config.n
     diag = _diag_indices(n)
     trace0 = float(np.real(vec[diag].sum()))
     trace_tol = 1e-10 * max(1.0, abs(trace0))
 
-    dt_eff, n_steps = effective_step(grid.t_end, grid.dt, config.gamma)
     step = rk4_step_matrix(op, dt_eff)
-    stride = int(grid.sample_stride)
     step_stride = np.linalg.matrix_power(step, stride)
 
-    sample_steps = list(range(0, n_steps + 1, stride))
+    sample_steps = np.arange(0, n_steps + 1, stride)
     if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
+        sample_steps = np.append(sample_steps, n_steps)
 
-    times = dt_eff * np.asarray(sample_steps, dtype=float)
+    times = dt_eff * sample_steps
     times[-1] = grid.t_end
-    dists = np.empty((len(sample_steps), n))
+    dists = np.empty((sample_steps.size, n))
     states: list[np.ndarray] | None = [] if keep_states else None
 
     def record(pos: int, v: np.ndarray) -> None:
@@ -317,9 +340,7 @@ class ModeSum:
 
     def distributions(self, times: np.ndarray) -> np.ndarray:
         """Distributions at many times, shape (len(times), n)."""
-        times = np.asarray(times, dtype=float).ravel()
-        if times.size and times.min() < 0:
-            raise ValueError("times must be >= 0")
+        times = check_times(times).ravel()
         out = np.empty((times.size, self.n))
         # Both the mode count and a dense block's size are below N^2, so
         # every temporary holds at most _CHUNK_ENTRIES values.

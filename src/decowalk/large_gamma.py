@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import WalkConfig
+from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
 
 # Real decay rates for every Fourier mode require gamma^2 >= 2.
 VALIDITY_GAMMA = 2.0
@@ -135,11 +135,8 @@ def closed_form_a(config: WalkConfig, t: float | np.ndarray) -> np.ndarray:
     1/(8 gamma), started at vertex 0.  Fast transients (rates close to
     gamma) are dropped.  An array of times gives one row per time.
     """
-    if config.gamma <= 0:
-        raise ValueError("closed_form_a needs gamma > 0")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_positive("gamma", config.gamma)
+    t = check_times(t)
     k = np.arange(config.n)
     weights = np.exp(-np.sin(np.pi * k / config.n) ** 2 * t[..., None] / (2.0 * config.gamma))
     return np.real(np.fft.ifft(weights, axis=-1))
@@ -151,10 +148,9 @@ def classical_heat_kernel(n: int, hop_rate: float, t: float) -> np.ndarray:
     Independent route for cross-checking closed_form_a: dense exponential
     of the classical rate matrix with per-direction hop rate hop_rate.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if hop_rate <= 0 or t < 0:
-        raise ValueError("need hop_rate > 0 and t >= 0")
+    check_cycle_size(n)
+    check_positive("hop_rate", hop_rate)
+    check_times(t)
     shift = np.roll(np.eye(n), 1, axis=1)
     rates = hop_rate * (shift + shift.T - 2.0 * np.eye(n))
     delta = np.zeros(n)
@@ -177,8 +173,6 @@ def full_large_gamma_state(config: WalkConfig, t: float) -> np.ndarray:
     while the leaked second-off-diagonal terms are O(1/gamma) (see
     checks.truncation_residual_report).
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     n = config.n
     a = closed_form_a(config, t)
     coeff = np.empty(n, dtype=complex)
@@ -201,14 +195,11 @@ def large_gamma_bounds(n: int, gamma: float, eps: float) -> BoundsReport:
     t_upper = (gamma N^2 / 2) ln((2 + eps)/eps), plus the large-N
     simplification of t_lower in both circulating normalisations.
     """
-    if int(n) != n or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if eps >= 2:
-        raise ValueError("eps >= 2 is vacuous: total variation never exceeds 2")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_cycle_size(n)
+    check_positive("gamma", gamma)
+    check_eps(eps)
+    if eps == 2:
+        raise ValueError("eps = 2 is vacuous: total variation never exceeds 2")
     if eps >= 2.0 / n:
         t_lower = 0.0
         t_lower_large_n = 0.0

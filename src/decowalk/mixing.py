@@ -23,7 +23,6 @@ n <= MAX_DENSE_N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .evolution import (
     _diag_indices,
 )
 from .large_gamma import closed_form_a, large_gamma_bounds
-from .model import WalkConfig
+from .model import WalkConfig, check_eps, check_positive
 from .spectral import _PerturbativeKernel, small_gamma_mixing_bound
 
 METHODS = ("exact", "s-literal", "rho", "perturbative", "large-gamma-closed-form")
@@ -193,16 +192,15 @@ def mixing_time(
     every later grid sample stays <= eps.  Reports converged=False with
     t_mix=horizon when the distance never qualifies.
     """
-    if not 0 < eps <= 2:
-        raise ValueError(f"eps must lie in (0, 2], got {eps}")
+    check_eps(eps)
+    check_positive("dt", dt)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if horizon is None:
         horizon = default_horizon(config, eps)
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    check_positive("horizon", horizon)
 
     times = np.linspace(0.0, float(horizon), GRID_INTERVALS + 1)
     distributions = _route(config, method, times, dt)

@@ -24,7 +24,15 @@ rows of the stencil disagree with the density equation and the two
 pictures genuinely drift apart (see checks.representation_agreement).
 
 This module holds the configuration record, the initial states, both
-right-hand sides, and the conversions between the two pictures.
+right-hand sides, and the conversions between the two pictures.  It is
+also the one home of the input rules every other module applies:
+
+* check_cycle_size: N is an integer (not a bool) >= 3;
+* check_positive: a rate, step or window is finite and > 0;
+* check_eps: a total-variation threshold lies in (0, 2];
+* check_times: every time is finite and >= 0.
+
+WalkConfig applies the fifth rule, gamma finite and >= 0, itself.
 """
 
 from __future__ import annotations
@@ -37,11 +45,39 @@ import numpy as np
 _QUARTER_PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 
+def check_cycle_size(n) -> None:
+    """N must be an integer >= 3, so that left and right neighbours are distinct."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise TypeError(f"n must be an integer, got {n!r}")
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """A rate, step or window length must be finite and > 0."""
+    if not (value > 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_eps(eps: float) -> None:
+    """Total variation lies in [0, 2], so a threshold must lie in (0, 2]."""
+    if not 0 < eps <= 2:
+        raise ValueError(f"eps must lie in (0, 2], got {eps}")
+
+
+def check_times(t) -> np.ndarray:
+    """Times as a float array, each one finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    ok = np.isfinite(t) & (t >= 0)
+    if not ok.all():
+        raise ValueError(f"t must be finite and >= 0, got {t[~ok].flat[0]}")
+    return t
+
+
 @dataclass(frozen=True)
 class WalkConfig:
-    """Cycle size and monitoring rate.
+    """Cycle size (see check_cycle_size) and monitoring rate.
 
-    n must be at least 3 so that left and right neighbours are distinct.
     gamma = 0 recovers the closed (unitary) walk.
     """
 
@@ -49,10 +85,7 @@ class WalkConfig:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise TypeError(f"n must be an integer, got {self.n!r}")
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
+        check_cycle_size(self.n)
         if not np.isfinite(self.gamma) or self.gamma < 0:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 

@@ -31,13 +31,12 @@ import math
 import numpy as np
 
 from .evolution import ModeSum, _block_rates, _check_modesum_size
-from .model import WalkConfig
+from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
 
 
 def cycle_eigenvalues(n: int) -> np.ndarray:
     """Adjacency eigenvalues of the N-cycle: 2 cos(2 pi j / N)."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_cycle_size(n)
     return 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
@@ -50,10 +49,7 @@ def unitary_amplitudes(n: int, t: float) -> np.ndarray:
     quarter-rate hopping stencil, so their gamma = 0 trajectories match
     these amplitudes at t/4 (see checks.zero_dephasing_agreement).
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_times(t)
     phases = np.exp(-1j * t * cycle_eigenvalues(n))
     return np.fft.fft(phases) / n
 
@@ -146,8 +142,7 @@ def perturbed_eigenvalue(m: int, n: int, config: WalkConfig) -> complex:
 
 
 def _check_mode(m: int, n: int, size: int) -> None:
-    if size < 3:
-        raise ValueError(f"size must be >= 3, got {size}")
+    check_cycle_size(size)
     if not (0 <= m < size and 0 <= n < size):
         raise ValueError(f"mode indices must lie in [0, {size}), got ({m}, {n})")
 
@@ -184,8 +179,6 @@ def perturbative_distribution(config: WalkConfig, t: float) -> np.ndarray:
     and exact at gamma = 0, where it reproduces the literal-S dynamics
     for every N.  Intended regime gamma * N << 1.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     return _PerturbativeKernel(config).distributions(np.array([t]))[0]
 
 
@@ -196,10 +189,9 @@ def small_gamma_mixing_bound(n: int, gamma: float, eps: float) -> float:
     decays at rate gamma (N-2)/N, and the mode sum stays under eps once
     that envelope does.
     """
-    if int(n) != n or n <= 2:
-        raise ValueError(f"n must be an integer > 2, got {n}")
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0; the undamped walk has no decay envelope")
-    if not 0 < eps < 2:
-        raise ValueError(f"eps must lie in (0, 2), got {eps}")
+    check_cycle_size(n)
+    check_positive("gamma", gamma)
+    check_eps(eps)
+    if eps == 2:
+        raise ValueError("eps = 2 is vacuous: total variation never exceeds 2")
     return (1.0 / gamma) * math.log(n / eps) * (1.0 + 2.0 / (n - 2))

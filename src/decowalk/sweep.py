@@ -19,7 +19,7 @@ import numpy as np
 
 from .evolution import IntegrationError, _check_dense_size, _check_modesum_size
 from .mixing import mixing_time
-from .model import WalkConfig
+from .model import WalkConfig, check_positive
 
 DEFAULT_EPS = 0.01
 DEFAULT_GAMMA_MIN = 1e-3
@@ -84,9 +84,11 @@ def default_gamma_grid(
     hi: float = DEFAULT_GAMMA_MAX,
 ) -> np.ndarray:
     """Log-spaced grid spanning both scaling regimes for N up to ~35."""
-    if num < 2 or lo <= 0 or hi <= lo:
-        raise ValueError(f"need num >= 2 and 0 < lo < hi, got num={num}, [{lo}, {hi}]")
-    return np.logspace(math.log10(lo), math.log10(hi), num)
+    check_positive("gamma_min", lo)
+    check_positive("gamma_max", hi)
+    if num < 2 or hi <= lo:
+        raise ValueError(f"need points >= 2 and gamma_min < gamma_max, got {num} in [{lo}, {hi}]")
+    return np.logspace(np.log10(lo), np.log10(hi), num)
 
 
 def default_method(n: int) -> str:
@@ -141,8 +143,10 @@ def sweep_gamma(
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size == 0:
         raise ValueError("gamma grid is empty")
-    if np.any(gammas <= 0) or np.any(np.diff(gammas) <= 0):
-        raise ValueError("gamma grid must be positive and strictly increasing")
+    if not np.all(np.diff(gammas) > 0):
+        raise ValueError("gamma grid must be strictly increasing")
+    for gamma in gammas:
+        check_positive("gamma", gamma)
     if method is None:
         method = default_method(n)
     _check_sweep_size(n, method)

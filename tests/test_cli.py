@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from decowalk import sweep
+from decowalk import cli, evolution, sweep
 from decowalk.cli import main
 
 
@@ -263,3 +263,71 @@ class TestUsage:
         assert code == 0
         payload = json.loads(stdout.getvalue())
         assert payload["command"] == "bounds"
+
+
+def _run(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# Each input with the name its error message must give.
+REFUSED = [
+    ("compare --n 5 --gamma 1 --t nan", "t"),
+    ("compare --n 5 --gamma 1 --t inf", "t"),
+    ("bounds --n 10 --gamma nan", "gamma"),
+    ("bounds --n 10 --gamma inf", "gamma"),
+    ("mixing --n 6 --gamma 1 --method s-literal --dt 0", "dt"),
+    ("mixing --n 6 --gamma 1 --method s-literal --dt -1", "dt"),
+    ("mixing --n 6 --gamma 1 --method s-literal --dt nan", "dt"),
+    ("unitary --n 4 --t-max inf", "t_max"),
+    ("evolve --n 4 --t-max inf", "t_max"),
+    ("sweep --n 5 --points 3 --gamma-max inf", "gamma_max"),
+    ("transition --ns 5 --gamma-max inf", "gamma_max"),
+]
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("argv, name", REFUSED, ids=[a for a, _ in REFUSED])
+    def test_out_of_domain_flag_is_a_usage_error(self, argv, name):
+        code, stdout, stderr = _run(argv.split())
+        assert code == 2
+        assert f"error: {name} must" in stderr
+        assert stdout == ""
+
+    def test_json_never_carries_infinity(self):
+        # gamma = 1e308 is valid, but the diffusive bounds overflow.
+        code, stdout, stderr = _run(["bounds", "--n", "10", "--gamma", "1e308"])
+        assert code == 1
+        assert stderr.startswith("error: t_lower is inf")
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        "evolve --n 4 --t-max 1e300 --dt 1e-10",  # the step count overflows
+        "mixing --n 4 --gamma 1 --method s-literal --dt 1e-310",
+    ])
+    def test_overflowing_step_count_is_a_computation_error(self, argv):
+        code, stdout, stderr = _run(argv.split())
+        assert code == 1
+        assert "overflows the step count" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        "evolve --n 4 --t-max 1e9",  # 1e10 rows of 4 doubles
+        "unitary --n 1000000 --t-max 200",  # 4001 rows of 1e6 doubles
+    ])
+    def test_oversized_table_is_refused_before_any_work(self, monkeypatch, argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the table budget must be checked before any work")
+
+        monkeypatch.setattr(evolution, "build_full_operator", unreachable)
+        monkeypatch.setattr(cli, "unitary_distribution", unreachable)
+        code, stdout, stderr = _run(argv.split())
+        assert code == 1
+        assert "exceeds the" in stderr
+        assert stdout == ""
