@@ -36,6 +36,7 @@ from .sweep import (
     default_gamma_grid,
     sweep_gamma,
     transition_report,
+    worker_count,
 )
 
 _DEFAULTS_LINE = (
@@ -174,6 +175,7 @@ def _cmd_sweep(parser, args) -> int:
         check_cycle_size(args.n)
         check_eps(args.eps)
         grid = default_gamma_grid(args.points, args.gamma_min, args.gamma_max)
+        worker_count(args.jobs, grid.size)
     result = sweep_gamma(args.n, eps=args.eps, gammas=grid, method=args.method, jobs=args.jobs)
     meta = [
         "# decowalk sweep",
@@ -204,6 +206,7 @@ def _cmd_transition(parser, args) -> int:
         check_cycle_size(min(ns))
         check_eps(args.eps)
         grid = default_gamma_grid(args.points, args.gamma_min, args.gamma_max)
+        worker_count(args.jobs, grid.size)
     report = transition_report(ns, eps=args.eps, gammas=grid,
                                method=args.method, jobs=args.jobs)
     meta = [
@@ -265,13 +268,6 @@ def _cmd_verify(parser, args) -> int:
     return 1 if checks.has_failures(outcomes) else 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
 
@@ -321,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     p.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
     p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     _add_output(p)
 
     p = subs.add_parser("transition", help="sweeps for several cycle sizes plus tail slopes")
@@ -331,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     p.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
     p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     _add_output(p)
 
     p = subs.add_parser("compare", help="exact vs approximate distributions at one time")

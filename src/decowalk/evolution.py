@@ -9,10 +9,12 @@ are computed three ways,
 * a Fourier-block propagator for the vertex-0 start (DiagonalPropagator):
   the generator splits into N diagonal-plus-rank-one blocks, one per
   index sum, so the distribution is a sum of about N^2/4 decaying modes
-  with O(N^3) setup and O(N^2) exponentials per time.
+  with O(N^2) exponentials per time.  Its setup runs one O(N^3)
+  eigenvalue solve per block, about N/2 of them, so it grows close to
+  N^4, not N^3.
 
-The first two build the dense generator and are guarded to
-n <= MAX_DENSE_N; the block propagator never forms it and is guarded to
+The oracle and the RK4 routes are guarded to n <= MAX_DENSE_N; the
+block propagator never forms the generator and is guarded to
 n <= MAX_MODESUM_N.  Its mode sum, ModeSum, is the one evaluator behind
 every analytic distribution: the perturbative route (spectral) fills
 the same blocks with first-order rates.
@@ -22,9 +24,15 @@ degree-4 Taylor polynomial of the step map,
 
     v  ->  (I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24) v,
 
-so the integrator precomputes that polynomial once and applies it per
-step.  This is algebraically identical to running the four-stage scheme
-and much cheaper when millions of steps are needed.
+and integrate applies it in one of two ways.  Below STENCIL_MIN_N it
+precomputes that polynomial as a dense N^2 x N^2 matrix once and
+applies it per sample.  From STENCIL_MIN_N up it never builds an
+N^2 x N^2 array: stencil_step evaluates the same polynomial in Horner
+form on the N x N state, with G(X) = L X - X L - gamma M o X (L the
+circulant neighbour coupling, M the off-diagonal mask), at O(N^3) per
+step.  The dense matrix costs O(N^6) to build and O(N^4) per sample,
+so the stencil wins once N is large; BENCH_6.json has the measured
+crossover.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .model import (
     check_times,
     initial_density,
     initial_state,
+    offdiagonal_mask,
     rho_rhs,
     s_rhs,
 )
@@ -59,6 +68,11 @@ MAX_MODESUM_N = 512
 # sampling request needs more memory than the largest computation the
 # package accepts.
 MAX_TABLE_BYTES = 5 << 28  # 1.25 GiB
+# integrate steps the N x N state with stencil_step from this size up,
+# and multiplies by a dense step matrix below it.  Over 5000 steps,
+# sampled every 10, the dense route is cheaper at n = 28 and the stencil
+# at n = 32, in both pictures (BENCH_6.json).
+STENCIL_MIN_N = 32
 
 
 class IntegrationError(RuntimeError):
@@ -187,6 +201,8 @@ def exact_evolve(
     op = build_full_operator(config, model)
     vec = _as_state_vector(config, model, initial)
     out = scipy.linalg.expm(op * t) @ vec
+    if not np.isfinite(out.view(float)).all():
+        raise IntegrationError(f"dense exponential is not finite at t={t:g}")
     return out.reshape(config.n, config.n)
 
 
@@ -201,6 +217,39 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     poly = eye + (a / 3.0) @ poly
     poly = eye + (a / 2.0) @ poly
     return eye + a @ poly
+
+
+def stencil_step(config: WalkConfig, model: str, dt: float):
+    """One classical RK4 step of the N x N state, without any N^2 x N^2 array.
+
+    Returns X -> the step of X.  G(X) = L X - X L - gamma M o X, with L
+    the circulant neighbour coupling of the picture and M the
+    off-diagonal mask, equals the action of build_full_operator on the
+    flattened state; the step is the Horner form of rk4_step_matrix with
+    h = dt (w = X + (h/4) G X, then h/3, then h/2, then X + h G w).
+    """
+    _check_model(model)
+    n = config.n
+    shift = np.roll(np.eye(n), 1, axis=1)  # shift[j, j+1] = 1
+    if model == "s-literal":
+        left = 0.25 * (shift - shift.T)
+    else:
+        left = -0.25j * (shift + shift.T)
+    damping = config.gamma * offdiagonal_mask(n)
+    # Stage k adds h_k G(w) to X; h_k is folded into both terms.
+    stages = [(h * left, h * damping) for h in (dt / 4.0, dt / 3.0, dt / 2.0, dt)]
+
+    def step(x: np.ndarray) -> np.ndarray:
+        w = x
+        for coupling, decay in stages:
+            nxt = coupling @ w
+            nxt -= w @ coupling
+            nxt -= decay * w
+            nxt += x
+            w = nxt
+        return w
+
+    return step
 
 
 def effective_step(span: float, dt_request: float, gamma: float) -> tuple[float, int]:
@@ -234,11 +283,13 @@ def integrate(
     """Fixed-step RK4 trajectory, sampled every grid.sample_stride steps.
 
     The effective step is min(grid.dt, 0.1/max(gamma, 1)) rounded so it
-    divides the window exactly.  Every sample is checked for finiteness
-    and for conservation of the diagonal sum (within 1e-10 of its initial
-    value); violations raise IntegrationError.  Guarded to n <= MAX_DENSE_N,
-    since the step matrix is dense N^2 x N^2, and to output tables of at
-    most MAX_TABLE_BYTES (stored states included).
+    divides the window exactly.  Below STENCIL_MIN_N the samples are
+    advanced by a precomputed dense power of the step matrix; from
+    STENCIL_MIN_N up, step by step with stencil_step.  Every sample is
+    checked for finiteness and for conservation of the diagonal sum
+    (within 1e-10 of its initial value); violations raise
+    IntegrationError.  Guarded to n <= MAX_DENSE_N and to output tables
+    of at most MAX_TABLE_BYTES (stored states included).
     """
     _check_model(model)
     _check_dense_size(config)
@@ -249,14 +300,27 @@ def integrate(
     row_bytes = n * n * (16 if model == "rho" else 8) if keep_states else 8 * n
     check_table_size(-(-n_steps // stride) + 1, row_bytes)
 
-    op = build_full_operator(config, model)
     vec = _as_state_vector(config, model, initial)
     diag = _diag_indices(n)
     trace0 = float(np.real(vec[diag].sum()))
     trace_tol = 1e-10 * max(1.0, abs(trace0))
 
-    step = rk4_step_matrix(op, dt_eff)
-    step_stride = np.linalg.matrix_power(step, stride)
+    if n >= STENCIL_MIN_N:
+        step = stencil_step(config, model, dt_eff)
+
+        def advance(v: np.ndarray, hop: int) -> np.ndarray:
+            x = v.reshape(n, n)
+            for _ in range(hop):
+                x = step(x)
+            return x.ravel()
+    else:
+        step_matrix = rk4_step_matrix(build_full_operator(config, model), dt_eff)
+        step_stride = np.linalg.matrix_power(step_matrix, stride)
+
+        def advance(v: np.ndarray, hop: int) -> np.ndarray:
+            if hop == stride:
+                return step_stride @ v
+            return np.linalg.matrix_power(step_matrix, hop) @ v
 
     sample_steps = np.arange(0, n_steps + 1, stride)
     if sample_steps[-1] != n_steps:
@@ -282,11 +346,7 @@ def integrate(
     record(0, vec)
     done = 0
     for pos, target in enumerate(sample_steps[1:], start=1):
-        hop = target - done
-        if hop == stride:
-            vec = step_stride @ vec
-        else:
-            vec = np.linalg.matrix_power(step, hop) @ vec
+        vec = advance(vec, target - done)
         done = target
         record(pos, vec)
 
@@ -376,8 +436,10 @@ class DiagonalPropagator:
         h(z) = sum_m c_m (lambda_m - z) / (z + gamma - lambda_m) = 0,
 
     each with amplitude (N/gamma)^2 / sum_m c_m / (z + gamma - lambda_m)^2,
-    so P(t) = 1/N + Re(W exp(z t)) over about N^2/4 modes: O(N^3) setup
-    and O(N^2) exponentials per time.  A block whose roots cannot be trusted
+    so P(t) = 1/N + Re(W exp(z t)) over about N^2/4 modes: O(N^2)
+    exponentials per time.  The setup runs one eigvals per block, O(N^3)
+    each and close to O(N^4) in all (measured 0.05 / 4.1 s at n = 64 /
+    256, gamma = 3).  A block whose roots cannot be trusted
     (see _block_modes) is evaluated instead with expm of its merged form,
     and mode then reads "expm" rather than "eig".
     """

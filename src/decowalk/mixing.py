@@ -18,7 +18,10 @@ generator, solved exactly (DiagonalPropagator) or at first order
 (spectral._PerturbativeKernel), and `large-gamma-closed-form` is the
 heat-kernel mode sum of the slow branch (large_gamma.closed_form_a).
 `s-literal` / `rho` step either master equation with RK4, guarded to
-n <= MAX_DENSE_N.
+n <= MAX_DENSE_N.  Their steps form a dyadic lattice (see
+_SteppedDistributions): one step matrix per search, squared up to the
+coarse-grid hop, so each bisection midpoint costs at most p
+matrix-vector products instead of a fresh N^2 x N^2 step matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import (
+    MAX_TABLE_BYTES,
     DiagonalPropagator,
     IntegrationError,
     TimeSeries,
@@ -35,6 +39,7 @@ from .evolution import (
     _check_dense_size,
     effective_step,
     rk4_step_matrix,
+    stencil_step,
     _as_state_vector,
     _diag_indices,
 )
@@ -122,24 +127,37 @@ def default_horizon(config: WalkConfig, eps: float) -> float:
 
 
 class _SteppedDistributions:
-    """Vertex distributions of an RK4 trajectory stored on a uniform coarse grid.
+    """Vertex distributions of an RK4 trajectory on a dyadic lattice of one step.
 
-    States are stored at every coarse sample; off-grid requests advance
-    from the nearest stored state with a freshly sized step, so bisection
-    refinements reuse the integration instead of restarting from t = 0.
-    A non-finite stored or advanced state raises IntegrationError.
+    The step is dt = cell / 2^p, with 2^p the smallest power of two at or
+    above effective_step's count for one coarse cell, and its step matrix
+    S is squared p times: S^(2^p) hops the coarse grid, whose states are
+    stored.  A later request at offset k dt from the stored state below it
+    (every bisection midpoint down to depth p) takes one matrix-vector
+    product with S^(2^j) per set bit j of k.  The levels 1..p-1 are cached
+    from the top down while they fit in MAX_TABLE_BYTES; a level below the
+    cache is rebuilt by squaring S.  A request off the lattice adds one
+    stencil_step of the remaining fraction of a step.  A non-finite stored
+    or advanced state raises IntegrationError.
     """
 
     def __init__(self, config: WalkConfig, model: str, times: np.ndarray, dt: float) -> None:
         _check_dense_size(config)
-        self._op = build_full_operator(config, model)
-        self._gamma = config.gamma
-        self._dt_request = dt
+        self._config, self._model = config, model
         self._diag = _diag_indices(config.n)
         self._times = times
-        span = float(times[1] - times[0])
-        dt_eff, per_cell = effective_step(span, dt, config.gamma)
-        hop = np.linalg.matrix_power(rk4_step_matrix(self._op, dt_eff), per_cell)
+        cell = float(times[1] - times[0])
+        _, per_cell = effective_step(cell, dt, config.gamma)
+        self._depth = (per_cell - 1).bit_length()
+        self._dt = cell / 2**self._depth
+        self._step = rk4_step_matrix(build_full_operator(config, model), self._dt)
+        self._levels: dict[int, np.ndarray] = {}
+        level_bytes = self._step.nbytes
+        hop = self._step
+        for j in range(1, self._depth + 1):
+            hop = hop @ hop
+            if j < self._depth and (self._depth - j) * level_bytes <= MAX_TABLE_BYTES:
+                self._levels[j] = hop
         vec = _as_state_vector(config, model, None)
         self._states = np.empty((times.size, vec.size), dtype=vec.dtype)
         self._states[0] = vec
@@ -150,16 +168,39 @@ class _SteppedDistributions:
         if not finite.all():
             raise IntegrationError(f"non-finite RK4 state at t={times[np.argmin(finite)]:g}")
 
+    def _level(self, j: int) -> np.ndarray:
+        """S^(2^j), from the cache or squared afresh from S."""
+        if j in self._levels:
+            return self._levels[j]
+        power = self._step
+        for _ in range(j):
+            power = power @ power
+        return power
+
+    def _advance(self, state: np.ndarray, delta: float, tol: float) -> np.ndarray:
+        """state advanced by delta: lattice steps, then one partial step if needed."""
+        steps = int(np.rint(delta / self._dt))
+        rest = delta - steps * self._dt
+        if abs(rest) <= tol:
+            rest = 0.0
+        elif rest < 0.0:
+            steps, rest = steps - 1, rest + self._dt
+        for j in reversed(range(steps.bit_length())):
+            if steps >> j & 1:
+                state = self._level(j) @ state
+        if rest > 0.0:
+            n = self._config.n
+            state = stencil_step(self._config, self._model, rest)(state.reshape(n, n)).ravel()
+        return state
+
     def distributions(self, times: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._times, times, side="right") - 1
+        tol = 1e-12 * np.maximum(1.0, np.abs(times))
+        idx = np.searchsorted(self._times, times + tol, side="right") - 1
         idx = np.clip(idx, 0, self._times.size - 1)
         out = np.real(self._states[idx[:, None], self._diag])
-        off_grid = times - self._times[idx] > 1e-12 * np.maximum(1.0, np.abs(times))
-        for k in np.flatnonzero(off_grid):
-            delta = float(times[k] - self._times[idx[k]])
-            dt_eff, steps = effective_step(delta, self._dt_request, self._gamma)
-            hop = np.linalg.matrix_power(rk4_step_matrix(self._op, dt_eff), steps)
-            state = hop @ self._states[idx[k]]
+        delta = times - self._times[idx]
+        for k in np.flatnonzero(np.abs(delta) > tol):
+            state = self._advance(self._states[idx[k]], float(delta[k]), float(tol[k]))
             if not np.isfinite(state.view(float)).all():
                 raise IntegrationError(f"non-finite RK4 state at t={times[k]:g}")
             out[k] = np.real(state[self._diag])

@@ -26,7 +26,7 @@ DEFAULT_GAMMA_MIN = 1e-3
 DEFAULT_GAMMA_MAX = 1e2
 DEFAULT_GAMMA_POINTS = 25
 # Largest N whose default sweep method is the Fourier-block `exact`
-# propagator (O(N^3) setup per gamma); larger N default to RK4.
+# propagator (setup close to O(N^4) per gamma); larger N default to RK4.
 EXACT_METHOD_MAX_N = 20
 
 # Converged points per tail in the log-log slope fits of tail_slopes.

@@ -289,6 +289,8 @@ REFUSED = [
     ("evolve --n 4 --t-max inf", "t_max"),
     ("sweep --n 5 --points 3 --gamma-max inf", "gamma_max"),
     ("transition --ns 5 --gamma-max inf", "gamma_max"),
+    ("sweep --n 5 --points 3 --jobs 0", "jobs"),
+    ("transition --ns 5 --jobs -3", "jobs"),
 ]
 
 
@@ -305,6 +307,13 @@ class TestRefusedInputs:
         code, stdout, stderr = _run(["bounds", "--n", "10", "--gamma", "1e308"])
         assert code == 1
         assert stderr.startswith("error: t_lower is inf")
+        assert stdout == ""
+
+    def test_non_finite_exponential_is_a_computation_error(self):
+        # t = 1e300 is a valid time, but expm of t*G is not finite.
+        code, stdout, stderr = _run("compare --n 5 --gamma 1 --t 1e300".split())
+        assert code == 1
+        assert stderr == "error: dense exponential is not finite at t=1e+300\n"
         assert stdout == ""
 
     @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ from decowalk.evolution import (
     exact_evolve,
     integrate,
     rk4_step_matrix,
+    stencil_step,
 )
 from decowalk.model import WalkConfig, initial_state, rho_rhs, s_rhs
 
@@ -140,6 +141,10 @@ class TestExactEvolve:
         with pytest.raises(ValueError):
             exact_evolve(WalkConfig(n=65, gamma=1.0), 1.0)
 
+    def test_non_finite_result_raises(self):
+        with pytest.raises(evolution.IntegrationError, match="not finite at t=1e\\+300"):
+            exact_evolve(WalkConfig(n=5, gamma=1.0), 1e300)
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             exact_evolve(WalkConfig(n=4), -1.0)
@@ -241,6 +246,94 @@ class TestIntegrate:
         bad[0, 1] = 0.1j
         with pytest.raises(ValueError):
             integrate(config, TimeGrid(t_end=1.0), initial=bad)
+
+
+def _both_routes(monkeypatch, config, grid, model, initial=None):
+    """integrate's dense and stencil trajectories of the same request."""
+    out = []
+    for threshold in (config.n + 1, config.n):
+        monkeypatch.setattr(evolution, "STENCIL_MIN_N", threshold)
+        out.append(integrate(config, grid, model=model, initial=initial, keep_states=True))
+    return out
+
+
+class TestStencilIntegrate:
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_step_equals_step_matrix(self, model):
+        rng = np.random.default_rng(3)
+        config = WalkConfig(n=7, gamma=0.7)
+        x = rng.normal(size=(7, 7)) if model == "s-literal" else (
+            rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+        dense = rk4_step_matrix(build_full_operator(config, model), 0.03) @ x.ravel()
+        np.testing.assert_allclose(stencil_step(config, model, 0.03)(x).ravel(), dense,
+                                   rtol=0, atol=1e-15)
+
+    # Nine steps sampled every four: two full strides and a remainder of one.
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 10.0])
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 12, 17])
+    def test_matches_dense_route(self, monkeypatch, n, model, gamma):
+        config = WalkConfig(n=n, gamma=gamma)
+        dt = 0.1 / max(gamma, 1.0)
+        grid = TimeGrid(t_end=9 * dt, dt=dt, sample_stride=4)
+        dense, stencil = _both_routes(monkeypatch, config, grid, model)
+        assert dense.times.size == stencil.times.size == 4
+        assert stencil.dt_used == dense.dt_used
+        np.testing.assert_array_equal(stencil.times, dense.times)
+        np.testing.assert_allclose(stencil.dists, dense.dists, rtol=0, atol=1e-12)
+        for a, b in zip(stencil.states, dense.states):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_matches_dense_route_at_n_40(self, monkeypatch, model):
+        # The largest size the benchmark integrates; one stride keeps the
+        # dense side to one 1600 x 1600 step matrix.
+        config = WalkConfig(n=40, gamma=0.1)
+        grid = TimeGrid(t_end=0.05, dt=0.01, sample_stride=1)
+        dense, stencil = _both_routes(monkeypatch, config, grid, model)
+        np.testing.assert_allclose(stencil.dists, dense.dists, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stencil.states[-1], dense.states[-1], rtol=0, atol=1e-12)
+
+    def test_default_route_follows_the_threshold(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the stencil route builds no step matrix")
+
+        monkeypatch.setattr(evolution, "rk4_step_matrix", unreachable)
+        config = WalkConfig(n=evolution.STENCIL_MIN_N, gamma=0.5)
+        series = integrate(config, TimeGrid(t_end=1.0, dt=0.01))
+        np.testing.assert_allclose(series.dists.sum(axis=1), 1.0, atol=1e-12)
+        with pytest.raises(AssertionError, match="no step matrix"):
+            integrate(WalkConfig(n=evolution.STENCIL_MIN_N - 1), TimeGrid(t_end=1.0))
+
+    def test_non_finite_state_raises(self, monkeypatch):
+        real = evolution.stencil_step
+
+        def poisoned(config, model, dt):
+            step = real(config, model, dt)
+            calls = []
+
+            def nan_on_fifth(x):
+                calls.append(1)
+                out = step(x)
+                if len(calls) == 5:
+                    out[0, 1] = np.nan
+                return out
+
+            return nan_on_fifth
+
+        monkeypatch.setattr(evolution, "STENCIL_MIN_N", 3)
+        monkeypatch.setattr(evolution, "stencil_step", poisoned)
+        with pytest.raises(evolution.IntegrationError, match="non-finite state at t=0.1"):
+            integrate(WalkConfig(n=5, gamma=0.1), TimeGrid(t_end=1.0, dt=0.01))
+
+    def test_trace_drift_raises(self, monkeypatch):
+        # Off-diagonal entries of 1e9 round the diagonal sum away from 1.
+        s0 = np.zeros((5, 5))
+        s0[0, 0] = 1.0
+        s0[0, 1], s0[1, 0], s0[2, 4] = 1e9 * np.pi, -1e9, 3e8
+        monkeypatch.setattr(evolution, "STENCIL_MIN_N", 3)
+        with pytest.raises(evolution.IntegrationError, match="diagonal sum drifted"):
+            integrate(WalkConfig(n=5, gamma=0.1), TimeGrid(t_end=1.0), initial=s0)
 
 
 class TestDiagonalPropagator:

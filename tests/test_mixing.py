@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from decowalk import mixing
-from decowalk.evolution import IntegrationError, TimeGrid, TimeSeries, integrate, rk4_step_matrix
+from decowalk.evolution import (
+    IntegrationError,
+    TimeGrid,
+    TimeSeries,
+    build_full_operator,
+    integrate,
+    rk4_step_matrix,
+)
 from decowalk.large_gamma import closed_form_a, large_gamma_bounds
 from decowalk.mixing import (
     average_distribution,
@@ -163,19 +170,25 @@ class TestMixingTime:
 
     @pytest.mark.parametrize("poisoned_call", [0, 1])
     def test_non_finite_rk4_state_raises(self, monkeypatch, poisoned_call):
-        # Call 0 builds the coarse-grid hop, later calls the off-grid
-        # advances of the bisection; a NaN in either must not read as
+        # 0 poisons the one step matrix, so the coarse grid; 1 poisons the
+        # cached level S^(2^(p-1)) after the coarse grid is stored, a level
+        # only bisection midpoints use.  A NaN in either must not read as
         # "not converged".
-        calls = []
-
-        def poisoned(generator, dt):
+        def poisoned_step(generator, dt):
             step = rk4_step_matrix(generator, dt)
-            if len(calls) == poisoned_call:
-                step[0, 0] = np.nan
-            calls.append(dt)
+            step[0, 0] = np.nan
             return step
 
-        monkeypatch.setattr(mixing, "rk4_step_matrix", poisoned)
+        real_init = mixing._SteppedDistributions.__init__
+
+        def poisoned_init(self, *args):
+            real_init(self, *args)
+            self._levels[self._depth - 1][0, 0] = np.nan
+
+        if poisoned_call == 0:
+            monkeypatch.setattr(mixing, "rk4_step_matrix", poisoned_step)
+        else:
+            monkeypatch.setattr(mixing._SteppedDistributions, "__init__", poisoned_init)
         with pytest.raises(IntegrationError, match="non-finite RK4 state at t="):
             mixing_time(WalkConfig(n=6, gamma=1.0), 0.01, method="s-literal")
 
@@ -211,3 +224,72 @@ class TestMixingTime:
             mixing_time(config, 0.1, mode="eventual")
         with pytest.raises(ValueError):
             mixing_time(config, 0.1, horizon=-1.0)
+
+
+def _stepped(n, model, gamma=1.0, cells=4, cell=1.0):
+    times = np.linspace(0.0, cells * cell, cells + 1)
+    return mixing._SteppedDistributions(WalkConfig(n=n, gamma=gamma), model, times, 0.01)
+
+
+class TestDyadicLattice:
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_midpoints_equal_powers_of_the_step(self, n, model):
+        # A cell of 1 at dt = 0.01 takes 100 steps, so p = 7 and dt = 1/128.
+        stepped = _stepped(n, model)
+        assert stepped._depth == 7 and stepped._dt == 1.0 / 128
+        step = rk4_step_matrix(build_full_operator(WalkConfig(n=n, gamma=1.0), model),
+                               stepped._dt)
+        for cell, k in ((0, 64), (1, 37), (2, 127), (3, 96)):
+            t = stepped._times[cell] + k * stepped._dt
+            state = stepped._advance(stepped._states[cell], k * stepped._dt, 1e-12)
+            expected = np.linalg.matrix_power(step, k) @ stepped._states[cell]
+            np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stepped.distributions(np.array([t]))[0],
+                                       np.real(expected[stepped._diag]), rtol=0, atol=1e-12)
+
+    def test_one_step_matrix_per_search(self, monkeypatch):
+        calls = []
+
+        def counted(generator, dt):
+            calls.append(dt)
+            return rk4_step_matrix(generator, dt)
+
+        monkeypatch.setattr(mixing, "rk4_step_matrix", counted)
+        result = mixing_time(WalkConfig(n=6, gamma=1.0), 0.01, method="s-literal")
+        assert result.converged and result.bracket > 0
+        assert len(calls) == 1
+
+    def test_off_lattice_time_takes_a_partial_step(self):
+        # A quarter of a lattice step past a stored state: the lattice has
+        # nothing there, so one RK4 step of dt / 4 finishes the advance.
+        stepped = _stepped(6, "s-literal")
+        config = WalkConfig(n=6, gamma=1.0)
+        step = rk4_step_matrix(build_full_operator(config), stepped._dt)
+        partial = rk4_step_matrix(build_full_operator(config), stepped._dt / 4)
+        t = stepped._times[1] + 3.25 * stepped._dt
+        expected = partial @ np.linalg.matrix_power(step, 3) @ stepped._states[1]
+        np.testing.assert_allclose(stepped.distributions(np.array([t]))[0],
+                                   expected[stepped._diag], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
+    def test_level_cache_respects_the_table_budget(self, monkeypatch, method):
+        config = WalkConfig(n=6, gamma=1.0)
+        full = mixing_time(config, 0.01, method=method)
+        level_bytes = 36 * 36 * (8 if method == "s-literal" else 16)
+        monkeypatch.setattr(mixing, "MAX_TABLE_BYTES", 2 * level_bytes)
+        stepped = _stepped(6, method)
+        assert sorted(stepped._levels) == [stepped._depth - 2, stepped._depth - 1]
+        assert sum(level.nbytes for level in stepped._levels.values()) <= 2 * level_bytes
+        rebuilt = []
+        real_level = mixing._SteppedDistributions._level
+
+        def level(self, j):
+            if j not in self._levels:
+                rebuilt.append(j)
+            return real_level(self, j)
+
+        monkeypatch.setattr(mixing._SteppedDistributions, "_level", level)
+        lean = mixing_time(config, 0.01, method=method)
+        assert rebuilt  # the search reached below the cache
+        assert (lean.t_mix, lean.bracket) == (full.t_mix, full.bracket)
