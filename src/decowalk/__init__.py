@@ -22,19 +22,15 @@ from .evolution import (
 from .large_gamma import (
     BoundsReport,
     ModeRates,
-    TruncatedState,
     classical_heat_kernel,
     closed_form_a,
     diagonal_sums,
     full_large_gamma_state,
     large_gamma_bounds,
-    large_gamma_valid,
     mode_rates,
-    truncated_rhs,
 )
 from .mixing import (
     MixingResult,
-    average_distribution,
     default_horizon,
     mixing_time,
     total_variation,
@@ -42,20 +38,16 @@ from .mixing import (
 )
 from .model import (
     WalkConfig,
-    diagonal_distribution,
     initial_density,
     initial_state,
     rho_rhs,
     rho_to_s,
     s_rhs,
-    s_to_rho,
 )
 from .spectral import (
-    classify_degeneracy,
     cycle_eigenvalues,
     m_function,
     perturbative_distribution,
-    perturbed_eigenvalue,
     small_gamma_mixing_bound,
     torus_eigenvalue,
     torus_eigenvector,

@@ -13,11 +13,14 @@ are computed three ways,
   eigenvalue solve per block, about N/2 of them, so it grows close to
   N^4, not N^3.
 
-The oracle and the RK4 routes are guarded to n <= MAX_DENSE_N; the
-block propagator never forms the generator and is guarded to
-n <= MAX_MODESUM_N.  Its mode sum, ModeSum, is the one evaluator behind
-every analytic distribution: the perturbative route (spectral) fills
-the same blocks with first-order rates.
+The oracle and the RK4 step matrices build the generator and are
+guarded to n <= MAX_DENSE_N.  integrate builds it only below
+STENCIL_MIN_N; from there up it holds a few N x N arrays and refuses
+only a working set above MAX_TABLE_BYTES.  The block propagator never
+forms the generator and is guarded to n <= MAX_MODESUM_N.  Its mode
+sum, ModeSum, is the one evaluator behind every analytic distribution:
+the perturbative route (spectral) fills the same blocks with
+first-order rates.
 
 For a linear autonomous system the classical RK4 update is exactly the
 degree-4 Taylor polynomial of the step map,
@@ -288,17 +291,22 @@ def integrate(
     STENCIL_MIN_N up, step by step with stencil_step.  Every sample is
     checked for finiteness and for conservation of the diagonal sum
     (within 1e-10 of its initial value); violations raise
-    IntegrationError.  Guarded to n <= MAX_DENSE_N and to output tables
-    of at most MAX_TABLE_BYTES (stored states included).
+    IntegrationError.  The output table (stored states included) and,
+    from STENCIL_MIN_N up, the stencil's N x N working set are each
+    refused above MAX_TABLE_BYTES before any work starts.
     """
     _check_model(model)
-    _check_dense_size(config)
     n = config.n
     dt_eff, n_steps = effective_step(grid.t_end, grid.dt, config.gamma)
     stride = int(grid.sample_stride)
     # Density-picture states are complex.
-    row_bytes = n * n * (16 if model == "rho" else 8) if keep_states else 8 * n
-    check_table_size(-(-n_steps // stride) + 1, row_bytes)
+    state_bytes = n * n * (16 if model == "rho" else 8)
+    check_table_size(-(-n_steps // stride) + 1, state_bytes if keep_states else 8 * n)
+    if n >= STENCIL_MIN_N:
+        # Twelve N x N arrays: the coupling and damping factors of the
+        # four stages, the state, the stage iterate, its successor and
+        # one product.
+        check_table_size(12, state_bytes)
 
     vec = _as_state_vector(config, model, initial)
     diag = _diag_indices(n)

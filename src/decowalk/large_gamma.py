@@ -28,17 +28,6 @@ import scipy.linalg
 
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
 
-# Real decay rates for every Fourier mode require gamma^2 >= 2.
-VALIDITY_GAMMA = 2.0
-
-
-@dataclass(frozen=True)
-class TruncatedState:
-    """Main diagonal a_j and symmetrised first off-diagonal d_j."""
-
-    a: np.ndarray
-    d: np.ndarray
-
 
 @dataclass(frozen=True)
 class ModeRates:
@@ -82,28 +71,6 @@ def diagonal_sums(state: np.ndarray) -> np.ndarray:
     if state.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {state.shape}")
     return np.array([np.trace(np.roll(state, -k, axis=1)) for k in range(n)])
-
-
-def truncated_rhs(state: TruncatedState, config: WalkConfig) -> TruncatedState:
-    """Derivative of the two-band truncation; cyclic indices.
-
-    The a-equation telescopes, so sum_j a_j is conserved.  Meaningful in
-    the strong-dephasing regime (see large_gamma_valid).
-    """
-    a = np.asarray(state.a, dtype=float)
-    d = np.asarray(state.d, dtype=float)
-    if a.shape != (config.n,) or d.shape != (config.n,):
-        raise ValueError(
-            f"state vectors must have length {config.n}, got {a.shape} and {d.shape}"
-        )
-    da = 0.25 * (d - np.roll(d, 1))
-    dd = 0.5 * (np.roll(a, -1) - a) - config.gamma * d
-    return TruncatedState(a=da, d=dd)
-
-
-def large_gamma_valid(config: WalkConfig) -> bool:
-    """Whether every truncated mode has real decay rates (gamma >= 2)."""
-    return config.gamma >= VALIDITY_GAMMA
 
 
 def mode_rates(k: int, config: WalkConfig) -> ModeRates:

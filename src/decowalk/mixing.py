@@ -34,7 +34,6 @@ from .evolution import (
     MAX_TABLE_BYTES,
     DiagonalPropagator,
     IntegrationError,
-    TimeSeries,
     build_full_operator,
     _check_dense_size,
     effective_step,
@@ -73,6 +72,11 @@ class MixingResult:
     bracket: float
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def uniform_distribution(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
@@ -84,31 +88,6 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
     return float(np.abs(p - q).sum())
-
-
-def average_distribution(series: TimeSeries, t_final: float) -> np.ndarray:
-    """Trapezoid time average (1/T) integral of P(t) dt over [t_0, t_final].
-
-    t_final must lie inside the sampled range; the final partial cell is
-    handled by linear interpolation.
-    """
-    times = series.times
-    dists = series.dists
-    if not times[0] <= t_final <= times[-1]:
-        raise ValueError(
-            f"t_final={t_final} outside the sampled range [{times[0]}, {times[-1]}]"
-        )
-    if t_final == times[0]:
-        return dists[0].copy()
-    idx = int(np.searchsorted(times, t_final, side="right")) - 1
-    integral = np.zeros(dists.shape[1])
-    if idx >= 1:
-        integral = np.trapezoid(dists[: idx + 1], x=times[: idx + 1], axis=0)
-    if t_final > times[idx]:
-        frac = (t_final - times[idx]) / (times[idx + 1] - times[idx])
-        edge = (1.0 - frac) * dists[idx] + frac * dists[idx + 1]
-        integral = integral + 0.5 * (dists[idx] + edge) * (t_final - times[idx])
-    return integral / (t_final - times[0])
 
 
 def default_horizon(config: WalkConfig, eps: float) -> float:
@@ -237,8 +216,7 @@ def mixing_time(
     check_positive("dt", dt)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     if horizon is None:
         horizon = default_horizon(config, eps)
     check_positive("horizon", horizon)

@@ -24,7 +24,7 @@ rows of the stencil disagree with the density equation and the two
 pictures genuinely drift apart (see checks.representation_agreement).
 
 This module holds the configuration record, the initial states, both
-right-hand sides, and the conversions between the two pictures.  It is
+right-hand sides, and the change of variables rho -> S.  It is
 also the one home of the input rules every other module applies:
 
 * check_cycle_size: N is an integer (not a bool) >= 3;
@@ -144,32 +144,10 @@ def rho_rhs(config: WalkConfig, rho: np.ndarray) -> np.ndarray:
     return coherent - config.gamma * offdiagonal_mask(config.n) * rho
 
 
-def _phase_table(n: int) -> np.ndarray:
-    """Matrix of i^(k-j) over integer representatives 0..n-1."""
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return _QUARTER_PHASES[np.mod(k - j, 4)]
-
-
 def rho_to_s(rho: np.ndarray) -> np.ndarray:
-    """Apply S_jk = i^(k-j) rho_jk entrywise."""
+    """Apply S_jk = i^(k-j) rho_jk entrywise, j and k taken as 0..n-1."""
     n = rho.shape[0]
     if rho.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {rho.shape}")
-    return _phase_table(n) * rho
-
-
-def s_to_rho(s: np.ndarray) -> np.ndarray:
-    """Inverse of rho_to_s: rho_jk = i^(j-k) S_jk."""
-    n = s.shape[0]
-    if s.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got {s.shape}")
-    return np.conj(_phase_table(n)) * s
-
-
-def diagonal_distribution(state: np.ndarray) -> np.ndarray:
-    """Vertex occupation probabilities: the (real part of the) diagonal.
-
-    The diagonal is untouched by the phase change of variables, so this
-    reads identically off S or rho.
-    """
-    return np.real(np.diag(state)).copy()
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return _QUARTER_PHASES[np.mod(k - j, 4)] * rho

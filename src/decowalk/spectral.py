@@ -9,12 +9,17 @@ modes V^(m,n) with eigenvalues
 
 The damping term is a rank-structured perturbation whose matrix elements
 between Fourier modes depend only on the index sums: modes couple only
-when (m+n) is congruent to (m'+n') mod N.  Eigenvalues coincide in three
-patterns (equal indices, index sums congruent to zero, and swapped index
-pairs), and working inside those blocks gives the first-order shifts
+when (m+n) is congruent to (m'+n') mod N (u_similarity).  Within its
+index-sum block, a mode whose index sum is not 0 mod N shares its
+eigenvalue only with its swapped partner (n, m), so first-order
+perturbation theory works on that pair: the shift is u(m,n,m,n) =
+-gamma (N-1)/N, plus the swap coupling u(m,n,n,m) = gamma/N when m != n,
 
-    -gamma (N-1)/N   for equal-index and zero-sum modes,
+    -gamma (N-1)/N   for equal-index modes,
     -gamma (N-2)/N   for swapped-pair modes.
+
+The modes with index sum 0 mod N all have eigenvalue 0 and carry only
+the stationary uniform term.
 
 Summing the shifted modes reconstructs the distribution at small gamma,
 and bounding the mode sum gives the small-dephasing mixing-time bound.
@@ -92,22 +97,6 @@ def torus_eigenvector(m: int, n: int, size: int) -> np.ndarray:
     return np.outer(row, col).ravel() / size
 
 
-def classify_degeneracy(m: int, n: int, size: int) -> str:
-    """Which eigenvalue-coincidence pattern the mode (m, n) belongs to.
-
-    `zero`: index sum congruent to 0 mod N (eigenvalue 0; these modes
-    drop out of the distribution reconstruction).  `diagonal`: m = n.
-    `off-diagonal`: m != n with the swapped partner (n, m) distinct,
-    giving an effective two-fold degeneracy.
-    """
-    _check_mode(m, n, size)
-    if (m + n) % size == 0:
-        return "zero"
-    if m == n:
-        return "diagonal"
-    return "off-diagonal"
-
-
 def u_similarity(m: int, n: int, m2: int, n2: int, size: int, gamma: float) -> float:
     """Damping matrix element between Fourier modes (m, n) and (m2, n2).
 
@@ -124,21 +113,6 @@ def u_similarity(m: int, n: int, m2: int, n2: int, size: int, gamma: float) -> f
     if ((m2 - m) + (n2 - n)) % size == 0:
         value += gamma / size
     return value
-
-
-def perturbed_eigenvalue(m: int, n: int, config: WalkConfig) -> complex:
-    """Mode eigenvalue with its first-order damping shift.
-
-    Swapped-pair (off-diagonal class) modes shift by -gamma (N-2)/N; all
-    other modes shift by -gamma (N-1)/N.  Meaningful in the regime
-    gamma * N << 1 (not enforced).
-    """
-    lam = torus_eigenvalue(m, n, config.n)
-    if classify_degeneracy(m, n, config.n) == "off-diagonal":
-        shift = -config.gamma * (config.n - 2) / config.n
-    else:
-        shift = -config.gamma * (config.n - 1) / config.n
-    return lam + shift
 
 
 def _check_mode(m: int, n: int, size: int) -> None:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import IntegrationError, _check_dense_size, _check_modesum_size
-from .mixing import mixing_time
-from .model import WalkConfig, check_positive
+from .mixing import _check_method, mixing_time
+from .model import WalkConfig, check_cycle_size, check_eps, check_positive
 
 DEFAULT_EPS = 0.01
 DEFAULT_GAMMA_MIN = 1e-3
@@ -102,8 +102,11 @@ def worker_count(jobs: int, tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, tasks)
 
 
-def _check_sweep_size(n: int, method: str) -> None:
-    """Refuse a sweep whose every point would fail a size guard."""
+def _check_sweep_size(n: int, eps: float, method: str) -> None:
+    """Refuse a sweep whose every point would fail: n, eps, method or a size guard."""
+    check_cycle_size(n)
+    check_eps(eps)
+    _check_method(method)
     if method in ("s-literal", "rho"):
         _check_dense_size(WalkConfig(n=n))
     if method in ("exact", "perturbative"):
@@ -131,12 +134,13 @@ def sweep_gamma(
 
     A point whose measurement fails with a ValueError, IntegrationError
     or LinAlgError is recorded as converged=False, t_mix=nan, with the
-    error in its reason; any other exception propagates.  An RK4 method
-    (s-literal, rho) with n > MAX_DENSE_N, or a mode-sum method (exact,
-    perturbative) with n > MAX_MODESUM_N, is refused before any point
-    runs.  With jobs > 1 the points run in a pool of worker_count(jobs,
-    grid size) processes; collection order is fixed by the grid, so the
-    result is identical to a sequential run.
+    error in its reason; any other exception propagates.  Input that
+    would fail every point is refused before any point runs: n < 3, eps
+    outside (0, 2], an unknown method, an RK4 method (s-literal, rho)
+    with n > MAX_DENSE_N, or a mode-sum method (exact, perturbative)
+    with n > MAX_MODESUM_N.  With jobs > 1 the points run in a pool of
+    worker_count(jobs, grid size) processes; collection order is fixed
+    by the grid, so the result is identical to a sequential run.
     """
     if gammas is None:
         gammas = default_gamma_grid()
@@ -149,7 +153,7 @@ def sweep_gamma(
         check_positive("gamma", gamma)
     if method is None:
         method = default_method(n)
-    _check_sweep_size(n, method)
+    _check_sweep_size(n, eps, method)
 
     tasks = [(int(n), float(g), float(eps), method) for g in gammas]
     workers = worker_count(jobs, len(tasks))
@@ -248,10 +252,10 @@ def transition_report(
 
     The per-N curves exhibit the coherence-limited 1/gamma tail, the
     diffusive gamma tail, and the interior optimum in between.  Every
-    size is checked against the size guards before any is swept.
+    size is checked as sweep_gamma would check it before any is swept.
     """
     for n in ns:
-        _check_sweep_size(n, method or default_method(n))
+        _check_sweep_size(n, eps, method or default_method(n))
     entries = []
     for n in ns:
         result = sweep_gamma(n, eps=eps, gammas=gammas, method=method, jobs=jobs)

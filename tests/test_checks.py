@@ -12,6 +12,7 @@ from decowalk.checks import (
     has_failures,
     representation_agreement,
     run_checks,
+    zero_dephasing_agreement,
 )
 
 
@@ -52,6 +53,16 @@ class TestIndexSumDecoupling:
         count = int(re.search(r"over (\d+) entries", outcome.detail).group(1))
         # Entries across classes: N^4 - N^3 per model, n = 3..12.
         assert count == 2 * sum(n**4 - n**3 for n in range(3, 13))
+
+
+class TestMFunctionSquare:
+    def test_asserts_over_a_counted_population(self):
+        (outcome,) = [o for o in zero_dephasing_agreement()
+                      if o.name == "zero-dephasing-m-function-square"]
+        assert outcome.status == "PASS"
+        count = int(re.search(r"over (\d+) \(n, t\) cases", outcome.detail).group(1))
+        # Seven sizes (n = 3..8 and 12) times eleven times in [0, 20].
+        assert count == 7 * 11
 
 
 class TestRepresentationAgreement:

@@ -401,7 +401,8 @@ class TestDiagonalPropagator:
 
 
 class TestDenseSizeGuard:
-    """RK4 routes refuse n > MAX_DENSE_N before building any N^2 x N^2 array."""
+    """RK4 mixing routes refuse n > MAX_DENSE_N before building any N^2 x N^2
+    array; integrate's stencil route runs above it without one."""
 
     @pytest.fixture(autouse=True)
     def refuse_dense_generator(self, monkeypatch):
@@ -412,8 +413,29 @@ class TestDenseSizeGuard:
         monkeypatch.setattr(mixing, "build_full_operator", refuse)
 
     def test_integrate(self):
-        with pytest.raises(ValueError, match="n <= 64"):
-            integrate(WalkConfig(n=65, gamma=1.0), TimeGrid(t_end=1.0))
+        worst = 0.0
+        for model in ("s-literal", "rho"):
+            for gamma in (0.1, 10.0):
+                config = WalkConfig(n=68, gamma=gamma)
+                series = integrate(config, TimeGrid(t_end=2.0), model=model)
+                expected = DiagonalPropagator(config, model).distributions(series.times)
+                worst = max(worst, np.abs(series.dists - expected).max())
+        assert worst <= 1e-8
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_integrate_refuses_a_stencil_working_set_over_budget(self, monkeypatch, model):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stencil step was built")
+
+        monkeypatch.setattr(evolution, "stencil_step", refuse)
+        state_bytes = 68 * 68 * (16 if model == "rho" else 8)
+        # Room for the 21-row output table, not for twelve N x N arrays.
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", 11 * state_bytes)
+        with pytest.raises(ValueError, match="exceeds"):
+            integrate(WalkConfig(n=68, gamma=1.0), TimeGrid(t_end=2.0), model=model)
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", 12 * state_bytes)
+        with pytest.raises(AssertionError, match="stencil step"):
+            integrate(WalkConfig(n=68, gamma=1.0), TimeGrid(t_end=2.0), model=model)
 
     @pytest.mark.parametrize("method", ["s-literal", "rho"])
     def test_stepped_mixing_time(self, method):

@@ -9,16 +9,12 @@ import scipy.linalg
 
 from decowalk.evolution import TimeGrid, exact_evolve, integrate
 from decowalk.large_gamma import (
-    VALIDITY_GAMMA,
-    TruncatedState,
     classical_heat_kernel,
     closed_form_a,
     diagonal_sums,
     full_large_gamma_state,
     large_gamma_bounds,
-    large_gamma_valid,
     mode_rates,
-    truncated_rhs,
 )
 from decowalk.model import WalkConfig, initial_density, rho_to_s, s_rhs
 
@@ -29,6 +25,22 @@ def _random_symmetric_unit_trace(n, seed):
     sym = 0.5 * (raw + raw.T)
     sym += np.eye(n) * (1.0 - np.trace(sym)) / n
     return sym
+
+
+def _two_band_generator(config):
+    """The 2N x 2N matrix of the two-band equations, acting on (a, d).
+
+    a_j' = (d_j - d_{j-1}) / 4 and d_j' = (a_{j+1} - a_j) / 2 - gamma d_j,
+    cyclic indices, as in the large_gamma module docstring.
+    """
+    n = config.n
+    eye = np.eye(n)
+    shift = np.roll(eye, 1, axis=1)  # (shift @ v)_j = v_{j+1}
+    mat = np.zeros((2 * n, 2 * n))
+    mat[:n, n:] = 0.25 * (eye - shift.T)
+    mat[n:, :n] = 0.5 * (shift - eye)
+    mat[n:, n:] = -config.gamma * eye
+    return mat
 
 
 class TestDiagonalSums:
@@ -67,31 +79,24 @@ class TestDiagonalSumDecayLaw:
 
 
 class TestTruncatedRhs:
+    """The two-band matrix that TestTruncatedModelFidelity propagates."""
+
     def test_hand_values_from_origin(self):
         config = WalkConfig(n=3, gamma=4.0)
-        state = TruncatedState(a=np.array([1.0, 0.0, 0.0]), d=np.zeros(3))
-        deriv = truncated_rhs(state, config)
-        np.testing.assert_allclose(deriv.a, np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(deriv.d, [-0.5, 0.0, 0.5], atol=1e-15)
+        deriv = _two_band_generator(config) @ np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(deriv[:3], np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(deriv[3:], [-0.5, 0.0, 0.5], atol=1e-15)
 
     def test_uniform_is_stationary(self):
         config = WalkConfig(n=5, gamma=3.0)
-        state = TruncatedState(a=np.full(5, 0.2), d=np.zeros(5))
-        deriv = truncated_rhs(state, config)
-        np.testing.assert_allclose(deriv.a, np.zeros(5), atol=1e-15)
-        np.testing.assert_allclose(deriv.d, np.zeros(5), atol=1e-15)
+        deriv = _two_band_generator(config) @ np.concatenate([np.full(5, 0.2), np.zeros(5)])
+        np.testing.assert_allclose(deriv, np.zeros(10), atol=1e-15)
 
     def test_diagonal_sum_conserved(self):
         rng = np.random.default_rng(7)
         config = WalkConfig(n=8, gamma=2.5)
-        state = TruncatedState(a=rng.standard_normal(8), d=rng.standard_normal(8))
-        deriv = truncated_rhs(state, config)
-        assert abs(deriv.a.sum()) < 1e-14
-
-    def test_rejects_wrong_length(self):
-        config = WalkConfig(n=4, gamma=2.0)
-        with pytest.raises(ValueError):
-            truncated_rhs(TruncatedState(a=np.zeros(3), d=np.zeros(4)), config)
+        deriv = _two_band_generator(config) @ rng.standard_normal(16)
+        assert abs(deriv[:8].sum()) < 1e-14
 
 
 class TestModeRates:
@@ -123,8 +128,12 @@ class TestModeRates:
             mode_rates(2, WalkConfig(n=4, gamma=0.5))
 
     def test_validity_flag(self):
-        assert large_gamma_valid(WalkConfig(n=5, gamma=VALIDITY_GAMMA))
-        assert not large_gamma_valid(WalkConfig(n=5, gamma=1.99))
+        # Every mode has real rates once gamma^2 >= 2; the k = N/2 mode of
+        # an even cycle sits on that edge and raises just below it.
+        for k in range(4):
+            mode_rates(k, WalkConfig(n=4, gamma=math.sqrt(2.0)))
+        with pytest.raises(ValueError):
+            mode_rates(2, WalkConfig(n=4, gamma=1.41))
 
 
 class TestClosedFormA:
@@ -240,20 +249,11 @@ class TestFullState:
 class TestTruncatedModelFidelity:
     @staticmethod
     def _propagate_truncated(config, t):
-        # Lift the two-band right-hand side to a 2N x 2N matrix by
-        # applying it to basis vectors, then use the dense exponential.
-        n = config.n
-        mat = np.zeros((2 * n, 2 * n))
-        for col in range(2 * n):
-            basis = np.zeros(2 * n)
-            basis[col] = 1.0
-            deriv = truncated_rhs(TruncatedState(a=basis[:n], d=basis[n:]), config)
-            mat[:n, col] = deriv.a
-            mat[n:, col] = deriv.d
-        start = np.zeros(2 * n)
+        # Dense exponential of the two-band equations from the origin.
+        start = np.zeros(2 * config.n)
         start[0] = 1.0
-        out = scipy.linalg.expm(mat * t) @ start
-        return out[:n]
+        out = scipy.linalg.expm(_two_band_generator(config) * t) @ start
+        return out[: config.n]
 
     def test_truncation_error_shrinks_with_gamma(self):
         n, t = 6, 3.0

@@ -1,4 +1,4 @@
-"""Total-variation distance, time averages and mixing-time search."""
+"""Total-variation distance and mixing-time search."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,11 @@ import pytest
 from decowalk import mixing
 from decowalk.evolution import (
     IntegrationError,
-    TimeGrid,
-    TimeSeries,
     build_full_operator,
-    integrate,
     rk4_step_matrix,
 )
 from decowalk.large_gamma import closed_form_a, large_gamma_bounds
 from decowalk.mixing import (
-    average_distribution,
     default_horizon,
     mixing_time,
     total_variation,
@@ -50,52 +46,6 @@ class TestTotalVariation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             total_variation(np.zeros(3), np.zeros(4))
-
-
-class TestAverageDistribution:
-    @staticmethod
-    def _synthetic(times, dists):
-        return TimeSeries(
-            times=np.asarray(times, dtype=float),
-            dists=np.asarray(dists, dtype=float),
-            dt_used=1.0,
-        )
-
-    def test_constant_series(self):
-        series = self._synthetic([0.0, 1.0, 2.0], np.tile([0.2, 0.3, 0.5], (3, 1)))
-        np.testing.assert_allclose(average_distribution(series, 2.0), [0.2, 0.3, 0.5])
-
-    def test_partial_cell_on_linear_data(self):
-        # Trapezoid rule is exact on piecewise-linear data, including the
-        # interpolated final cell: mean of t over [0, 1.5] is 0.75.
-        series = self._synthetic(
-            [0.0, 1.0, 2.0], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [2.0, -1.0, 0.0]]
-        )
-        np.testing.assert_allclose(average_distribution(series, 1.5), [0.75, 0.25, 0.0], atol=1e-14)
-
-    def test_undamped_four_cycle_average(self):
-        # The closed-form return probability cycles with period 4 pi, so
-        # the average over two periods is (3/8, 1/8, 3/8, 1/8).
-        t_end = 8.0 * np.pi
-        series = integrate(
-            WalkConfig(n=4, gamma=0.0), TimeGrid(t_end=t_end, dt=0.005, sample_stride=5)
-        )
-        avg = average_distribution(series, t_end)
-        np.testing.assert_allclose(avg, [0.375, 0.125, 0.375, 0.125], atol=1e-6)
-
-    def test_averages_stay_normalised(self):
-        series = integrate(WalkConfig(n=5, gamma=0.7), TimeGrid(t_end=4.0, dt=0.01))
-        avg = average_distribution(series, 3.3)
-        assert avg.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_time_zero_returns_first_sample(self):
-        series = integrate(WalkConfig(n=4, gamma=0.2), TimeGrid(t_end=1.0, dt=0.01))
-        np.testing.assert_allclose(average_distribution(series, 0.0), np.eye(4)[0], atol=1e-15)
-
-    def test_rejects_out_of_range(self):
-        series = integrate(WalkConfig(n=4, gamma=0.2), TimeGrid(t_end=1.0, dt=0.01))
-        with pytest.raises(ValueError):
-            average_distribution(series, 1.5)
 
 
 class TestDefaultHorizon:

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from decowalk.evolution import build_full_operator, exact_evolve
+from decowalk.evolution import _block_rates, build_full_operator, exact_evolve
 from decowalk.model import WalkConfig
 from decowalk.spectral import (
-    classify_degeneracy,
     cycle_eigenvalues,
     m_function,
     perturbative_distribution,
-    perturbed_eigenvalue,
     small_gamma_mixing_bound,
     torus_eigenvalue,
     torus_eigenvector,
@@ -20,6 +18,21 @@ from decowalk.spectral import (
     unitary_amplitudes,
     unitary_distribution,
 )
+
+
+def _first_order_rate(m, k, config):
+    """Undamped rate of mode (m, k) plus its first-order damping shift.
+
+    The mode shares its eigenvalue only with its swap partner (k, m), so
+    first-order perturbation theory on that pair adds the diagonal
+    element u(m,k,m,k) and, when the partner is a distinct mode, the
+    coupling u(m,k,k,m).
+    """
+    n, gamma = config.n, config.gamma
+    shift = u_similarity(m, k, m, k, n, gamma)
+    if m != k:
+        shift += u_similarity(m, k, k, m, n, gamma)
+    return torus_eigenvalue(m, k, n) + shift
 
 
 class TestCycleEigenvalues:
@@ -167,41 +180,55 @@ class TestUSimilarity:
 
 
 class TestDegeneracyClasses:
+    """The eigenvalue coincidences that _block_rates merges in each index-sum block."""
+
     def test_origin_is_zero_class(self):
-        assert classify_degeneracy(0, 0, 6) == "zero"
+        beta, _ = _block_rates(6, 0, "s-literal")
+        np.testing.assert_allclose(beta, 0.0, atol=1e-15)
 
     def test_congruent_sum_is_zero_class(self):
-        assert classify_degeneracy(3, 5, 8) == "zero"
+        # (3, 5) on the 8-cycle sits in block 0, where every rate vanishes.
+        beta, _ = _block_rates(8, (3 + 5) % 8, "s-literal")
+        np.testing.assert_allclose(beta, 0.0, atol=1e-15)
 
     def test_equal_indices(self):
-        assert classify_degeneracy(3, 3, 8) == "diagonal"
+        beta, counts = _block_rates(8, 6, "s-literal")
+        (row,) = np.flatnonzero(np.isclose(beta, torus_eigenvalue(3, 3, 8).imag, atol=1e-15))
+        assert counts[row] == 1.0
 
     def test_swap_paired(self):
-        assert classify_degeneracy(2, 1, 8) == "off-diagonal"
+        beta, counts = _block_rates(8, 3, "s-literal")
+        (row,) = np.flatnonzero(np.isclose(beta, torus_eigenvalue(2, 1, 8).imag, atol=1e-15))
+        assert counts[row] == 2.0
 
     def test_fallback_is_unreachable(self):
+        # Every mode of a block is either its own partner or half of a
+        # swap pair, and is counted exactly once.
         for n in range(3, 11):
-            for m in range(n):
-                for k in range(n):
-                    assert classify_degeneracy(m, k, n) in ("zero", "diagonal", "off-diagonal")
+            for s in range(1, n):
+                _, counts = _block_rates(n, s, "s-literal")
+                assert set(counts) <= {1.0, 2.0}
+                assert counts.sum() == n
 
 
 class TestPerturbedEigenvalue:
+    """First-order perturbation theory on the swap pair gives the documented shifts."""
+
     def test_equal_index_shift(self):
         config = WalkConfig(n=5, gamma=0.01)
         expected = 1j * math.sin(2 * math.pi / 5) - 0.008
-        assert perturbed_eigenvalue(1, 1, config) == pytest.approx(expected, abs=1e-15)
+        assert _first_order_rate(1, 1, config) == pytest.approx(expected, abs=1e-15)
 
     def test_swap_pair_shift(self):
         config = WalkConfig(n=5, gamma=0.01)
         expected = torus_eigenvalue(2, 1, 5) - 0.006
-        assert perturbed_eigenvalue(2, 1, config) == pytest.approx(expected, abs=1e-15)
+        assert _first_order_rate(2, 1, config) == pytest.approx(expected, abs=1e-15)
 
     def test_no_shift_without_damping(self):
         config = WalkConfig(n=6, gamma=0.0)
         for m in range(6):
             for k in range(6):
-                assert perturbed_eigenvalue(m, k, config) == torus_eigenvalue(m, k, 6)
+                assert _first_order_rate(m, k, config) == torus_eigenvalue(m, k, 6)
 
 
 class TestPerturbativeDistribution:
@@ -244,7 +271,7 @@ class TestPerturbativeDistribution:
 
     def test_matches_brute_force_mode_sum(self):
         # Independent route: every torus mode with nonzero index sum,
-        # one by one, at its perturbed_eigenvalue and phase omega^((m+k) j)/N^2.
+        # one by one, at its first-order rate and phase omega^((m+k) j)/N^2.
         worst = 0.0
         for n in range(3, 17):
             modes = [(m, k) for m in range(n) for k in range(n) if (m + k) % n]
@@ -252,7 +279,7 @@ class TestPerturbativeDistribution:
             phases = np.exp(2j * np.pi * np.outer(sums, np.arange(n)) / n) / n**2
             for gamma in (0.0, 1e-4, 1e-2, 0.3):
                 config = WalkConfig(n=n, gamma=gamma)
-                rates = np.array([perturbed_eigenvalue(m, k, config) for m, k in modes])
+                rates = np.array([_first_order_rate(m, k, config) for m, k in modes])
                 for t in (0.0, 1.0, 40.0, 500.0):
                     brute = 1.0 / n + np.real(np.exp(rates * t) @ phases)
                     probs = perturbative_distribution(config, t)

@@ -57,11 +57,15 @@ class TestSweepGamma:
         grid = default_gamma_grid(num=7)
         assert sweep_gamma(4, gammas=grid, jobs=2) == sweep_gamma(4, gammas=grid, jobs=1)
 
-    def test_per_point_failures_are_recorded(self):
-        result = sweep_gamma(5, gammas=np.array([0.1, 1.0]), method="bogus")
+    def test_per_point_failures_are_recorded(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no crossing measured")
+
+        monkeypatch.setattr(sweep, "mixing_time", fail)
+        result = sweep_gamma(5, gammas=np.array([0.1, 1.0]))
         assert all(not p.converged for p in result.points)
         assert all(np.isnan(p.t_mix) for p in result.points)
-        assert all(p.reason.startswith("ValueError: unknown method") for p in result.points)
+        assert all(p.reason == "ValueError: no crossing measured" for p in result.points)
         assert result.gamma_opt is None and result.t_opt is None
 
     def test_successful_points_carry_no_reason(self):
@@ -83,6 +87,37 @@ class TestSweepGamma:
             sweep_gamma(5, gammas=np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             sweep_gamma(5, gammas=np.array([-1.0, 1.0]))
+
+
+class TestRefusedBeforeAnyPoint:
+    """Input that would fail every point raises instead of a table of nan."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was measured")
+
+        monkeypatch.setattr(sweep, "mixing_time", refuse)
+
+    @pytest.mark.parametrize("kwargs, reason", [
+        ({"n": 2}, "n must be >= 3"),
+        ({"n": 5, "eps": 3.0}, "eps must lie in"),
+        ({"n": 5, "eps": 0.0}, "eps must lie in"),
+        ({"n": 5, "method": "bogus"}, "unknown method"),
+    ])
+    def test_sweep(self, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
+            sweep_gamma(gammas=np.array([0.1, 1.0]), **kwargs)
+
+    @pytest.mark.parametrize("ns, kwargs, reason", [
+        ([2], {}, "n must be >= 3"),
+        ([5, 2], {}, "n must be >= 3"),
+        ([4, 5], {"eps": 3.0}, "eps must lie in"),
+        ([4, 5], {"method": "bogus"}, "unknown method"),
+    ])
+    def test_transition_checks_every_size_first(self, ns, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
+            transition_report(ns, gammas=np.array([0.1, 1.0]), **kwargs)
 
 
 class TestWorkerCount:
