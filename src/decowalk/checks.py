@@ -25,6 +25,7 @@ from .large_gamma import (
     closed_form_a,
     diagonal_sums,
     full_large_gamma_state,
+    large_gamma_bounds,
     mode_rates,
 )
 from .mixing import mixing_time
@@ -310,6 +311,32 @@ def diffusive_crossing_in_bracket() -> list[CheckOutcome]:
                      f"crossing at t={result.t_mix:.4f}, bracket [627.4, 2651.7]")]
 
 
+def exact_mixing_in_large_gamma_bracket() -> list[CheckOutcome]:
+    """The exact route's mixing time sits inside the large-gamma bracket.
+
+    The paper's strong-dephasing theorem bounds T_mix between t_lower and
+    t_upper of large_gamma_bounds.  Here T_mix comes from the exact
+    Fourier-block mode sum, not from the slow-branch closed form the
+    bracket is derived from.  Every (gamma, N) pair is a case; an empty
+    population fails.
+    """
+    cases, inside = 0, 0
+    above_lower, below_upper = np.inf, 0.0
+    for gamma in (2.0, 5.0, 20.0, 100.0):
+        for n in (5, 8, 10, 16, 32):
+            bounds = large_gamma_bounds(n, gamma, 0.01)
+            result = mixing_time(WalkConfig(n=n, gamma=gamma), 0.01, method="exact")
+            cases += 1
+            inside += result.converged and bounds.t_lower <= result.t_mix <= bounds.t_upper
+            above_lower = min(above_lower, result.t_mix / bounds.t_lower)
+            below_upper = max(below_upper, result.t_mix / bounds.t_upper)
+    return [_outcome("exact-mixing-in-large-gamma-bracket", cases > 0 and inside == cases,
+                     f"exact t_mix inside [t_lower, t_upper] in {inside} of {cases} cases, "
+                     "gamma in {2, 5, 20, 100} x n in {5, 8, 10, 16, 32}, eps=0.01; "
+                     f"min t_mix / t_lower {above_lower:.4f}, "
+                     f"max t_mix / t_upper {below_upper:.4f}")]
+
+
 def truncation_residual_report() -> list[CheckOutcome]:
     """Stencil residual of the tri-diagonal strong-dephasing state.
 
@@ -361,6 +388,7 @@ def run_checks() -> list[CheckOutcome]:
     outcomes += zero_dephasing_agreement()
     outcomes += mode_rate_identities()
     outcomes += diffusive_crossing_in_bracket()
+    outcomes += exact_mixing_in_large_gamma_bracket()
     outcomes += truncation_residual_report()
     return outcomes
 

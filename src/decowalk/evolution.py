@@ -8,10 +8,11 @@ are computed three ways,
 * classical fixed-step fourth-order Runge-Kutta,
 * a Fourier-block propagator for the vertex-0 start (DiagonalPropagator):
   the generator splits into N diagonal-plus-rank-one blocks, one per
-  index sum, so the distribution is a sum of about N^2/4 decaying modes
-  with O(N^2) exponentials per time.  Its setup runs one O(N^3)
-  eigenvalue solve per block, about N/2 of them, so it grows close to
-  N^4, not N^3.
+  index sum, so the distribution is a sum of about N^2/4 decaying modes,
+  summed block by block.  A time costs O(N^2) exponentials, and a uniform
+  grid of T times O(N^2 sqrt(T)) (see ModeSum).  Its setup runs one
+  O(N^3) eigenvalue solve per block, about N/2 of them, so it grows
+  close to N^4, not N^3.
 
 The oracle and the RK4 step matrices build the generator and are
 guarded to n <= MAX_DENSE_N.  integrate builds it only below
@@ -63,13 +64,17 @@ MODELS = ("s-literal", "rho")
 # RK4 step matrices) refuse larger N: at n = 200 one step matrix would
 # take 12.8 GB.
 MAX_DENSE_N = 64
-# Mode sums hold an n x ~N^2/4 weight table: peak memory grew 4 / 19 /
-# 163 MiB at n = 64 / 128 / 256, so n = 512 takes about 1.3 GiB.
+# Mode sums hold S x K rate and amplitude tables (about N^2/4 entries
+# each) and evaluate in temporaries of at most _CHUNK_ENTRIES entries.
+# Setup plus one 2049-time grid at gamma = 3 peaked at 36 / 70 MiB of
+# traced allocations (45 / 71 MiB of resident growth) at n = 256 / 512,
+# and setup alone took 4.4 / 45 s there (BENCH_8.json): at this size the
+# O(N^4) setup, not memory, is the cost that grows.
 MAX_MODESUM_N = 512
-# A trajectory table is held whole in memory before it is written out.
-# Cap it near the peak a mode sum may take at MAX_MODESUM_N, so that no
-# sampling request needs more memory than the largest computation the
-# package accepts.
+# A trajectory table is held whole in memory before it is written out,
+# and is refused above this budget before any work starts; the stencil
+# working set and the RK4 step-power cache share it.  A mode sum needs
+# far less even at MAX_MODESUM_N (70 MiB, above).
 MAX_TABLE_BYTES = 5 << 28  # 1.25 GiB
 # integrate steps the N x N state with stencil_step from this size up,
 # and multiplies by a dense step matrix below it.  Over 5000 steps,
@@ -372,8 +377,20 @@ _SECULAR_RESIDUAL_TOL = 1e-12
 # exact_evolve stayed below 1e-13 up to a ratio of 20 and reached 1.3e-12
 # at 62.
 _CANCEL_TOL = 10.0
-# Times per chunk of ModeSum evaluation: _CHUNK_ENTRIES / N^2.
+# Entries (complex or real) that any one temporary of a ModeSum
+# evaluation may hold: times, blocks and batched expm slices are split to
+# stay at or below it.
 _CHUNK_ENTRIES = 1 << 20
+
+
+def _expm_flows(times: np.ndarray, block: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """expm(t B) r at each t, shape (len(times), k), in batches of <= _CHUNK_ENTRIES entries."""
+    k = block.shape[0]
+    step = max(1, _CHUNK_ENTRIES // k**2)
+    out = np.empty((times.size, k), dtype=complex)
+    for lo in range(0, times.size, step):
+        out[lo:lo + step] = scipy.linalg.expm(times[lo:lo + step, None, None] * block) @ root
+    return out
 
 
 class ModeSum:
@@ -384,46 +401,102 @@ class ModeSum:
     s = 0 block is the stationary uniform term.  blocks holds one entry
     per s, either (rates, amps), so that f_s(t) = sum_k amps_k
     exp(rates_k t), or (B, r), a block evaluated as r^T expm(t B) r.
+
+    The rates and amplitudes are padded with zeros into S x K tables
+    (S = N//2 blocks, K the largest block, S <= K); an evaluation fills
+    f_s(t) for every block and then combines the blocks once, through
+    the n x S phase table c_s omega^(s j), at O(n S) per time.  Times equal
+    to np.linspace(0, t_end, T) with T >= 3 take a factorised path: with
+    t_k = k Delta and k = a B + b, B = ceil(sqrt(T)),
+
+        exp(z t_k) = exp(z a B Delta) exp(z b Delta),
+
+    so f on the whole grid is one batched (S, A, K) @ (S, K, B) product
+    from O(S K sqrt(T)) exponentials, each computed directly, so that no
+    rounding accumulates along the grid.  An expm block takes the same
+    two factors, r^T expm(a B Delta B_s) and expm(b Delta B_s) r, from
+    A + B exponentials.  Any other times (bisection midpoints, a single
+    time) take one exponential per mode and time, and an expm block one
+    expm per time.
     """
 
     def __init__(self, n: int, blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
         self.n = n
-        vertices = np.arange(n)
-        rates, weights = [], []
+        count, width = len(blocks), max(first.shape[0] for first, _ in blocks)
+        self._rates = np.zeros((count, width), dtype=complex)
+        self._amps = np.zeros((count, width), dtype=complex)
         self.dense = []
-        for s, (first, second) in enumerate(blocks, start=1):
-            scale = (1.0 if 2 * s == n else 2.0) / n**2
-            phase = scale * np.exp(2j * np.pi * s * vertices / n)
+        for row, (first, second) in enumerate(blocks):
             if first.ndim == 2:
-                self.dense.append((phase, first, second))
+                self.dense.append((row, first, second))
             else:
-                rates.append(first)
-                weights.append(np.outer(phase, second))
-        rates = np.concatenate(rates) if rates else np.zeros(0, dtype=complex)
-        weights = np.concatenate(weights, axis=1) if weights else np.zeros((n, 0))
-        # Re(W exp(z t)) in real arithmetic: real exp, cos and sin take
-        # half the time of a complex exp.
-        self._decay, self._freq = rates.real.copy(), rates.imag.copy()
-        self._weights_re, self._weights_im = weights.real.copy(), weights.imag.copy()
+                self._rates[row, :first.size] = first
+                self._amps[row, :first.size] = second
+        s = np.arange(1, count + 1)[:, None]
+        scale = np.where(2 * s == n, 1.0, 2.0) / n**2
+        phase = scale * np.exp(2j * np.pi * s * np.arange(n) / n)
+        # Re(sum_s phase_s f_s) as one real product with the (T, 2S) real
+        # view of f: row 2s holds Re phase_s, row 2s + 1 holds -Im phase_s.
+        self._combine = np.empty((2 * count, n))
+        self._combine[0::2], self._combine[1::2] = phase.real, -phase.imag
 
     def distributions(self, times: np.ndarray) -> np.ndarray:
         """Distributions at many times, shape (len(times), n)."""
         times = check_times(times).ravel()
         out = np.empty((times.size, self.n))
-        # Both the mode count and a dense block's size are below N^2, so
-        # every temporary holds at most _CHUNK_ENTRIES values.
-        step = max(1, _CHUNK_ENTRIES // self.n**2)
+        if times.size >= 3 and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
+            chunks = self._grid_sums(times[1], times.size)
+        else:
+            chunks = self._direct_sums(times)
+        for lo, sums in chunks:
+            rows = out[lo:lo + sums.shape[0]]
+            np.matmul(sums.view(float), self._combine, out=rows)
+            rows += 1.0 / self.n
+        return out
+
+    def _direct_sums(self, times: np.ndarray):
+        """(offset, f) per chunk of times, f of shape (chunk, S): f_s at each time."""
+        # S <= K, so chunk x K^2 bounds the (S, K, chunk) terms and a dense
+        # block's batch of expm.
+        step = max(1, _CHUNK_ENTRIES // self._rates.shape[1] ** 2)
         for lo in range(0, times.size, step):
             chunk = times[lo:lo + step]
-            envelope = np.exp(np.outer(self._decay, chunk))
-            angle = np.outer(self._freq, chunk)
-            total = (self._weights_re @ (envelope * np.cos(angle))
-                     - self._weights_im @ (envelope * np.sin(angle)))
-            for phase, block, root in self.dense:
-                flows = scipy.linalg.expm(chunk[:, None, None] * block)
-                total += np.real(np.outer(phase, flows @ root @ root))
-            out[lo:lo + chunk.size] = 1.0 / self.n + total.T
-        return out
+            terms = self._rates[:, :, None] * chunk
+            np.exp(terms, out=terms)
+            sums = np.ascontiguousarray((self._amps[:, None, :] @ terms)[:, 0, :].T)
+            for row, block, root in self.dense:
+                sums[:, row] = _expm_flows(chunk, block, root) @ root
+            yield lo, sums
+
+    def _grid_sums(self, delta: float, size: int):
+        """(offset, f) per chunk of the grid k delta, k < size, by the split k = a B + b."""
+        count, width = self._rates.shape
+        inner = math.isqrt(size - 1) + 1  # B, the smallest with B^2 >= size
+        lead = delta * np.arange(0, size, inner)  # a B delta, one per a
+        lag = delta * np.arange(inner)  # b delta
+        rows = max(1, _CHUNK_ENTRIES // (width * inner))  # a per chunk; S <= K
+        for a0 in range(0, lead.size, rows):
+            heads = lead[a0:a0 + rows]
+            lo = a0 * inner
+            valid = min(size - lo, heads.size * inner)
+            sums = np.empty((valid, count), dtype=complex)
+            group = max(1, _CHUNK_ENTRIES // max(width * heads.size, width * inner,
+                                                 heads.size * inner))
+            for first in range(0, count, group):
+                blocks = slice(first, first + group)
+                # Exponentials in place: one table per factor, not two.
+                head = heads[:, None] * self._rates[blocks, None, :]
+                np.exp(head, out=head)
+                head *= self._amps[blocks, None, :]
+                tail = self._rates[blocks, :, None] * lag
+                np.exp(tail, out=tail)
+                grid = (head @ tail).reshape(head.shape[0], -1)
+                sums[:, blocks] = grid[:, :valid].T
+            for row, block, root in self.dense:
+                head = _expm_flows(heads, block.T, root)  # rows r^T expm(a B delta B)
+                tail = _expm_flows(lag, block, root)
+                sums[:, row] = (head @ tail.T).ravel()[:valid]
+            yield lo, sums
 
 
 class DiagonalPropagator:
@@ -444,12 +517,13 @@ class DiagonalPropagator:
         h(z) = sum_m c_m (lambda_m - z) / (z + gamma - lambda_m) = 0,
 
     each with amplitude (N/gamma)^2 / sum_m c_m / (z + gamma - lambda_m)^2,
-    so P(t) = 1/N + Re(W exp(z t)) over about N^2/4 modes: O(N^2)
-    exponentials per time.  The setup runs one eigvals per block, O(N^3)
-    each and close to O(N^4) in all (measured 0.05 / 4.1 s at n = 64 /
-    256, gamma = 3).  A block whose roots cannot be trusted
-    (see _block_modes) is evaluated instead with expm of its merged form,
-    and mode then reads "expm" rather than "eig".
+    so f_s(t) = sum_k amp_k exp(z_k t) over about N/2 roots per block.
+    The setup runs one eigvals per block, O(N^3) each and close to
+    O(N^4) in all (measured 0.05 / 4.1 s at n = 64 / 256, gamma = 3).  A
+    block whose roots cannot be trusted (see _block_modes) is evaluated
+    instead with expm of its merged form, and mode then reads "expm"
+    rather than "eig"; on a uniform grid such a block costs about
+    2 sqrt(T) matrix exponentials, and at any other time one per time.
     """
 
     def __init__(self, config: WalkConfig, model: str = "s-literal") -> None:

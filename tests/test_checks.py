@@ -1,13 +1,16 @@
 """The cross-validation suite itself: outcomes, formatting, exit logic."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
+from decowalk import checks
 from decowalk.checks import (
     CheckOutcome,
     degenerate_zero_coupling,
+    exact_mixing_in_large_gamma_bracket,
     format_report,
     has_failures,
     representation_agreement,
@@ -63,6 +66,29 @@ class TestMFunctionSquare:
         count = int(re.search(r"over (\d+) \(n, t\) cases", outcome.detail).group(1))
         # Seven sizes (n = 3..8 and 12) times eleven times in [0, 20].
         assert count == 7 * 11
+
+
+class TestExactMixingInLargeGammaBracket:
+    def test_asserts_over_a_counted_population(self):
+        (outcome,) = exact_mixing_in_large_gamma_bracket()
+        assert outcome.status == "PASS"
+        inside, cases = re.search(r"in (\d+) of (\d+) cases", outcome.detail).groups()
+        # Four gammas times five cycle sizes.
+        assert int(inside) == int(cases) == 4 * 5
+
+    def test_fails_when_a_time_leaves_the_bracket(self, monkeypatch):
+        real = checks.large_gamma_bounds
+
+        def narrowed(n, gamma, eps):
+            bounds = real(n, gamma, eps)
+            if (n, gamma) == (16, 20.0):
+                return dataclasses.replace(bounds, t_upper=bounds.t_lower)
+            return bounds
+
+        monkeypatch.setattr(checks, "large_gamma_bounds", narrowed)
+        (outcome,) = exact_mixing_in_large_gamma_bracket()
+        assert outcome.status == "FAIL"
+        assert "in 19 of 20 cases" in outcome.detail
 
 
 class TestRepresentationAgreement:

@@ -102,6 +102,93 @@ class TestMixing:
         assert "error:" in stderr.getvalue()
 
 
+# Full stdout of cheap runs over every mode-sum path: the 2049-point grid,
+# bisection midpoints, and an expm fallback block.  t_mix is printed to 17
+# digits, so a changed bisection decision shows here.
+_GOLDEN = [
+    # an expm fallback block: s = 1 is defective
+    pytest.param(["mixing", "--n", "4", "--gamma", "1"], (
+        '{\n'
+        '  "bracket": 0.0008092201092608775,\n'
+        '  "command": "mixing",\n'
+        '  "converged": true,\n'
+        '  "defaults": {\n'
+        '    "eps": 0.01,\n'
+        '    "gamma_grid": "25 log-spaced in [0.001,100.0]",\n'
+        '    "mode": "sustained"\n'
+        '  },\n'
+        '  "eps": 0.01,\n'
+        '  "gamma": 1.0,\n'
+        '  "horizon": 424.26439264472606,\n'
+        '  "method": "exact",\n'
+        '  "mode": "sustained",\n'
+        '  "n": 4,\n'
+        '  "t_mix": 14.17429943383221\n'
+        '}\n'
+    ), id="mixing --n 4 --gamma 1"),
+    # every block on its secular roots
+    pytest.param(["mixing", "--n", "20", "--gamma", "0.3"], (
+        '{\n'
+        '  "bracket": 0.006069150819470792,\n'
+        '  "command": "mixing",\n'
+        '  "converged": true,\n'
+        '  "defaults": {\n'
+        '    "eps": 0.01,\n'
+        '    "gamma_grid": "25 log-spaced in [0.001,100.0]",\n'
+        '    "mode": "sustained"\n'
+        '  },\n'
+        '  "eps": 0.01,\n'
+        '  "gamma": 0.3,\n'
+        '  "horizon": 3181.9829448354453,\n'
+        '  "method": "exact",\n'
+        '  "mode": "sustained",\n'
+        '  "n": 20,\n'
+        '  "t_mix": 113.53560437972389\n'
+        '}\n'
+    ), id="mixing --n 20 --gamma 0.3"),
+    # the first-order kernel
+    pytest.param(["mixing", "--n", "12", "--gamma", "1e-4", "--method", "perturbative"], (
+        '{\n'
+        '  "bracket": 3.245579606220417,\n'
+        '  "command": "mixing",\n'
+        '  "converged": true,\n'
+        '  "defaults": {\n'
+        '    "eps": 0.01,\n'
+        '    "gamma_grid": "25 log-spaced in [0.001,100.0]",\n'
+        '    "mode": "sustained"\n'
+        '  },\n'
+        '  "eps": 0.01,\n'
+        '  "gamma": 0.0001,\n'
+        '  "horizon": 850809.220293131,\n'
+        '  "method": "perturbative",\n'
+        '  "mode": "sustained",\n'
+        '  "n": 12,\n'
+        '  "t_mix": 57333.16374388946\n'
+        '}\n'
+    ), id="mixing --n 12 --gamma 1e-4 --method perturbative"),
+    # five exact mixing times and the optimum
+    pytest.param(["sweep", "--n", "8", "--points", "5"], (
+        '# decowalk sweep\n'
+        '# n=8 eps=0.01 method=exact mode=sustained gamma_min=0.001 gamma_max=100 points=5\n'
+        '# gamma_opt=0.31622776601683794 t_opt=21.673525774583702\n'
+        '# defaults: eps=0.01 gamma_grid=25 log-spaced in [0.001,100.0] mode=sustained\n'
+        'gamma,t_mix,converged\n'
+        '0.001,6408.9422132639775,true\n'
+        '0.017782794100389229,365.75474687360861,true\n'
+        '0.31622776601683794,21.673525774583702,true\n'
+        '5.6234132519034903,367.90521795547102,true\n'
+        '100,6546.2669958854221,true\n'
+    ), id="sweep --n 8 --points 5"),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("argv, expected", _GOLDEN)
+    def test_stdout_is_unchanged(self, capsys, argv, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestBounds:
     def test_frozen_values(self, tmp_path):
         out = tmp_path / "bounds.json"

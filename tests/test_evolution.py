@@ -1,5 +1,7 @@
 """Generator assembly, RK4 integration and the spectral propagator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -398,6 +400,109 @@ class TestDiagonalPropagator:
             prop.distribution(-1.0)
         with pytest.raises(ValueError):
             prop.distributions(np.array([0.0, -1.0]))
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} taken")
+
+    return refuse
+
+
+def _grid_and_pointwise(monkeypatch, modes, times, stride=1):
+    """modes.distributions on a grid, forced through the factorised path, and
+    every stride-th time on its own."""
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution.ModeSum, "_direct_sums", _refuse("direct path"))
+        grid = modes.distributions(times)
+    pointwise = np.array([modes.distributions(np.array([t]))[0] for t in times[::stride]])
+    return grid[::stride], pointwise
+
+
+def _mixing_grid(config):
+    return np.linspace(0.0, mixing.default_horizon(config, 0.01), mixing.GRID_INTERVALS + 1)
+
+
+class TestModeSumGrid:
+    """ModeSum's factorised uniform-grid path against its per-time path."""
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", [5, 12, 20])
+    def test_propagator_matches_pointwise(self, monkeypatch, n, model):
+        config = WalkConfig(n=n, gamma=0.3)
+        prop = DiagonalPropagator(config, model)
+        assert prop.mode == "eig"
+        grid, pointwise = _grid_and_pointwise(monkeypatch, prop, _mixing_grid(config))
+        assert np.abs(grid - pointwise).max() <= 1e-13
+
+    def test_perturbative_kernel_matches_pointwise(self, monkeypatch):
+        config = WalkConfig(n=64, gamma=1e-4)
+        grid, pointwise = _grid_and_pointwise(
+            monkeypatch, spectral._PerturbativeKernel(config), _mixing_grid(config))
+        assert np.abs(grid - pointwise).max() <= 1e-13
+
+    @pytest.mark.parametrize("n, gamma, stride", [(4, 1.0, 1), (64, 0.1957, 16)])
+    def test_expm_fallback_matches_pointwise(self, monkeypatch, n, gamma, stride):
+        # n = 4, gamma = 1 is defective at s = 1; at n = 64, gamma = 0.1957
+        # the roots of block s = 4 (33 merged modes) are not trusted.
+        config = WalkConfig(n=n, gamma=gamma)
+        prop = DiagonalPropagator(config)
+        assert prop.mode == "expm"
+        grid, pointwise = _grid_and_pointwise(monkeypatch, prop, _mixing_grid(config), stride)
+        assert np.abs(grid - pointwise).max() <= 1e-13
+
+    @pytest.mark.parametrize("case", ["shuffled", "offset", "nudged", "one time", "two times"])
+    def test_other_times_take_the_direct_path(self, monkeypatch, case):
+        prop = DiagonalPropagator(WalkConfig(n=12, gamma=0.3))
+        grid = np.linspace(0.0, 500.0, 257)
+        nudged = grid.copy()
+        nudged[100] = np.nextafter(nudged[100], np.inf)
+        times = {
+            "shuffled": np.random.default_rng(4).permutation(grid),
+            "offset": np.linspace(1.0, 501.0, 257),
+            "nudged": nudged,
+            "one time": grid[100:101],
+            "two times": grid[100:102],
+        }[case]
+        monkeypatch.setattr(evolution.ModeSum, "_grid_sums", _refuse("grid path"))
+        got = prop.distributions(times)
+        want = np.array([prop.distributions(np.array([t]))[0] for t in times])
+        assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("entries", [1, 600])
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_chunk_size_changes_nothing(self, monkeypatch, on_grid, entries):
+        times = np.linspace(0.0, 300.0, 2049)
+        if not on_grid:
+            times = times[::-1].copy()
+        for config, model in ((WalkConfig(n=20, gamma=0.3), "rho"),
+                              (WalkConfig(n=4, gamma=1.0), "s-literal")):
+            prop = DiagonalPropagator(config, model)
+            want = prop.distributions(times)
+            with monkeypatch.context() as patch:
+                patch.setattr(evolution, "_CHUNK_ENTRIES", entries)
+                patch.setattr(evolution.ModeSum, "_direct_sums" if on_grid else "_grid_sums",
+                              _refuse("other path"))
+                got = prop.distributions(times)
+            assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch, on_grid):
+        # Setup and evaluation at n = 128 with 64 KiB temporaries, beyond
+        # the output: measured 0.53 MiB.  An n x N^2/4 weight table alone
+        # would take 8.5 MB.
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 4096)
+        config = WalkConfig(n=128, gamma=3.0)
+        times = _mixing_grid(config)
+        if not on_grid:
+            times = times[:300][::-1].copy()
+        tracemalloc.start()
+        try:
+            out = DiagonalPropagator(config).distributions(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1 << 20
 
 
 class TestDenseSizeGuard:
