@@ -54,8 +54,8 @@ class CheckOutcome:
     detail: str
 
 
-def _outcome(name: str, ok: bool, detail: str) -> CheckOutcome:
-    return CheckOutcome(name=name, status="PASS" if ok else "FAIL", detail=detail)
+def _outcome(name: str, cases: int, ok: bool, detail: str) -> CheckOutcome:
+    return CheckOutcome(name=name, status="PASS" if ok and cases > 0 else "FAIL", detail=detail)
 
 
 def _random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -80,13 +80,13 @@ def stencil_operator_consistency() -> list[CheckOutcome]:
     s = _random_symmetric(rng, 5)
     op = build_full_operator(config, "s-literal")
     gap = np.abs((op @ s.ravel()).reshape(5, 5) - s_rhs(config, s)).max()
-    out.append(_outcome("stencil-operator-consistency-s", gap <= 1e-14,
-                        f"max gap {gap:.3e} (tol 1e-14)"))
+    out.append(_outcome("stencil-operator-consistency-s", s.size, gap <= 1e-14,
+                        f"max gap {gap:.3e} over {s.size} (mu, nu) cases (tol 1e-14)"))
     rho = _random_hermitian(rng, 5)
     op = build_full_operator(config, "rho")
     gap = np.abs((op @ rho.ravel()).reshape(5, 5) - rho_rhs(config, rho)).max()
-    out.append(_outcome("stencil-operator-consistency-rho", gap <= 1e-14,
-                        f"max gap {gap:.3e} (tol 1e-14)"))
+    out.append(_outcome("stencil-operator-consistency-rho", rho.size, gap <= 1e-14,
+                        f"max gap {gap:.3e} over {rho.size} (mu, nu) cases (tol 1e-14)"))
     return out
 
 
@@ -94,13 +94,12 @@ def stationary_uniform() -> list[CheckOutcome]:
     """Uniform diagonal is a fixed point of both pictures."""
     config = WalkConfig(n=6, gamma=2.0)
     uniform = np.eye(6) / 6.0
-    worst = max(
-        np.abs(s_rhs(config, uniform)).max(),
-        np.abs(rho_rhs(config, uniform.astype(complex))).max(),
-        np.abs(build_full_operator(config) @ uniform.ravel()).max(),
-    )
-    return [_outcome("stationary-uniform", worst <= 1e-15,
-                     f"max derivative {worst:.3e} (tol 1e-15)")]
+    derivatives = (s_rhs(config, uniform), rho_rhs(config, uniform.astype(complex)),
+                   build_full_operator(config) @ uniform.ravel())
+    worst = max(np.abs(d).max() for d in derivatives)
+    cases = sum(d.size for d in derivatives)
+    return [_outcome("stationary-uniform", cases, worst <= 1e-15,
+                     f"max derivative {worst:.3e} over {cases} (route, entry) cases (tol 1e-15)")]
 
 
 def rk4_matches_exponential() -> list[CheckOutcome]:
@@ -114,8 +113,9 @@ def rk4_matches_exponential() -> list[CheckOutcome]:
     for k in range(series.times.size):
         worst = max(worst, np.abs(series.dists[k] - vec.reshape(5, 5).diagonal()).max())
         vec = hop @ vec
-    return [_outcome("rk4-matches-exponential", worst <= 1e-8,
-                     f"sup diagonal gap {worst:.3e} over t <= 20 (tol 1e-8)")]
+    cases = series.times.size
+    return [_outcome("rk4-matches-exponential", cases, worst <= 1e-8,
+                     f"sup diagonal gap {worst:.3e} over {cases} (t) cases, t <= 20 (tol 1e-8)")]
 
 
 def representation_agreement(n: int, gamma: float, t_end: float = 50.0) -> float:
@@ -134,9 +134,10 @@ def representation_agreement(n: int, gamma: float, t_end: float = 50.0) -> float
 def representation_checks() -> list[CheckOutcome]:
     out = []
     for n in (4, 8):
-        worst = max(representation_agreement(n, g) for g in (0.1, 1.0))
-        out.append(_outcome(f"representation-agreement-n{n}", worst <= 1e-8,
-                            f"sup diagonal gap {worst:.3e} over t <= 50 (tol 1e-8)"))
+        gaps = [representation_agreement(n, g) for g in (0.1, 1.0)]
+        out.append(_outcome(f"representation-agreement-n{n}", len(gaps), max(gaps) <= 1e-8,
+                            f"sup diagonal gap {max(gaps):.3e} over {len(gaps)} (gamma) cases, "
+                            "t <= 50 (tol 1e-8)"))
     for n in (5, 6, 7):
         gap = representation_agreement(n, 1.0)
         out.append(CheckOutcome(
@@ -160,13 +161,14 @@ def minor_diagonal_decay() -> list[CheckOutcome]:
         expected = d0 * np.exp(-config.gamma * t)
         expected[0] = d0[0]
         worst = max(worst, np.abs(diagonal_sums(state) - expected).max())
-    return [_outcome("minor-diagonal-decay", worst <= 1e-8,
-                     f"sup gap to exp(-gamma t) law {worst:.3e} (tol 1e-8)")]
+    return [_outcome("minor-diagonal-decay", len(series.states), worst <= 1e-8,
+                     f"sup gap to exp(-gamma t) law {worst:.3e} over "
+                     f"{len(series.states)} (t) cases (tol 1e-8)")]
 
 
 def torus_eigen_equation() -> list[CheckOutcome]:
     """Fourier modes diagonalise the undamped generator."""
-    worst = 0.0
+    worst, cases = 0.0, 0
     for n in range(3, 9):
         op = build_full_operator(WalkConfig(n=n, gamma=0.0))
         for m in range(n):
@@ -174,13 +176,15 @@ def torus_eigen_equation() -> list[CheckOutcome]:
                 vec = torus_eigenvector(m, k, n)
                 lam = torus_eigenvalue(m, k, n)
                 worst = max(worst, np.abs(op @ vec - lam * vec).max())
-    return [_outcome("torus-eigen-equation", worst <= 1e-12,
-                     f"max residual {worst:.3e} over all modes, n <= 8 (tol 1e-12)")]
+                cases += 1
+    return [_outcome("torus-eigen-equation", cases, worst <= 1e-12,
+                     f"max residual {worst:.3e} over {cases} (n, m, k) cases, all modes, "
+                     "n <= 8 (tol 1e-12)")]
 
 
 def similarity_brute_force() -> list[CheckOutcome]:
     """Closed-form damping matrix elements match the basis contraction."""
-    worst = 0.0
+    worst, cases = 0.0, 0
     gamma = 1.3
     for n in range(3, 7):
         basis = np.column_stack(
@@ -193,8 +197,10 @@ def similarity_brute_force() -> list[CheckOutcome]:
             for col, (m2, k2) in enumerate(modes):
                 closed = u_similarity(m, k, m2, k2, n, gamma)
                 worst = max(worst, abs(contracted[row, col] - closed))
-    return [_outcome("similarity-brute-force", worst <= 1e-12,
-                     f"max gap {worst:.3e} over all quadruples, n <= 6 (tol 1e-12)")]
+                cases += 1
+    return [_outcome("similarity-brute-force", cases, worst <= 1e-12,
+                     f"max gap {worst:.3e} over {cases} (n, m, k, m', k') cases, all "
+                     "quadruples, n <= 6 (tol 1e-12)")]
 
 
 def degenerate_zero_coupling() -> list[CheckOutcome]:
@@ -219,7 +225,7 @@ def degenerate_zero_coupling() -> list[CheckOutcome]:
             conjugated = basis.conj().T @ op @ basis
             worst = max(worst, float(np.abs(conjugated[across]).max()))
             entries += int(across.sum())
-    return [_outcome("degenerate-zero-coupling", entries > 0 and worst <= 1e-14,
+    return [_outcome("degenerate-zero-coupling", entries, worst <= 1e-14,
                      f"max |entry| {worst:.3e} across index-sum classes over {entries} "
                      "entries, both models, gamma=1.3, n = 3..12 (tol 1e-14)")]
 
@@ -227,14 +233,14 @@ def degenerate_zero_coupling() -> list[CheckOutcome]:
 def heat_kernel_identity() -> list[CheckOutcome]:
     """Slow-branch distribution equals classical diffusion at rate 1/(8 gamma)."""
     worst = 0.0
-    for n in (5, 12):
-        for gamma in (5.0, 50.0):
-            for t in (1.0, 100.0):
-                a = closed_form_a(WalkConfig(n=n, gamma=gamma), t)
-                kernel = classical_heat_kernel(n, 1.0 / (8.0 * gamma), t)
-                worst = max(worst, np.abs(a - kernel).max())
-    return [_outcome("heat-kernel-identity", worst <= 1e-12,
-                     f"max entrywise gap {worst:.3e} (tol 1e-12)")]
+    cases = [(n, gamma, t) for n in (5, 12) for gamma in (5.0, 50.0) for t in (1.0, 100.0)]
+    for n, gamma, t in cases:
+        a = closed_form_a(WalkConfig(n=n, gamma=gamma), t)
+        kernel = classical_heat_kernel(n, 1.0 / (8.0 * gamma), t)
+        worst = max(worst, np.abs(a - kernel).max())
+    return [_outcome("heat-kernel-identity", len(cases), worst <= 1e-12,
+                     f"max entrywise gap {worst:.3e} over {len(cases)} (n, gamma, t) cases "
+                     "(tol 1e-12)")]
 
 
 def zero_dephasing_agreement() -> list[CheckOutcome]:
@@ -245,15 +251,17 @@ def zero_dephasing_agreement() -> list[CheckOutcome]:
     by 4)."""
     out = []
     times = np.linspace(0.0, 20.0, 11)
-    worst = 0.0
+    worst, cases = 0.0, 0
     for n in (4, 5, 6, 8):
         config = WalkConfig(n=n, gamma=0.0)
         for t in times:
             exact = exact_evolve(config, float(t)).diagonal()
             pert = perturbative_distribution(config, float(t))
             worst = max(worst, np.abs(exact - pert).max())
-    out.append(_outcome("zero-dephasing-mode-sum-exact", worst <= 1e-10,
-                        f"sup gap to dense exponential {worst:.3e} (tol 1e-10)"))
+            cases += 1
+    out.append(_outcome("zero-dephasing-mode-sum-exact", cases, worst <= 1e-10,
+                        f"sup gap to dense exponential {worst:.3e} over {cases} (n, t) cases "
+                        "(tol 1e-10)"))
     worst, cases = 0.0, 0
     for n in (3, 4, 5, 6, 7, 8, 12):
         config = WalkConfig(n=n, gamma=0.0)
@@ -262,7 +270,7 @@ def zero_dephasing_agreement() -> list[CheckOutcome]:
             square = np.array([m_function(n, j, float(t) / 2.0) ** 2 for j in range(n)])
             worst = max(worst, np.abs(square.real - exact).max())
             cases += 1
-    out.append(_outcome("zero-dephasing-m-function-square", cases > 0 and worst <= 1e-12,
+    out.append(_outcome("zero-dephasing-m-function-square", cases, worst <= 1e-12,
                         f"sup gap of Re M_j(t/2)^2 to dense exponential {worst:.3e} over "
                         f"{cases} (n, t) cases, n = 3..8, 12, t <= 20 (tol 1e-12)"))
     for n in (4, 8):
@@ -271,8 +279,9 @@ def zero_dephasing_agreement() -> list[CheckOutcome]:
                    - unitary_distribution(n, float(t) / 4.0)).max()
             for t in times
         )
-        out.append(_outcome(f"zero-dephasing-unitary-match-n{n}", worst <= 1e-10,
-                            f"sup gap at quarter-rate time {worst:.3e} (tol 1e-10)"))
+        out.append(_outcome(f"zero-dephasing-unitary-match-n{n}", times.size, worst <= 1e-10,
+                            f"sup gap at quarter-rate time {worst:.3e} over {times.size} (t) "
+                            "cases (tol 1e-10)"))
     for n in (3, 5, 6, 7):
         gap = max(
             np.abs(perturbative_distribution(WalkConfig(n=n, gamma=0.0), float(t))
@@ -290,7 +299,7 @@ def zero_dephasing_agreement() -> list[CheckOutcome]:
 def mode_rate_identities() -> list[CheckOutcome]:
     """Root sum and product identities of the truncated decay rates."""
     config = WalkConfig(n=9, gamma=7.3)
-    worst = 0.0
+    worst, cases = 0.0, 0
     for k in range(9):
         rates = mode_rates(k, config)
         worst = max(
@@ -298,8 +307,9 @@ def mode_rate_identities() -> list[CheckOutcome]:
             abs(rates.gamma0 + rates.gamma1 - config.gamma),
             abs(rates.gamma0 * rates.gamma1 - 0.5 * np.sin(np.pi * k / 9) ** 2),
         )
-    return [_outcome("mode-rate-identities", worst <= 1e-12,
-                     f"max identity violation {worst:.3e} (tol 1e-12)")]
+        cases += 1
+    return [_outcome("mode-rate-identities", cases, worst <= 1e-12,
+                     f"max identity violation {worst:.3e} over {cases} (k) cases (tol 1e-12)")]
 
 
 def diffusive_crossing_in_bracket() -> list[CheckOutcome]:
@@ -307,8 +317,9 @@ def diffusive_crossing_in_bracket() -> list[CheckOutcome]:
     result = mixing_time(WalkConfig(n=10, gamma=10.0), 0.01,
                          method="large-gamma-closed-form", mode="sustained")
     ok = result.converged and 627.4 <= result.t_mix <= 2651.7
-    return [_outcome("diffusive-crossing-in-bracket", ok,
-                     f"crossing at t={result.t_mix:.4f}, bracket [627.4, 2651.7]")]
+    return [_outcome("diffusive-crossing-in-bracket", 1, ok,
+                     f"crossing at t={result.t_mix:.4f}, bracket [627.4, 2651.7], "
+                     "over 1 (n, gamma) case")]
 
 
 def exact_mixing_in_large_gamma_bracket() -> list[CheckOutcome]:
@@ -330,7 +341,7 @@ def exact_mixing_in_large_gamma_bracket() -> list[CheckOutcome]:
             inside += result.converged and bounds.t_lower <= result.t_mix <= bounds.t_upper
             above_lower = min(above_lower, result.t_mix / bounds.t_lower)
             below_upper = max(below_upper, result.t_mix / bounds.t_upper)
-    return [_outcome("exact-mixing-in-large-gamma-bracket", cases > 0 and inside == cases,
+    return [_outcome("exact-mixing-in-large-gamma-bracket", cases, inside == cases,
                      f"exact t_mix inside [t_lower, t_upper] in {inside} of {cases} cases, "
                      "gamma in {2, 5, 20, 100} x n in {5, 8, 10, 16, 32}, eps=0.01; "
                      f"min t_mix / t_lower {above_lower:.4f}, "
@@ -363,9 +374,9 @@ def truncation_residual_report() -> list[CheckOutcome]:
             on_support = max(on_support, np.abs(residual[support]).max())
             off_support = max(off_support, np.abs(residual[~support]).max())
         ok = on_support <= 2.5 / gamma**2
-        out.append(_outcome(f"truncation-residual-support-gamma{gamma:g}", ok,
-                            f"sup residual on tri-diagonal {on_support:.3e} "
-                            f"(tol 2.5/gamma^2 = {2.5 / gamma**2:.3e})"))
+        out.append(_outcome(f"truncation-residual-support-gamma{gamma:g}", len(times), ok,
+                            f"sup residual on tri-diagonal {on_support:.3e} over "
+                            f"{len(times)} (t) cases (tol 2.5/gamma^2 = {2.5 / gamma**2:.3e})"))
         out.append(CheckOutcome(
             name=f"truncation-residual-leak-gamma{gamma:g}", status="INFO",
             detail=(f"second-off-diagonal leakage {off_support:.3e}, "

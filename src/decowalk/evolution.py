@@ -9,10 +9,10 @@ are computed three ways,
 * a Fourier-block propagator for the vertex-0 start (DiagonalPropagator):
   the generator splits into N diagonal-plus-rank-one blocks, one per
   index sum, so the distribution is a sum of about N^2/4 decaying modes,
-  summed block by block.  A time costs O(N^2) exponentials, and a uniform
-  grid of T times O(N^2 sqrt(T)) (see ModeSum).  Its setup runs one
-  O(N^3) eigenvalue solve per block, about N/2 of them, so it grows
-  close to N^4, not N^3.
+  summed block by block over times split as lead + lag.  A time costs
+  O(N^2) exponentials and a uniform grid of T times O(N^2 sqrt(T)) (see
+  ModeSum).  Its setup runs one O(N^3) eigenvalue solve per block, about
+  N/2 of them, so it grows close to N^4, not N^3.
 
 The oracle and the RK4 step matrices build the generator and are
 guarded to n <= MAX_DENSE_N.  integrate builds it only below
@@ -400,24 +400,23 @@ class ModeSum:
     c_s = 2/N^2 (1/N^2 at s = N/2) folding in f_(N-s) = conj(f_s); the
     s = 0 block is the stationary uniform term.  blocks holds one entry
     per s, either (rates, amps), so that f_s(t) = sum_k amps_k
-    exp(rates_k t), or (B, r), a block evaluated as r^T expm(t B) r.
+    exp(rates_k t), or (B, r) with B complex symmetric, a block evaluated
+    as r^T expm(t B) r.
 
     The rates and amplitudes are padded with zeros into S x K tables
     (S = N//2 blocks, K the largest block, S <= K); an evaluation fills
     f_s(t) for every block and then combines the blocks once, through
-    the n x S phase table c_s omega^(s j), at O(n S) per time.  Times equal
-    to np.linspace(0, t_end, T) with T >= 3 take a factorised path: with
-    t_k = k Delta and k = a B + b, B = ceil(sqrt(T)),
-
-        exp(z t_k) = exp(z a B Delta) exp(z b Delta),
-
-    so f on the whole grid is one batched (S, A, K) @ (S, K, B) product
-    from O(S K sqrt(T)) exponentials, each computed directly, so that no
-    rounding accumulates along the grid.  An expm block takes the same
-    two factors, r^T expm(a B Delta B_s) and expm(b Delta B_s) r, from
-    A + B exponentials.  Any other times (bisection midpoints, a single
-    time) take one exponential per mode and time, and an expm block one
-    expm per time.
+    the n x S phase table c_s omega^(s j), at O(n S) per time.  One kernel
+    fills f at t = lead_a + lag_b, where exp(z t) = exp(z lead_a)
+    exp(z lag_b): f over all (a, b) is one batched (S, A, K) @ (S, K, B)
+    product of directly computed exponentials, and an expm block takes
+    expm(lead_a B) r and expm(lag_b B) r (B symmetric, so the first is
+    also r^T expm(lead_a B)), from A + B exponentials.  The grid
+    np.linspace(0, t_end, T), T >= 3, splits as k = a B + b with
+    B = ceil(sqrt(T)), lead = a B Delta, lag = b Delta: O(S K sqrt(T))
+    exponentials, no rounding accumulated along the grid.  Any other
+    times (bisection midpoints, a single time) take lead = times and
+    lag = [0], where exp(0) = 1 and expm(0) = I exactly.
     """
 
     def __init__(self, n: int, blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
@@ -441,39 +440,28 @@ class ModeSum:
         self._combine[0::2], self._combine[1::2] = phase.real, -phase.imag
 
     def distributions(self, times: np.ndarray) -> np.ndarray:
-        """Distributions at many times, shape (len(times), n)."""
+        """Distributions at many times, shape (len(times), n); IntegrationError if not finite."""
         times = check_times(times).ravel()
         out = np.empty((times.size, self.n))
         if times.size >= 3 and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
-            chunks = self._grid_sums(times[1], times.size)
+            inner = math.isqrt(times.size - 1) + 1  # B, the smallest with B^2 >= T
+            lead, lag = times[1] * np.arange(0, times.size, inner), times[1] * np.arange(inner)
         else:
-            chunks = self._direct_sums(times)
-        for lo, sums in chunks:
+            lead, lag = times, np.zeros(1)
+        for lo, sums in self._sums(lead, lag, times.size):
             rows = out[lo:lo + sums.shape[0]]
             np.matmul(sums.view(float), self._combine, out=rows)
             rows += 1.0 / self.n
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            raise IntegrationError(f"mode sum is not finite at t={times[np.argmin(finite)]:g}")
         return out
 
-    def _direct_sums(self, times: np.ndarray):
-        """(offset, f) per chunk of times, f of shape (chunk, S): f_s at each time."""
-        # S <= K, so chunk x K^2 bounds the (S, K, chunk) terms and a dense
-        # block's batch of expm.
-        step = max(1, _CHUNK_ENTRIES // self._rates.shape[1] ** 2)
-        for lo in range(0, times.size, step):
-            chunk = times[lo:lo + step]
-            terms = self._rates[:, :, None] * chunk
-            np.exp(terms, out=terms)
-            sums = np.ascontiguousarray((self._amps[:, None, :] @ terms)[:, 0, :].T)
-            for row, block, root in self.dense:
-                sums[:, row] = _expm_flows(chunk, block, root) @ root
-            yield lo, sums
-
-    def _grid_sums(self, delta: float, size: int):
-        """(offset, f) per chunk of the grid k delta, k < size, by the split k = a B + b."""
+    def _sums(self, lead: np.ndarray, lag: np.ndarray, size: int):
+        """(offset, f) per chunk, f of shape (chunk, S): f_s at lead[a] + lag[b]
+        in row a len(lag) + b, for the first size rows."""
         count, width = self._rates.shape
-        inner = math.isqrt(size - 1) + 1  # B, the smallest with B^2 >= size
-        lead = delta * np.arange(0, size, inner)  # a B delta, one per a
-        lag = delta * np.arange(inner)  # b delta
+        inner = lag.size
         rows = max(1, _CHUNK_ENTRIES // (width * inner))  # a per chunk; S <= K
         for a0 in range(0, lead.size, rows):
             heads = lead[a0:a0 + rows]
@@ -493,7 +481,7 @@ class ModeSum:
                 grid = (head @ tail).reshape(head.shape[0], -1)
                 sums[:, blocks] = grid[:, :valid].T
             for row, block, root in self.dense:
-                head = _expm_flows(heads, block.T, root)  # rows r^T expm(a B delta B)
+                head = _expm_flows(heads, block, root)  # rows r^T expm(lead B)
                 tail = _expm_flows(lag, block, root)
                 sums[:, row] = (head @ tail.T).ravel()[:valid]
             yield lo, sums
@@ -522,8 +510,8 @@ class DiagonalPropagator:
     O(N^4) in all (measured 0.05 / 4.1 s at n = 64 / 256, gamma = 3).  A
     block whose roots cannot be trusted (see _block_modes) is evaluated
     instead with expm of its merged form, and mode then reads "expm"
-    rather than "eig"; on a uniform grid such a block costs about
-    2 sqrt(T) matrix exponentials, and at any other time one per time.
+    rather than "eig"; at the same lead + lag split as the modes, it takes
+    about 2 sqrt(T) expm on a grid of T times and one per other time.
     """
 
     def __init__(self, config: WalkConfig, model: str = "s-literal") -> None:

@@ -35,6 +35,19 @@ class TestRunChecks:
         }
 
 
+class TestCaseCounts:
+    def test_every_pass_names_a_positive_count(self):
+        passes = [o for o in run_checks() if o.status == "PASS"]
+        assert passes
+        for o in passes:
+            found = re.search(r"\b(?:over|of) (\d+) (?:\([^)]*\) )?(?:cases?|entries)\b",
+                              o.detail)
+            assert found and int(found.group(1)) > 0, o.name
+
+    def test_an_empty_population_fails(self):
+        assert checks._outcome("empty", 0, True, "over 0 (t) cases").status == "FAIL"
+
+
 class TestCommittedReport:
     def test_matches_a_fresh_run(self):
         # Detail figures may move in their last digits between machines;

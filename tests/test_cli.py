@@ -102,9 +102,10 @@ class TestMixing:
         assert "error:" in stderr.getvalue()
 
 
-# Full stdout of cheap runs over every mode-sum path: the 2049-point grid,
-# bisection midpoints, and an expm fallback block.  t_mix is printed to 17
-# digits, so a changed bisection decision shows here.
+# Full stdout of cheap runs over both splits of the mode sum: the 2049-point
+# grid, and single times (bisection midpoints, compare), each with and
+# without an expm fallback block.  t_mix is printed to 17 digits, so a
+# changed bisection decision shows here.
 _GOLDEN = [
     # an expm fallback block: s = 1 is defective
     pytest.param(["mixing", "--n", "4", "--gamma", "1"], (
@@ -179,6 +180,47 @@ _GOLDEN = [
         '5.6234132519034903,367.90521795547102,true\n'
         '100,6546.2669958854221,true\n'
     ), id="sweep --n 8 --points 5"),
+    # an expm fallback at every bisection midpoint: block s = 4 (33 merged modes)
+    pytest.param(["mixing", "--n", "64", "--gamma", "0.1957"], (
+        '{\n'
+        '  "bracket": 0.04054128009784108,\n'
+        '  "command": "mixing",\n'
+        '  "converged": true,\n'
+        '  "defaults": {\n'
+        '    "eps": 0.01,\n'
+        '    "gamma_grid": "25 log-spaced in [0.001,100.0]",\n'
+        '    "mode": "sustained"\n'
+        '  },\n'
+        '  "eps": 0.01,\n'
+        '  "gamma": 0.1957,\n'
+        '  "horizon": 21255.306659986665,\n'
+        '  "method": "exact",\n'
+        '  "mode": "sustained",\n'
+        '  "n": 64,\n'
+        '  "t_mix": 780.4196418852678\n'
+        '}\n'
+    ), id="mixing --n 64 --gamma 0.1957"),
+    # one time on the exact and perturbative mode sums
+    pytest.param(["compare", "--n", "7", "--gamma", "0.01", "--t", "40"], (
+        '# decowalk compare\n'
+        '# n=7 gamma=0.01 t=40\n'
+        '# defaults: eps=0.01 gamma_grid=25 log-spaced in [0.001,100.0] mode=sustained\n'
+        'vertex,p_exact,p_perturbative,p_large_gamma,err_perturbative,err_large_gamma\n'
+        '0,0.043131430277991885,0.044805267188386122,0.14285714285714285,'
+        '0.0016738369103942372,0.099725712579150971\n'
+        '1,0.055708530734195967,0.057083173550056654,0.14285714285714285,'
+        '0.0013746428158606869,0.087148612122946889\n'
+        '2,0.042502179067365899,0.044306109581168554,0.14285714285714285,'
+        '0.0018039305138026554,0.10035496378977696\n'
+        '3,0.23931519960483652,0.24118912399137177,0.14285714285714285,'
+        '0.0018739243865352473,0.096458056747693671\n'
+        '4,0.35964064238015037,0.35410930141722041,0.14285714285714285,'
+        '0.0055313409629299537,0.21678349952300752\n'
+        '5,0.12116446692151382,0.1187454532199293,0.14285714285714285,'
+        '0.0024190137015845242,0.021692675935629027\n'
+        '6,0.13853755101394508,0.13976157105186704,0.14285714285714285,'
+        '0.0012240200379219635,0.0043195918431977731\n'
+    ), id="compare --n 7 --gamma 0.01 --t 40"),
 ]
 
 
@@ -273,6 +315,20 @@ class TestFailedPoints:
             f"# failed n={n} gamma=1 reason=ValueError: {MESSAGE}" for n in (4, 5)
         ]
         assert lines[lines.index("n,gamma,t_mix,converged") - 3].startswith("# defaults:")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_names_a_non_finite_mode_sum(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n", "5", "--points", "3", "--gamma-min", "1e-30",
+                     "--gamma-max", "1", "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line for line in lines if line.startswith("# failed")] == [
+            "# failed gamma=9.9999999999999991e-31 reason=IntegrationError: "
+            "mode sum is not finite at t=5.05746e+28"
+        ]
+        assert lines[-3:] == ["9.9999999999999991e-31,nan,false",
+                              "1.0000000000000001e-15,7733964215502164,true",
+                              "1,26.512073829694437,true"]
 
     def test_clean_sweep_has_no_failure_lines(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -401,6 +457,18 @@ class TestRefusedInputs:
         code, stdout, stderr = _run("compare --n 5 --gamma 1 --t 1e300".split())
         assert code == 1
         assert stderr == "error: dense exponential is not finite at t=1e+300\n"
+        assert stdout == ""
+
+    @pytest.mark.parametrize("gamma, t", [
+        ("1e-30", "5.05746e+28"), ("1e-300", "5.05746e+298"), ("1e300", "3.23688e+299"),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mode_sum_is_a_computation_error(self, gamma, t):
+        # Valid gammas at which every block's expm overflows before the
+        # horizon: a NaN distance must not read as "not converged".
+        code, stdout, stderr = _run(["mixing", "--n", "5", "--gamma", gamma])
+        assert code == 1
+        assert stderr == f"error: mode sum is not finite at t={t}\n"
         assert stdout == ""
 
     @pytest.mark.parametrize("argv", [

@@ -401,20 +401,49 @@ class TestDiagonalPropagator:
         with pytest.raises(ValueError):
             prop.distributions(np.array([0.0, -1.0]))
 
+    @pytest.mark.parametrize("gamma", [1e-30, 1e-300, 1e300])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mode_sum_raises(self, gamma):
+        # Every block falls back to expm, whose exponential overflows long
+        # before the distribution mixes; the distance must not read NaN.
+        prop = DiagonalPropagator(WalkConfig(n=5, gamma=gamma))
+        assert len(prop._modes.dense) == 2
+        with pytest.raises(evolution.IntegrationError,
+                           match=r"^mode sum is not finite at t=4\.88281e\+28$"):
+            prop.distributions(np.linspace(0.0, 1e32, 2049))
+        with pytest.raises(evolution.IntegrationError,
+                           match=r"^mode sum is not finite at t=1e\+30$"):
+            prop.distributions(np.array([0.0, 1e30, 2e30]))
 
-def _refuse(what):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{what} taken")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mode_block_raises(self):
+        # The rates-and-amplitudes blocks of the perturbative route share the check.
+        modes = evolution.ModeSum(4, [(np.array([1.0 + 0j]), np.array([1.0 + 0j]))] * 2)
+        with pytest.raises(evolution.IntegrationError,
+                           match=r"^mode sum is not finite at t=1000$"):
+            modes.distributions(np.array([0.0, 1.0, 1000.0]))
 
-    return refuse
+
+def _spy_lags(patch):
+    """The lag.size of every ModeSum._sums call made while patch holds."""
+    sizes = []
+    real = evolution.ModeSum._sums
+
+    def spy(self, lead, lag, size):
+        sizes.append(lag.size)
+        return real(self, lead, lag, size)
+
+    patch.setattr(evolution.ModeSum, "_sums", spy)
+    return sizes
 
 
 def _grid_and_pointwise(monkeypatch, modes, times, stride=1):
-    """modes.distributions on a grid, forced through the factorised path, and
+    """modes.distributions on a grid, checked to take the grid split, and
     every stride-th time on its own."""
     with monkeypatch.context() as patch:
-        patch.setattr(evolution.ModeSum, "_direct_sums", _refuse("direct path"))
+        lags = _spy_lags(patch)
         grid = modes.distributions(times)
+    assert lags and all(size > 1 for size in lags)
     pointwise = np.array([modes.distributions(np.array([t]))[0] for t in times[::stride]])
     return grid[::stride], pointwise
 
@@ -424,7 +453,7 @@ def _mixing_grid(config):
 
 
 class TestModeSumGrid:
-    """ModeSum's factorised uniform-grid path against its per-time path."""
+    """ModeSum's uniform-grid split against its one-point-lag split."""
 
     @pytest.mark.parametrize("model", ["s-literal", "rho"])
     @pytest.mark.parametrize("n", [5, 12, 20])
@@ -464,8 +493,10 @@ class TestModeSumGrid:
             "one time": grid[100:101],
             "two times": grid[100:102],
         }[case]
-        monkeypatch.setattr(evolution.ModeSum, "_grid_sums", _refuse("grid path"))
-        got = prop.distributions(times)
+        with monkeypatch.context() as patch:
+            lags = _spy_lags(patch)
+            got = prop.distributions(times)
+        assert lags == [1]
         want = np.array([prop.distributions(np.array([t]))[0] for t in times])
         assert np.abs(got - want).max() <= 1e-15
 
@@ -481,9 +512,9 @@ class TestModeSumGrid:
             want = prop.distributions(times)
             with monkeypatch.context() as patch:
                 patch.setattr(evolution, "_CHUNK_ENTRIES", entries)
-                patch.setattr(evolution.ModeSum, "_direct_sums" if on_grid else "_grid_sums",
-                              _refuse("other path"))
+                lags = _spy_lags(patch)
                 got = prop.distributions(times)
+            assert len(lags) == 1 and (lags[0] > 1) == on_grid
             assert np.abs(got - want).max() <= 1e-15
 
     @pytest.mark.parametrize("on_grid", [True, False])
