@@ -38,6 +38,7 @@ from .model import (
 from .spectral import (
     m_function,
     perturbative_distribution,
+    small_gamma_mixing_bound,
     torus_eigenvalue,
     torus_eigenvector,
     u_similarity,
@@ -348,6 +349,22 @@ def exact_mixing_in_large_gamma_bracket() -> list[CheckOutcome]:
                      f"max t_mix / t_upper {below_upper:.4f}")]
 
 
+def exact_mixing_below_small_gamma_bound() -> list[CheckOutcome]:
+    """The exact route's mixing time is at or below the paper's weak-dephasing
+    bound, small_gamma_mixing_bound, in every (gamma, N) case."""
+    ratios = []
+    for gamma in (1e-4, 1e-3):
+        for n in (5, 8, 10, 16, 32):
+            result = mixing_time(WalkConfig(n=n, gamma=gamma), 0.01, method="exact")
+            bound = small_gamma_mixing_bound(n, gamma, 0.01)
+            ratios.append(result.t_mix / bound if result.converged else np.inf)
+    below = sum(ratio <= 1.0 for ratio in ratios)
+    return [_outcome("exact-mixing-below-small-gamma-bound", len(ratios), below == len(ratios),
+                     f"exact t_mix at or below the bound in {below} of {len(ratios)} cases, "
+                     "gamma in {1e-4, 1e-3} x n in {5, 8, 10, 16, 32}, eps=0.01; "
+                     f"t_mix / bound from {min(ratios):.4f} to {max(ratios):.4f}")]
+
+
 def truncation_residual_report() -> list[CheckOutcome]:
     """Stencil residual of the tri-diagonal strong-dephasing state.
 
@@ -400,6 +417,7 @@ def run_checks() -> list[CheckOutcome]:
     outcomes += mode_rate_identities()
     outcomes += diffusive_crossing_in_bracket()
     outcomes += exact_mixing_in_large_gamma_bracket()
+    outcomes += exact_mixing_below_small_gamma_bound()
     outcomes += truncation_residual_report()
     return outcomes
 

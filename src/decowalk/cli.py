@@ -36,7 +36,6 @@ from .sweep import (
     default_gamma_grid,
     sweep_gamma,
     transition_report,
-    worker_count,
 )
 
 _DEFAULTS_LINE = (
@@ -107,7 +106,7 @@ def _cmd_unitary(parser, args) -> int:
     with _guard(parser):
         check_cycle_size(args.n)
         check_positive("t_max", args.t_max)
-        check_positive("dt", args.dt)
+        TimeGrid(t_end=args.t_max, dt=args.dt)
     count = np.floor(args.t_max / args.dt + 1e-9) + 1
     check_table_size(count, 8 * args.n)
     times = np.arange(int(count)) * args.dt
@@ -175,8 +174,7 @@ def _cmd_sweep(parser, args) -> int:
         check_cycle_size(args.n)
         check_eps(args.eps)
         grid = default_gamma_grid(args.points, args.gamma_min, args.gamma_max)
-        worker_count(args.jobs, grid.size)
-    result = sweep_gamma(args.n, eps=args.eps, gammas=grid, method=args.method, jobs=args.jobs)
+    result = sweep_gamma(args.n, eps=args.eps, gammas=grid, method=args.method)
     meta = [
         "# decowalk sweep",
         f"# n={args.n} eps={_fmt(args.eps)} method={result.method} mode=sustained "
@@ -206,9 +204,7 @@ def _cmd_transition(parser, args) -> int:
         check_cycle_size(min(ns))
         check_eps(args.eps)
         grid = default_gamma_grid(args.points, args.gamma_min, args.gamma_max)
-        worker_count(args.jobs, grid.size)
-    report = transition_report(ns, eps=args.eps, gammas=grid,
-                               method=args.method, jobs=args.jobs)
+    report = transition_report(ns, eps=args.eps, gammas=grid, method=args.method)
     meta = [
         "# decowalk transition",
         f"# ns={','.join(str(n) for n in ns)} eps={_fmt(args.eps)} "
@@ -317,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     p.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
     p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_output(p)
 
     p = subs.add_parser("transition", help="sweeps for several cycle sizes plus tail slopes")
@@ -327,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     p.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
     p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_output(p)
 
     p = subs.add_parser("compare", help="exact vs approximate distributions at one time")

@@ -124,12 +124,10 @@ def _check_model(model: str) -> None:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
-def _check_dense_size(config: WalkConfig) -> None:
+def _check_dense_size(n: int) -> None:
     """Refuse n > MAX_DENSE_N before any N^2 x N^2 array is built."""
-    if config.n > MAX_DENSE_N:
-        raise ValueError(
-            f"dense N^2 x N^2 generator guarded to n <= {MAX_DENSE_N}, got {config.n}"
-        )
+    if n > MAX_DENSE_N:
+        raise ValueError(f"dense N^2 x N^2 generator guarded to n <= {MAX_DENSE_N}, got {n}")
 
 
 def _check_modesum_size(n: int) -> None:
@@ -205,7 +203,7 @@ def exact_evolve(
     """
     _check_model(model)
     check_times(t)
-    _check_dense_size(config)
+    _check_dense_size(config.n)
     op = build_full_operator(config, model)
     vec = _as_state_vector(config, model, initial)
     out = scipy.linalg.expm(op * t) @ vec
@@ -448,10 +446,11 @@ class ModeSum:
             lead, lag = times[1] * np.arange(0, times.size, inner), times[1] * np.arange(inner)
         else:
             lead, lag = times, np.zeros(1)
-        for lo, sums in self._sums(lead, lag, times.size):
-            rows = out[lo:lo + sums.shape[0]]
-            np.matmul(sums.view(float), self._combine, out=rows)
-            rows += 1.0 / self.n
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the time
+            for lo, sums in self._sums(lead, lag, times.size):
+                rows = out[lo:lo + sums.shape[0]]
+                np.matmul(sums.view(float), self._combine, out=rows)
+                rows += 1.0 / self.n
         finite = np.isfinite(out).all(axis=1)
         if not finite.all():
             raise IntegrationError(f"mode sum is not finite at t={times[np.argmin(finite)]:g}")

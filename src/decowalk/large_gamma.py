@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .evolution import _CHUNK_ENTRIES, check_table_size
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
 
 
@@ -100,13 +101,20 @@ def closed_form_a(config: WalkConfig, t: float | np.ndarray) -> np.ndarray:
     a_j(t) = (1/N) sum_k exp(-sin^2(pi k / N) t / (2 gamma)) omega^{jk}:
     the classical heat kernel on the cycle with per-direction hop rate
     1/(8 gamma), started at vertex 0.  Fast transients (rates close to
-    gamma) are dropped.  An array of times gives one row per time.
+    gamma) are dropped.  An array of times gives one row per time.  A
+    result above MAX_TABLE_BYTES is refused before any work starts, and
+    the rows are filled in chunks of at most _CHUNK_ENTRIES entries.
     """
     check_positive("gamma", config.gamma)
     t = check_times(t)
-    k = np.arange(config.n)
-    weights = np.exp(-np.sin(np.pi * k / config.n) ** 2 * t[..., None] / (2.0 * config.gamma))
-    return np.real(np.fft.ifft(weights, axis=-1))
+    check_table_size(t.size, 8 * config.n)
+    decay = -np.sin(np.pi * np.arange(config.n) / config.n) ** 2
+    out = np.empty((t.size, config.n))
+    step = max(1, _CHUNK_ENTRIES // config.n)
+    for lo in range(0, t.size, step):
+        rows = np.exp(decay * t.ravel()[lo:lo + step, None] / (2.0 * config.gamma)).astype(complex)
+        out[lo:lo + step] = np.fft.ifft(rows, axis=-1, out=rows).real  # in place: one complex table
+    return out.reshape(t.shape + (config.n,))
 
 
 def classical_heat_kernel(n: int, hop_rate: float, t: float) -> np.ndarray:

@@ -35,15 +35,17 @@ from .evolution import (
     DiagonalPropagator,
     IntegrationError,
     build_full_operator,
-    _check_dense_size,
+    check_table_size,
     effective_step,
     rk4_step_matrix,
     stencil_step,
     _as_state_vector,
+    _check_dense_size,
+    _check_modesum_size,
     _diag_indices,
 )
 from .large_gamma import closed_form_a, large_gamma_bounds
-from .model import WalkConfig, check_eps, check_positive
+from .model import WalkConfig, check_cycle_size, check_eps, check_positive
 from .spectral import _PerturbativeKernel, small_gamma_mixing_bound
 
 METHODS = ("exact", "s-literal", "rho", "perturbative", "large-gamma-closed-form")
@@ -70,11 +72,6 @@ class MixingResult:
     mode: str
     horizon: float
     bracket: float
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def uniform_distribution(n: int) -> np.ndarray:
@@ -121,7 +118,6 @@ class _SteppedDistributions:
     """
 
     def __init__(self, config: WalkConfig, model: str, times: np.ndarray, dt: float) -> None:
-        _check_dense_size(config)
         self._config, self._model = config, model
         self._diag = _diag_indices(config.n)
         self._times = times
@@ -186,6 +182,22 @@ class _SteppedDistributions:
         return out
 
 
+def check_request(n: int, eps: float, method: str) -> None:
+    """Refuse a bad n, eps or method, or a size over the method's guard:
+    n <= MAX_DENSE_N for RK4, n <= MAX_MODESUM_N for a mode sum, and a
+    grid of n doubles per time within MAX_TABLE_BYTES for the closed form."""
+    check_cycle_size(n)
+    check_eps(eps)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method in ("s-literal", "rho"):
+        _check_dense_size(n)
+    elif method in ("exact", "perturbative"):
+        _check_modesum_size(n)
+    else:
+        check_table_size(GRID_INTERVALS + 1, 8 * n)
+
+
 def _route(config: WalkConfig, method: str, times: np.ndarray, dt: float):
     """times -> vertex distributions, shape (len(times), n), of one method."""
     if method == "exact":
@@ -212,11 +224,10 @@ def mixing_time(
     every later grid sample stays <= eps.  Reports converged=False with
     t_mix=horizon when the distance never qualifies.
     """
-    check_eps(eps)
+    check_request(config.n, eps, method)
     check_positive("dt", dt)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _check_method(method)
     if horizon is None:
         horizon = default_horizon(config, eps)
     check_positive("horizon", horizon)

@@ -10,16 +10,14 @@ optimum, and fits the two tail slopes on a log-log scale.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import IntegrationError, _check_dense_size, _check_modesum_size
-from .mixing import _check_method, mixing_time
-from .model import WalkConfig, check_cycle_size, check_eps, check_positive
+from .evolution import IntegrationError
+from .mixing import check_request, mixing_time
+from .model import WalkConfig, check_positive
 
 DEFAULT_EPS = 0.01
 DEFAULT_GAMMA_MIN = 1e-3
@@ -95,26 +93,7 @@ def default_method(n: int) -> str:
     return "exact" if n <= EXACT_METHOD_MAX_N else "s-literal"
 
 
-def worker_count(jobs: int, tasks: int) -> int:
-    """Processes for a sweep: no more than requested, CPUs, or grid points."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1, tasks)
-
-
-def _check_sweep_size(n: int, eps: float, method: str) -> None:
-    """Refuse a sweep whose every point would fail: n, eps, method or a size guard."""
-    check_cycle_size(n)
-    check_eps(eps)
-    _check_method(method)
-    if method in ("s-literal", "rho"):
-        _check_dense_size(WalkConfig(n=n))
-    if method in ("exact", "perturbative"):
-        _check_modesum_size(n)
-
-
-def _evaluate_point(task: tuple[int, float, float, str]) -> SweepPoint:
-    n, gamma, eps, method = task
+def _evaluate_point(n: int, gamma: float, eps: float, method: str) -> SweepPoint:
     try:
         result = mixing_time(WalkConfig(n=n, gamma=gamma), eps, method=method)
     except (ValueError, IntegrationError, np.linalg.LinAlgError) as exc:
@@ -128,19 +107,14 @@ def sweep_gamma(
     eps: float = DEFAULT_EPS,
     gammas: np.ndarray | None = None,
     method: str | None = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """Measure the sustained mixing time at every gamma of a sorted positive grid.
 
     A point whose measurement fails with a ValueError, IntegrationError
     or LinAlgError is recorded as converged=False, t_mix=nan, with the
     error in its reason; any other exception propagates.  Input that
-    would fail every point is refused before any point runs: n < 3, eps
-    outside (0, 2], an unknown method, an RK4 method (s-literal, rho)
-    with n > MAX_DENSE_N, or a mode-sum method (exact, perturbative)
-    with n > MAX_MODESUM_N.  With jobs > 1 the points run in a pool of
-    worker_count(jobs, grid size) processes; collection order is fixed
-    by the grid, so the result is identical to a sequential run.
+    would fail every point (see mixing.check_request) is refused before
+    any point runs.
     """
     if gammas is None:
         gammas = default_gamma_grid()
@@ -153,15 +127,8 @@ def sweep_gamma(
         check_positive("gamma", gamma)
     if method is None:
         method = default_method(n)
-    _check_sweep_size(n, eps, method)
-
-    tasks = [(int(n), float(g), float(eps), method) for g in gammas]
-    workers = worker_count(jobs, len(tasks))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            points = tuple(pool.map(_evaluate_point, tasks))
-    else:
-        points = tuple(_evaluate_point(task) for task in tasks)
+    check_request(n, eps, method)
+    points = tuple(_evaluate_point(int(n), float(g), float(eps), method) for g in gammas)
 
     gamma_opt = t_opt = None
     converged = [p for p in points if p.converged and math.isfinite(p.t_mix)]
@@ -197,7 +164,7 @@ def optimal_gamma(result: SweepResult, refine: bool = True) -> tuple[float, floa
         return best_gamma, best_t
 
     def measure(gamma: float) -> float:
-        point = _evaluate_point((result.n, gamma, result.eps, result.method))
+        point = _evaluate_point(result.n, gamma, result.eps, result.method)
         return point.t_mix if point.converged and math.isfinite(point.t_mix) else math.inf
 
     lo, hi = converged[arg - 1].gamma, converged[arg + 1].gamma
@@ -246,7 +213,6 @@ def transition_report(
     eps: float = DEFAULT_EPS,
     gammas: np.ndarray | None = None,
     method: str | None = None,
-    jobs: int = 1,
 ) -> TransitionReport:
     """Sweep every requested cycle size and fit both tail exponents.
 
@@ -255,10 +221,10 @@ def transition_report(
     size is checked as sweep_gamma would check it before any is swept.
     """
     for n in ns:
-        _check_sweep_size(n, eps, method or default_method(n))
+        check_request(n, eps, method or default_method(n))
     entries = []
     for n in ns:
-        result = sweep_gamma(n, eps=eps, gammas=gammas, method=method, jobs=jobs)
+        result = sweep_gamma(n, eps=eps, gammas=gammas, method=method)
         small, large = tail_slopes(result)
         entries.append(
             TransitionEntry(

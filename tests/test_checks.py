@@ -10,6 +10,7 @@ from decowalk import checks
 from decowalk.checks import (
     CheckOutcome,
     degenerate_zero_coupling,
+    exact_mixing_below_small_gamma_bound,
     exact_mixing_in_large_gamma_bracket,
     format_report,
     has_failures,
@@ -102,6 +103,27 @@ class TestExactMixingInLargeGammaBracket:
         (outcome,) = exact_mixing_in_large_gamma_bracket()
         assert outcome.status == "FAIL"
         assert "in 19 of 20 cases" in outcome.detail
+
+
+class TestExactMixingBelowSmallGammaBound:
+    def test_asserts_over_a_counted_population(self):
+        (outcome,) = exact_mixing_below_small_gamma_bound()
+        assert outcome.status == "PASS"
+        below, cases = re.search(r"in (\d+) of (\d+) cases", outcome.detail).groups()
+        # Two gammas times five cycle sizes.
+        assert int(below) == int(cases) == 2 * 5
+
+    def test_fails_when_a_time_exceeds_the_bound(self, monkeypatch):
+        real = checks.small_gamma_mixing_bound
+
+        def lowered(n, gamma, eps):
+            bound = real(n, gamma, eps)
+            return 0.5 * bound if (n, gamma) == (16, 1e-3) else bound
+
+        monkeypatch.setattr(checks, "small_gamma_mixing_bound", lowered)
+        (outcome,) = exact_mixing_below_small_gamma_bound()
+        assert outcome.status == "FAIL"
+        assert "in 9 of 10 cases" in outcome.detail
 
 
 class TestRepresentationAgreement:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from decowalk import cli, evolution, sweep
+from decowalk import cli, evolution, mixing, sweep
 from decowalk.cli import main
 
 
@@ -271,13 +271,6 @@ class TestSweep:
                   "--output", str(tmp_path / "x")])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", [["sweep", "--n", "4"], ["transition", "--ns", "4"]])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_rejects_jobs_below_one(self, tmp_path, command, jobs):
-        with pytest.raises(SystemExit) as exc:
-            main(command + ["--jobs", jobs, "--output", str(tmp_path / "x")])
-        assert exc.value.code == 2
-
 
 MESSAGE = "horizon must be positive and finite, got nan"
 
@@ -316,7 +309,7 @@ class TestFailedPoints:
         ]
         assert lines[lines.index("n,gamma,t_mix,converged") - 3].startswith("# defaults:")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_names_a_non_finite_mode_sum(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--n", "5", "--points", "3", "--gamma-min", "1e-30",
@@ -429,11 +422,10 @@ REFUSED = [
     ("mixing --n 6 --gamma 1 --method s-literal --dt -1", "dt"),
     ("mixing --n 6 --gamma 1 --method s-literal --dt nan", "dt"),
     ("unitary --n 4 --t-max inf", "t_max"),
+    ("unitary --n 3 --t-max 1 --dt 2", "dt"),
     ("evolve --n 4 --t-max inf", "t_max"),
     ("sweep --n 5 --points 3 --gamma-max inf", "gamma_max"),
     ("transition --ns 5 --gamma-max inf", "gamma_max"),
-    ("sweep --n 5 --points 3 --jobs 0", "jobs"),
-    ("transition --ns 5 --jobs -3", "jobs"),
 ]
 
 
@@ -462,10 +454,11 @@ class TestRefusedInputs:
     @pytest.mark.parametrize("gamma, t", [
         ("1e-30", "5.05746e+28"), ("1e-300", "5.05746e+298"), ("1e300", "3.23688e+299"),
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mode_sum_is_a_computation_error(self, gamma, t):
         # Valid gammas at which every block's expm overflows before the
-        # horizon: a NaN distance must not read as "not converged".
+        # horizon: a NaN distance must not read as "not converged", and
+        # the error line is all that reaches stderr (no overflow warning).
         code, stdout, stderr = _run(["mixing", "--n", "5", "--gamma", gamma])
         assert code == 1
         assert stderr == f"error: mode sum is not finite at t={t}\n"
@@ -484,6 +477,8 @@ class TestRefusedInputs:
     @pytest.mark.parametrize("argv", [
         "evolve --n 4 --t-max 1e9",  # 1e10 rows of 4 doubles
         "unitary --n 1000000 --t-max 200",  # 4001 rows of 1e6 doubles
+        # The 2049-row mixing grid of 1e5 doubles.
+        "mixing --n 100000 --gamma 10 --method large-gamma-closed-form",
     ])
     def test_oversized_table_is_refused_before_any_work(self, monkeypatch, argv):
         def unreachable(*args, **kwargs):
@@ -491,6 +486,7 @@ class TestRefusedInputs:
 
         monkeypatch.setattr(evolution, "build_full_operator", unreachable)
         monkeypatch.setattr(cli, "unitary_distribution", unreachable)
+        monkeypatch.setattr(mixing, "closed_form_a", unreachable)
         code, stdout, stderr = _run(argv.split())
         assert code == 1
         assert "exceeds the" in stderr

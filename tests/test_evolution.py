@@ -402,7 +402,7 @@ class TestDiagonalPropagator:
             prop.distributions(np.array([0.0, -1.0]))
 
     @pytest.mark.parametrize("gamma", [1e-30, 1e-300, 1e300])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mode_sum_raises(self, gamma):
         # Every block falls back to expm, whose exponential overflows long
         # before the distribution mixes; the distance must not read NaN.
@@ -415,7 +415,7 @@ class TestDiagonalPropagator:
                            match=r"^mode sum is not finite at t=1e\+30$"):
             prop.distributions(np.array([0.0, 1e30, 2e30]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mode_block_raises(self):
         # The rates-and-amplitudes blocks of the perturbative route share the check.
         modes = evolution.ModeSum(4, [(np.array([1.0 + 0j]), np.array([1.0 + 0j]))] * 2)

@@ -2,11 +2,13 @@
 truncation, its closed forms, and the diffusive mixing bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from decowalk import evolution, large_gamma
 from decowalk.evolution import TimeGrid, exact_evolve, integrate
 from decowalk.large_gamma import (
     classical_heat_kernel,
@@ -171,6 +173,36 @@ class TestClosedFormA:
         rows = closed_form_a(config, times)
         assert rows.shape == (5, 9)
         assert np.array_equal(rows, np.array([closed_form_a(config, float(t)) for t in times]))
+
+    def test_chunked_rows_equal_stacked_single_times(self, monkeypatch):
+        # 18 entries: chunks of two rows of n = 9, the last one short.
+        monkeypatch.setattr(large_gamma, "_CHUNK_ENTRIES", 18)
+        config = WalkConfig(n=9, gamma=6.0)
+        times = np.array([0.0, 0.5, 20.0, 300.0, 1e6])
+        rows = closed_form_a(config, times)
+        assert np.array_equal(rows, np.array([closed_form_a(config, float(t)) for t in times]))
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # The 2049-time mixing grid at n = 256 with 4096-entry chunks,
+        # beyond the 4 MiB output: measured 0.16 MiB.  Unchunked, the
+        # temporaries took 16 MiB.
+        monkeypatch.setattr(large_gamma, "_CHUNK_ENTRIES", 4096)
+        times = np.linspace(0.0, 1e4, 2049)
+        tracemalloc.start()
+        try:
+            out = closed_form_a(WalkConfig(n=256, gamma=10.0), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1 << 20
+
+    def test_refuses_a_result_over_the_table_budget(self, monkeypatch):
+        # Room for four rows of n = 9 doubles, not five.
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", 4 * 9 * 8)
+        config = WalkConfig(n=9, gamma=6.0)
+        assert closed_form_a(config, np.arange(4.0)).shape == (4, 9)
+        with pytest.raises(ValueError, match="exceeds"):
+            closed_form_a(config, np.arange(5.0))
 
     def test_rejects_any_negative_time(self):
         with pytest.raises(ValueError):

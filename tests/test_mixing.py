@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from decowalk import mixing
+from decowalk import evolution, mixing
 from decowalk.evolution import (
     IntegrationError,
     build_full_operator,
@@ -107,6 +107,19 @@ class TestMixingTime:
         assert calls[0] == (mixing.GRID_INTERVALS + 1,)
         assert calls[1:] and all(shape == (1,) for shape in calls[1:])
         assert len(calls) <= 1 + 20
+
+    def test_closed_form_grid_over_budget_is_refused_before_any_work(self, monkeypatch):
+        # Room for the 2049-row grid of n = 5 doubles, not of n = 6.
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", (mixing.GRID_INTERVALS + 1) * 8 * 5)
+        assert mixing_time(WalkConfig(n=5, gamma=5.0), 0.01,
+                           method="large-gamma-closed-form").converged
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form was evaluated")
+
+        monkeypatch.setattr(mixing, "closed_form_a", refuse)
+        with pytest.raises(ValueError, match="exceeds"):
+            mixing_time(WalkConfig(n=6, gamma=5.0), 0.01, method="large-gamma-closed-form")
 
     def test_stepped_methods_match_spectral(self):
         # s-literal shares its generator with the exact method at any N;

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from decowalk import sweep
+from decowalk import evolution, sweep
 from decowalk.sweep import (
     DEFAULT_GAMMA_POINTS,
     EXACT_METHOD_MAX_N,
@@ -15,7 +15,6 @@ from decowalk.sweep import (
     sweep_gamma,
     tail_slopes,
     transition_report,
-    worker_count,
 )
 
 
@@ -52,10 +51,6 @@ class TestSweepGamma:
         assert gammas == sorted(gammas)
         assert result.gamma_opt is not None
         assert result.t_opt == min(p.t_mix for p in result.points)
-
-    def test_parallel_run_is_identical(self):
-        grid = default_gamma_grid(num=7)
-        assert sweep_gamma(4, gammas=grid, jobs=2) == sweep_gamma(4, gammas=grid, jobs=1)
 
     def test_per_point_failures_are_recorded(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -119,25 +114,14 @@ class TestRefusedBeforeAnyPoint:
         with pytest.raises(ValueError, match=reason):
             transition_report(ns, gammas=np.array([0.1, 1.0]), **kwargs)
 
-
-class TestWorkerCount:
-    def test_clamped_to_cpus_and_grid(self, monkeypatch):
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
-        assert worker_count(1, 25) == 1
-        assert worker_count(3, 25) == 3
-        assert worker_count(10**6, 25) == 4
-        assert worker_count(10**6, 2) == 2
-
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
-        assert worker_count(8, 25) == 1
-
-    def test_rejects_below_one(self):
-        for jobs in (0, -1):
-            with pytest.raises(ValueError):
-                worker_count(jobs, 25)
-        with pytest.raises(ValueError):
-            sweep_gamma(5, gammas=np.array([0.1, 1.0]), jobs=0)
+    def test_closed_form_grid_over_budget(self, monkeypatch):
+        # Room for the 2049-row mixing grid of n = 5 doubles, not of n = 6.
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", 2049 * 8 * 5)
+        grid, method = np.array([5.0, 10.0]), "large-gamma-closed-form"
+        with pytest.raises(ValueError, match="exceeds"):
+            sweep_gamma(6, gammas=grid, method=method)
+        with pytest.raises(ValueError, match="exceeds"):
+            transition_report([5, 6], gammas=grid, method=method)
 
 
 def _synthetic_sweep(t_mixes, converged=None):
