@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .evolution import TimeGrid, build_full_operator, exact_evolve, integrate
 from .large_gamma import (
@@ -105,6 +104,8 @@ def stationary_uniform() -> list[CheckOutcome]:
 
 def rk4_matches_exponential() -> list[CheckOutcome]:
     """Fixed-step RK4 agrees with the dense-exponential oracle."""
+    import scipy.linalg
+
     config = WalkConfig(n=5, gamma=1.0)
     series = integrate(config, TimeGrid(t_end=20.0, dt=1e-3, sample_stride=100))
     op = build_full_operator(config)

@@ -108,7 +108,7 @@ def _cmd_unitary(parser, args) -> int:
         check_positive("t_max", args.t_max)
         TimeGrid(t_end=args.t_max, dt=args.dt)
     count = np.floor(args.t_max / args.dt + 1e-9) + 1
-    check_table_size(count, 8 * args.n)
+    check_table_size("trajectory table", count, 8 * args.n)
     times = np.arange(int(count)) * args.dt
     dists = np.array([unitary_distribution(args.n, float(t)) for t in times])
     meta = [

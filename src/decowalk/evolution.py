@@ -14,29 +14,33 @@ are computed three ways,
   ModeSum).  Its setup runs one O(N^3) eigenvalue solve per block, about
   N/2 of them, so it grows close to N^4, not N^3.
 
-The oracle and the RK4 step matrices build the generator and are
-guarded to n <= MAX_DENSE_N.  integrate builds it only below
-STENCIL_MIN_N; from there up it holds a few N x N arrays and refuses
-only a working set above MAX_TABLE_BYTES.  The block propagator never
-forms the generator and is guarded to n <= MAX_MODESUM_N.  Its mode
-sum, ModeSum, is the one evaluator behind every analytic distribution:
-the perturbative route (spectral) fills the same blocks with
-first-order rates.
+Only the oracle builds the N^2 x N^2 generator (build_full_operator,
+also the tests' reference), and it is guarded to n <= MAX_DENSE_N, as
+are the RK4 mixing methods.  The block propagator never forms the
+generator and is guarded to n <= MAX_MODESUM_N.  Its mode sum, ModeSum,
+is the one evaluator behind every analytic distribution: the
+perturbative route (spectral) fills the same blocks with first-order
+rates.  SciPy is imported only by the functions that call expm, so
+importing the package, and the command line, does not load it.
 
 For a linear autonomous system the classical RK4 update is exactly the
 degree-4 Taylor polynomial of the step map,
 
     v  ->  (I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24) v,
 
-and integrate applies it in one of two ways.  Below STENCIL_MIN_N it
-precomputes that polynomial as a dense N^2 x N^2 matrix once and
-applies it per sample.  From STENCIL_MIN_N up it never builds an
-N^2 x N^2 array: stencil_step evaluates the same polynomial in Horner
-form on the N x N state, with G(X) = L X - X L - gamma M o X (L the
-circulant neighbour coupling, M the off-diagonal mask), at O(N^3) per
-step.  The dense matrix costs O(N^6) to build and O(N^4) per sample,
-so the stencil wins once N is large; BENCH_6.json has the measured
-crossover.
+and RK4 applies it in one of two ways.  Both generators commute with the
+diagonal shift (j, k) -> (j+1, k+1), so a Fourier transform along the
+diagonals splits G into N blocks of N x N (generator_blocks, read off
+the right-hand sides in O(N^3 log N)), and the step polynomial into N
+step blocks (rk4_step_matrix on the stack): O(N^4) to build or to square,
+16 N^3 bytes each, and O(N^3) per step of a state in block coordinates
+(to_blocks / from_blocks).  integrate uses them below STENCIL_MIN_N,
+one batched product per sample, and the RK4 mixing methods always do
+(mixing._SteppedDistributions).  From STENCIL_MIN_N up integrate holds
+no N^3 table: stencil_step evaluates the same polynomial in Horner form
+on the N x N state, with G(X) = L X - X L - gamma M o X (L the circulant
+neighbour coupling, M the off-diagonal mask), at O(N^3) per step.  Every
+working set is refused above MAX_TABLE_BYTES before any work starts.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     WalkConfig,
@@ -60,9 +63,9 @@ from .model import (
 
 MODELS = ("s-literal", "rho")
 
-# Routes that build the dense N^2 x N^2 generator (the expm oracle and the
-# RK4 step matrices) refuse larger N: at n = 200 one step matrix would
-# take 12.8 GB.
+# The expm oracle builds the dense N^2 x N^2 generator and refuses larger
+# N (at n = 200 it would take 12.8 GB); the RK4 mixing methods, the
+# oracle's cross-check of T_mix, keep the same limit.
 MAX_DENSE_N = 64
 # Mode sums hold S x K rate and amplitude tables (about N^2/4 entries
 # each) and evaluate in temporaries of at most _CHUNK_ENTRIES entries.
@@ -72,15 +75,24 @@ MAX_DENSE_N = 64
 # O(N^4) setup, not memory, is the cost that grows.
 MAX_MODESUM_N = 512
 # A trajectory table is held whole in memory before it is written out,
-# and is refused above this budget before any work starts; the stencil
-# working set and the RK4 step-power cache share it.  A mode sum needs
-# far less even at MAX_MODESUM_N (70 MiB, above).
+# and is refused above this budget before any work starts, by
+# check_table_size; so are the RK4 step blocks, their levels and the
+# stencil working set.  A mode sum needs far less even at MAX_MODESUM_N
+# (70 MiB, above).
 MAX_TABLE_BYTES = 5 << 28  # 1.25 GiB
 # integrate steps the N x N state with stencil_step from this size up,
-# and multiplies by a dense step matrix below it.  Over 5000 steps,
-# sampled every 10, the dense route is cheaper at n = 28 and the stencil
-# at n = 32, in both pictures (BENCH_6.json).
-STENCIL_MIN_N = 32
+# and takes one product with the stride power of the step blocks per
+# sample below it.  Over 5000 steps sampled every 10 the blocks are the
+# faster route at every size measured, n = 40..192 (at 192: 5.5 against
+# 9.5 s literal-S, 6.3 against 35 s density), but their O(N^4) setup
+# needs 176 samples to pay off at 192, and their tables grow as 16 N^3
+# bytes: 566 MB at the peak of the build at 192, against a few MB for
+# the stencil (BENCH_11.json).
+STENCIL_MIN_N = 192
+# Complex N x N x N tables integrate holds at once on the block route:
+# the generator blocks and four temporaries of rk4_step_matrix, or the
+# step, its stride power and the powers matrix_power builds.
+_STEP_BLOCK_TABLES = 6
 
 
 class IntegrationError(RuntimeError):
@@ -125,9 +137,10 @@ def _check_model(model: str) -> None:
 
 
 def _check_dense_size(n: int) -> None:
-    """Refuse n > MAX_DENSE_N before any N^2 x N^2 array is built."""
+    """Refuse n > MAX_DENSE_N before the oracle or an RK4 mixing search starts."""
     if n > MAX_DENSE_N:
-        raise ValueError(f"dense N^2 x N^2 generator guarded to n <= {MAX_DENSE_N}, got {n}")
+        raise ValueError(
+            f"the expm oracle and RK4 mixing are guarded to n <= {MAX_DENSE_N}, got {n}")
 
 
 def _check_modesum_size(n: int) -> None:
@@ -136,11 +149,11 @@ def _check_modesum_size(n: int) -> None:
         raise ValueError(f"mode sum guarded to n <= {MAX_MODESUM_N}, got {n}")
 
 
-def check_table_size(rows: float, row_bytes: int) -> None:
-    """Refuse a table of rows x row_bytes above MAX_TABLE_BYTES before it is built."""
+def check_table_size(table: str, rows: float, row_bytes: int) -> None:
+    """Refuse the named table of rows x row_bytes above MAX_TABLE_BYTES before it is built."""
     if rows * row_bytes > MAX_TABLE_BYTES:
         raise ValueError(
-            f"trajectory table of {rows:.3g} rows x {row_bytes} bytes exceeds "
+            f"{table} of {rows:.3g} rows x {row_bytes} bytes exceeds "
             f"the {MAX_TABLE_BYTES}-byte budget"
         )
 
@@ -201,6 +214,8 @@ def exact_evolve(
     is the oracle every integrator is measured against.  Guarded to
     n <= MAX_DENSE_N, where the N^2 x N^2 exponential is still cheap.
     """
+    import scipy.linalg
+
     _check_model(model)
     check_times(t)
     _check_dense_size(config.n)
@@ -216,13 +231,79 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     """One-step transfer matrix of classical RK4 for a linear system.
 
     Horner evaluation of I + A + A^2/2 + A^3/6 + A^4/24 with A = dt*G.
+    A stack of generators (..., K, K), such as generator_blocks, gives
+    the stack of their step matrices.
     """
     a = dt * generator
-    eye = np.eye(a.shape[0], dtype=a.dtype)
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     poly = eye + a / 4.0
     poly = eye + (a / 3.0) @ poly
     poly = eye + (a / 2.0) @ poly
     return eye + a @ poly
+
+
+def _shift_columns(n: int) -> np.ndarray:
+    """cols[j, d] = (j + d) mod n: entry (j, d) of a state's diagonal-shift coordinates."""
+    j = np.arange(n)
+    return (j[:, None] + j) % n
+
+
+def to_blocks(x: np.ndarray) -> np.ndarray:
+    """States (..., N, N) in the block coordinates of generator_blocks.
+
+    Y[j, d] = X[j, j + d] (indices mod N) is X along its N shifted
+    diagonals, and the result is its Fourier transform over j,
+    Y^[q, d] = sum_j exp(-2 pi i q j / N) Y[j, d] (np.fft.fft).  The
+    vertex distribution is X[j, j] = Y[j, 0], the inverse transform of
+    Y^[:, 0].
+    """
+    n = x.shape[-1]
+    return np.fft.fft(x[..., np.arange(n)[:, None], _shift_columns(n)], axis=-2)
+
+
+def from_blocks(y: np.ndarray, real: bool) -> np.ndarray:
+    """Inverse of to_blocks; real keeps the real part (literal-S states)."""
+    n = y.shape[-1]
+    shifted = np.fft.ifft(y, axis=-2)
+    x = np.empty_like(shifted)
+    x[..., np.arange(n)[:, None], _shift_columns(n)] = shifted
+    return x.real if real else x
+
+
+def block_diagonal(y: np.ndarray) -> np.ndarray:
+    """The real vertex distribution X[j, j] of block states (..., N, N), shape (..., N)."""
+    return np.fft.ifft(y[..., 0], axis=-1).real
+
+
+def generator_blocks(config: WalkConfig, model: str) -> np.ndarray:
+    """The generator as N blocks of N x N, shape (N, N, N), complex.
+
+    Both generators commute with the diagonal shift (j, k) -> (j+1, k+1),
+    which in the coordinates of to_blocks only moves j.  The Fourier
+    transform over j therefore splits the generator: blocks[q] maps
+    Y^[q, :] to the same row of the derivative, blocks @ Y^[..., None]
+    being the whole derivative.  Column d' of every block is read off
+    the right-hand side (s_rhs or rho_rhs) applied to the unit state at
+    X[0, d'], whose coordinates Y^[q, d] = delta(d, d') are the same for
+    every q.  N right-hand sides and one transform cost O(N^3 log N); no
+    rate, root or closed form enters, so RK4 on the blocks stays a route
+    independent of the mode sums.
+    """
+    _check_model(model)
+    n = config.n
+    rhs = s_rhs if model == "s-literal" else rho_rhs
+    unit = np.zeros((n, n), dtype=float if model == "s-literal" else complex)
+    images = np.empty((n, n, n), dtype=unit.dtype)  # images[j, k, d'], one per unit state
+    for column in range(n):
+        unit[0, column] = 1.0
+        images[..., column] = rhs(config, unit)
+        unit[0, column] = 0.0
+    return np.fft.fft(images[np.arange(n)[:, None], _shift_columns(n)], axis=0)
+
+
+def apply_blocks(blocks: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """blocks[q] @ y[q] for every q: one batched product."""
+    return (blocks @ y[..., None])[..., 0]
 
 
 def stencil_step(config: WalkConfig, model: str, dt: float):
@@ -274,11 +355,6 @@ def effective_step(span: float, dt_request: float, gamma: float) -> tuple[float,
     return span / n_steps, n_steps
 
 
-def _diag_indices(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return idx * n + idx
-
-
 def integrate(
     config: WalkConfig,
     grid: TimeGrid,
@@ -289,13 +365,15 @@ def integrate(
     """Fixed-step RK4 trajectory, sampled every grid.sample_stride steps.
 
     The effective step is min(grid.dt, 0.1/max(gamma, 1)) rounded so it
-    divides the window exactly.  Below STENCIL_MIN_N the samples are
-    advanced by a precomputed dense power of the step matrix; from
-    STENCIL_MIN_N up, step by step with stencil_step.  Every sample is
+    divides the window exactly.  Below STENCIL_MIN_N the state is held
+    in block coordinates (to_blocks) and each sample is one batched
+    product with the stride power of the RK4 step blocks (O(N^4) to
+    build, O(N^3) per sample); from STENCIL_MIN_N up it is stepped with
+    stencil_step (O(N^3) per step on N x N arrays).  Every sample is
     checked for finiteness and for conservation of the diagonal sum
     (within 1e-10 of its initial value); violations raise
-    IntegrationError.  The output table (stored states included) and,
-    from STENCIL_MIN_N up, the stencil's N x N working set are each
+    IntegrationError.  The output table (stored states included) and the
+    working set of the route, step blocks or stencil arrays, are each
     refused above MAX_TABLE_BYTES before any work starts.
     """
     _check_model(model)
@@ -304,34 +382,49 @@ def integrate(
     stride = int(grid.sample_stride)
     # Density-picture states are complex.
     state_bytes = n * n * (16 if model == "rho" else 8)
-    check_table_size(-(-n_steps // stride) + 1, state_bytes if keep_states else 8 * n)
+    check_table_size("trajectory table", -(-n_steps // stride) + 1,
+                     state_bytes if keep_states else 8 * n)
     if n >= STENCIL_MIN_N:
         # Twelve N x N arrays: the coupling and damping factors of the
         # four stages, the state, the stage iterate, its successor and
         # one product.
-        check_table_size(12, state_bytes)
+        check_table_size("stencil working set", 12, state_bytes)
+    else:
+        # Complex N x N x N tables: at most _STEP_BLOCK_TABLES at once,
+        # while the step blocks and their stride power are built.
+        check_table_size("RK4 step blocks", _STEP_BLOCK_TABLES * n, 16 * n * n)
 
-    vec = _as_state_vector(config, model, initial)
-    diag = _diag_indices(n)
-    trace0 = float(np.real(vec[diag].sum()))
+    start = _as_state_vector(config, model, initial).reshape(n, n)
+    trace0 = float(np.real(np.trace(start)))
     trace_tol = 1e-10 * max(1.0, abs(trace0))
 
     if n >= STENCIL_MIN_N:
         step = stencil_step(config, model, dt_eff)
+        state = start
 
-        def advance(v: np.ndarray, hop: int) -> np.ndarray:
-            x = v.reshape(n, n)
+        def advance(x: np.ndarray, hop: int) -> np.ndarray:
             for _ in range(hop):
                 x = step(x)
-            return x.ravel()
-    else:
-        step_matrix = rk4_step_matrix(build_full_operator(config, model), dt_eff)
-        step_stride = np.linalg.matrix_power(step_matrix, stride)
+            return x
 
-        def advance(v: np.ndarray, hop: int) -> np.ndarray:
-            if hop == stride:
-                return step_stride @ v
-            return np.linalg.matrix_power(step_matrix, hop) @ v
+        def diagonal(x: np.ndarray) -> np.ndarray:
+            return np.real(np.diagonal(x))
+
+        def full(x: np.ndarray) -> np.ndarray:
+            return x.copy()
+    else:
+        step = rk4_step_matrix(generator_blocks(config, model), dt_eff)
+        stride_power = np.linalg.matrix_power(step, stride)
+        state = to_blocks(start)
+
+        def advance(y: np.ndarray, hop: int) -> np.ndarray:
+            power = stride_power if hop == stride else np.linalg.matrix_power(step, hop)
+            return apply_blocks(power, y)
+
+        diagonal = block_diagonal
+
+        def full(y: np.ndarray) -> np.ndarray:
+            return from_blocks(y, real=model == "s-literal")
 
     sample_steps = np.arange(0, n_steps + 1, stride)
     if sample_steps[-1] != n_steps:
@@ -343,23 +436,23 @@ def integrate(
     states: list[np.ndarray] | None = [] if keep_states else None
 
     def record(pos: int, v: np.ndarray) -> None:
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.all(np.isfinite(v)):
             raise IntegrationError(f"non-finite state at t={times[pos]:g}; reduce dt")
-        dsum = float(np.real(v[diag].sum()))
+        dists[pos] = diagonal(v)
+        dsum = float(dists[pos].sum())
         if abs(dsum - trace0) > trace_tol:
             raise IntegrationError(
                 f"diagonal sum drifted to {dsum!r} at t={times[pos]:g} (started at {trace0!r})"
             )
-        dists[pos] = np.real(v[diag])
         if states is not None:
-            states.append(v.reshape(n, n).copy())
+            states.append(full(v))
 
-    record(0, vec)
+    record(0, state)
     done = 0
     for pos, target in enumerate(sample_steps[1:], start=1):
-        vec = advance(vec, target - done)
+        state = advance(state, target - done)
         done = target
-        record(pos, vec)
+        record(pos, state)
 
     return TimeSeries(times=times, dists=dists, dt_used=dt_eff, states=states)
 
@@ -383,6 +476,8 @@ _CHUNK_ENTRIES = 1 << 20
 
 def _expm_flows(times: np.ndarray, block: np.ndarray, root: np.ndarray) -> np.ndarray:
     """expm(t B) r at each t, shape (len(times), k), in batches of <= _CHUNK_ENTRIES entries."""
+    import scipy.linalg
+
     k = block.shape[0]
     step = max(1, _CHUNK_ENTRIES // k**2)
     out = np.empty((times.size, k), dtype=complex)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .evolution import _CHUNK_ENTRIES, check_table_size
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
@@ -107,7 +106,7 @@ def closed_form_a(config: WalkConfig, t: float | np.ndarray) -> np.ndarray:
     """
     check_positive("gamma", config.gamma)
     t = check_times(t)
-    check_table_size(t.size, 8 * config.n)
+    check_table_size("closed-form distribution table", t.size, 8 * config.n)
     decay = -np.sin(np.pi * np.arange(config.n) / config.n) ** 2
     out = np.empty((t.size, config.n))
     step = max(1, _CHUNK_ENTRIES // config.n)
@@ -123,6 +122,8 @@ def classical_heat_kernel(n: int, hop_rate: float, t: float) -> np.ndarray:
     Independent route for cross-checking closed_form_a: dense exponential
     of the classical rate matrix with per-direction hop rate hop_rate.
     """
+    import scipy.linalg
+
     check_cycle_size(n)
     check_positive("hop_rate", hop_rate)
     check_times(t)

@@ -18,10 +18,14 @@ generator, solved exactly (DiagonalPropagator) or at first order
 (spectral._PerturbativeKernel), and `large-gamma-closed-form` is the
 heat-kernel mode sum of the slow branch (large_gamma.closed_form_a).
 `s-literal` / `rho` step either master equation with RK4, guarded to
-n <= MAX_DENSE_N.  Their steps form a dyadic lattice (see
-_SteppedDistributions): one step matrix per search, squared up to the
-coarse-grid hop, so each bisection midpoint costs at most p
-matrix-vector products instead of a fresh N^2 x N^2 step matrix.
+n <= MAX_DENSE_N, on the generator's N diagonal-shift blocks of N x N
+(evolution.generator_blocks, O(N^3) to read off).  Their steps form a
+dyadic lattice (see _SteppedDistributions): one set of step blocks per
+search, squared up to the coarse-grid hop at O(N^4) per squaring, so
+each bisection midpoint costs at most p + 1 batched products of O(N^3),
+and four more off the lattice.
+The distance of a grid is taken in place on the method's table, so a
+search holds one T x n table, not two.
 """
 
 from __future__ import annotations
@@ -31,18 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import (
-    MAX_TABLE_BYTES,
     DiagonalPropagator,
     IntegrationError,
-    build_full_operator,
+    apply_blocks,
+    block_diagonal,
+    build_full_operator,  # unused here; the benchmark tracer patches it by this name
     check_table_size,
     effective_step,
+    generator_blocks,
     rk4_step_matrix,
-    stencil_step,
+    to_blocks,
     _as_state_vector,
     _check_dense_size,
     _check_modesum_size,
-    _diag_indices,
 )
 from .large_gamma import closed_form_a, large_gamma_bounds
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive
@@ -105,52 +110,46 @@ def default_horizon(config: WalkConfig, eps: float) -> float:
 class _SteppedDistributions:
     """Vertex distributions of an RK4 trajectory on a dyadic lattice of one step.
 
-    The step is dt = cell / 2^p, with 2^p the smallest power of two at or
-    above effective_step's count for one coarse cell, and its step matrix
-    S is squared p times: S^(2^p) hops the coarse grid, whose states are
-    stored.  A later request at offset k dt from the stored state below it
-    (every bisection midpoint down to depth p) takes one matrix-vector
-    product with S^(2^j) per set bit j of k.  The levels 1..p-1 are cached
-    from the top down while they fit in MAX_TABLE_BYTES; a level below the
-    cache is rebuilt by squaring S.  A request off the lattice adds one
-    stencil_step of the remaining fraction of a step.  A non-finite stored
-    or advanced state raises IntegrationError.
+    The state is held in block coordinates (evolution.to_blocks), where
+    the generator is N blocks of N x N (generator_blocks) and so is the
+    RK4 step S.  The step is dt = cell / 2^p, with 2^p the smallest power
+    of two at or above effective_step's count for one coarse cell, and
+    the levels S^(2^j), j = 0..p, are p batched squarings, O(N^4) each.
+    S^(2^p) hops the coarse grid, whose block states are stored.  A later
+    request at offset k dt from the stored state below it (every
+    bisection midpoint down to depth p) takes one batched product with
+    S^(2^j) per set bit j of k, O(N^3) each.  A request off the lattice
+    adds one RK4 step of the remaining fraction of a step, in Horner form
+    on the block vector.  The generator blocks, the p + 1 levels and the
+    stored states are refused above MAX_TABLE_BYTES before any is built.
+    A non-finite stored or advanced state raises IntegrationError.
     """
 
     def __init__(self, config: WalkConfig, model: str, times: np.ndarray, dt: float) -> None:
-        self._config, self._model = config, model
-        self._diag = _diag_indices(config.n)
+        n = config.n
         self._times = times
         cell = float(times[1] - times[0])
         _, per_cell = effective_step(cell, dt, config.gamma)
         self._depth = (per_cell - 1).bit_length()
         self._dt = cell / 2**self._depth
-        self._step = rk4_step_matrix(build_full_operator(config, model), self._dt)
-        self._levels: dict[int, np.ndarray] = {}
-        level_bytes = self._step.nbytes
-        hop = self._step
-        for j in range(1, self._depth + 1):
+        check_table_size("RK4 block levels and states",
+                         (self._depth + 2) * n + times.size, 16 * n * n)
+        self._blocks = generator_blocks(config, model)
+        hop = rk4_step_matrix(self._blocks, self._dt)
+        self._levels = [hop]
+        for _ in range(self._depth):
             hop = hop @ hop
-            if j < self._depth and (self._depth - j) * level_bytes <= MAX_TABLE_BYTES:
-                self._levels[j] = hop
-        vec = _as_state_vector(config, model, None)
-        self._states = np.empty((times.size, vec.size), dtype=vec.dtype)
-        self._states[0] = vec
+            self._levels.append(hop)
+        state = to_blocks(_as_state_vector(config, model, None).reshape(n, n))
+        self._states = np.empty((times.size, n, n), dtype=complex)
+        self._states[0] = state
         for k in range(1, times.size):
-            vec = hop @ vec
-            self._states[k] = vec
-        finite = np.isfinite(self._states.view(float)).all(axis=1)
+            state = apply_blocks(hop, state)
+            self._states[k] = state
+        finite = np.isfinite(self._states).all(axis=(1, 2))
         if not finite.all():
             raise IntegrationError(f"non-finite RK4 state at t={times[np.argmin(finite)]:g}")
-
-    def _level(self, j: int) -> np.ndarray:
-        """S^(2^j), from the cache or squared afresh from S."""
-        if j in self._levels:
-            return self._levels[j]
-        power = self._step
-        for _ in range(j):
-            power = power @ power
-        return power
+        self._dists = block_diagonal(self._states)
 
     def _advance(self, state: np.ndarray, delta: float, tol: float) -> np.ndarray:
         """state advanced by delta: lattice steps, then one partial step if needed."""
@@ -162,23 +161,25 @@ class _SteppedDistributions:
             steps, rest = steps - 1, rest + self._dt
         for j in reversed(range(steps.bit_length())):
             if steps >> j & 1:
-                state = self._level(j) @ state
+                state = apply_blocks(self._levels[j], state)
         if rest > 0.0:
-            n = self._config.n
-            state = stencil_step(self._config, self._model, rest)(state.reshape(n, n)).ravel()
+            # I + hG + ... + (hG)^4/24 applied in Horner form, as rk4_step_matrix.
+            start = state
+            for fraction in (rest / 4.0, rest / 3.0, rest / 2.0, rest):
+                state = start + fraction * apply_blocks(self._blocks, state)
         return state
 
     def distributions(self, times: np.ndarray) -> np.ndarray:
         tol = 1e-12 * np.maximum(1.0, np.abs(times))
         idx = np.searchsorted(self._times, times + tol, side="right") - 1
         idx = np.clip(idx, 0, self._times.size - 1)
-        out = np.real(self._states[idx[:, None], self._diag])
+        out = self._dists[idx]
         delta = times - self._times[idx]
         for k in np.flatnonzero(np.abs(delta) > tol):
             state = self._advance(self._states[idx[k]], float(delta[k]), float(tol[k]))
-            if not np.isfinite(state.view(float)).all():
+            if not np.isfinite(state).all():
                 raise IntegrationError(f"non-finite RK4 state at t={times[k]:g}")
-            out[k] = np.real(state[self._diag])
+            out[k] = block_diagonal(state)
         return out
 
 
@@ -195,7 +196,7 @@ def check_request(n: int, eps: float, method: str) -> None:
     elif method in ("exact", "perturbative"):
         _check_modesum_size(n)
     else:
-        check_table_size(GRID_INTERVALS + 1, 8 * n)
+        check_table_size("closed-form mixing grid", GRID_INTERVALS + 1, 8 * n)
 
 
 def _route(config: WalkConfig, method: str, times: np.ndarray, dt: float):
@@ -237,7 +238,10 @@ def mixing_time(
     uniform = uniform_distribution(config.n)
 
     def distance(ts: np.ndarray) -> np.ndarray:
-        return np.abs(distributions(ts) - uniform).sum(axis=1)
+        table = distributions(ts)  # every method returns a fresh table: reduce it in place
+        table -= uniform
+        np.abs(table, out=table)
+        return table.sum(axis=1)
 
     below = distance(times) <= eps
     if mode == "sustained":

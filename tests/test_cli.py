@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -485,9 +489,39 @@ class TestRefusedInputs:
             raise AssertionError("the table budget must be checked before any work")
 
         monkeypatch.setattr(evolution, "build_full_operator", unreachable)
+        monkeypatch.setattr(evolution, "generator_blocks", unreachable)
         monkeypatch.setattr(cli, "unitary_distribution", unreachable)
         monkeypatch.setattr(mixing, "closed_form_a", unreachable)
         code, stdout, stderr = _run(argv.split())
         assert code == 1
         assert "exceeds the" in stderr
         assert stdout == ""
+
+    @pytest.mark.parametrize("argv, table", [
+        ("evolve --n 4 --t-max 1e9", "trajectory table"),
+        ("unitary --n 1000000 --t-max 200", "trajectory table"),
+        ("mixing --n 100000 --gamma 10 --method large-gamma-closed-form",
+         "closed-form mixing grid"),
+    ])
+    def test_refusal_names_the_table(self, monkeypatch, argv, table):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the table budget must be checked before any work")
+
+        monkeypatch.setattr(evolution, "generator_blocks", unreachable)
+        monkeypatch.setattr(cli, "unitary_distribution", unreachable)
+        monkeypatch.setattr(mixing, "closed_form_a", unreachable)
+        code, stdout, stderr = _run(argv.split())
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"error: {table} of ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy serves only the expm oracles, imported where they are called.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    probe = ("import decowalk.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"

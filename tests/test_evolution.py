@@ -126,6 +126,43 @@ class TestBuildFullOperator:
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestGeneratorBlocks:
+    """The diagonal-shift blocks are the dense generator in other coordinates."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.3])
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", range(3, 13))  # every N mod 4 class, twice or more
+    def test_blocks_reproduce_the_dense_generator(self, n, model, gamma):
+        rng = np.random.default_rng(n)
+        config = WalkConfig(n=n, gamma=gamma)
+        x = rng.normal(size=(n, n))
+        if model == "rho":
+            x = x + 1j * rng.normal(size=(n, n))
+        dense = build_full_operator(config, model) @ x.ravel()
+        blocks = evolution.generator_blocks(config, model)
+        assert blocks.shape == (n, n, n)
+        image = evolution.apply_blocks(blocks, evolution.to_blocks(x))
+        np.testing.assert_allclose(evolution.from_blocks(image, real=model == "s-literal").ravel(),
+                                   dense, rtol=0, atol=1e-14)
+
+    def test_state_maps_invert_each_other(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
+        y = evolution.to_blocks(x)
+        np.testing.assert_allclose(evolution.from_blocks(y, real=False), x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(evolution.from_blocks(y, real=True), x.real, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(evolution.block_diagonal(y),
+                                   np.diagonal(x, axis1=1, axis2=2).real, rtol=0, atol=1e-15)
+
+    def test_step_blocks_are_the_step_matrix_of_each_block(self):
+        blocks = evolution.generator_blocks(WalkConfig(n=6, gamma=0.7), "rho")
+        stacked = rk4_step_matrix(blocks, 0.05)
+        for q in range(6):
+            np.testing.assert_allclose(stacked[q], rk4_step_matrix(blocks[q], 0.05),
+                                       rtol=0, atol=1e-15)
+
+
 class TestExactEvolve:
     def test_time_zero_is_identity(self):
         config = WalkConfig(n=5, gamma=1.0)
@@ -251,7 +288,7 @@ class TestIntegrate:
 
 
 def _both_routes(monkeypatch, config, grid, model, initial=None):
-    """integrate's dense and stencil trajectories of the same request."""
+    """integrate's step-block and stencil trajectories of the same request."""
     out = []
     for threshold in (config.n + 1, config.n):
         monkeypatch.setattr(evolution, "STENCIL_MIN_N", threshold)
@@ -278,33 +315,33 @@ class TestStencilIntegrate:
         config = WalkConfig(n=n, gamma=gamma)
         dt = 0.1 / max(gamma, 1.0)
         grid = TimeGrid(t_end=9 * dt, dt=dt, sample_stride=4)
-        dense, stencil = _both_routes(monkeypatch, config, grid, model)
-        assert dense.times.size == stencil.times.size == 4
-        assert stencil.dt_used == dense.dt_used
-        np.testing.assert_array_equal(stencil.times, dense.times)
-        np.testing.assert_allclose(stencil.dists, dense.dists, rtol=0, atol=1e-12)
-        for a, b in zip(stencil.states, dense.states):
+        blocks, stencil = _both_routes(monkeypatch, config, grid, model)
+        assert blocks.times.size == stencil.times.size == 4
+        assert stencil.dt_used == blocks.dt_used
+        np.testing.assert_array_equal(stencil.times, blocks.times)
+        np.testing.assert_allclose(stencil.dists, blocks.dists, rtol=0, atol=1e-12)
+        for a, b in zip(stencil.states, blocks.states):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("model", ["s-literal", "rho"])
     def test_matches_dense_route_at_n_40(self, monkeypatch, model):
-        # The largest size the benchmark integrates; one stride keeps the
-        # dense side to one 1600 x 1600 step matrix.
+        # The size the benchmark integrates.
         config = WalkConfig(n=40, gamma=0.1)
         grid = TimeGrid(t_end=0.05, dt=0.01, sample_stride=1)
-        dense, stencil = _both_routes(monkeypatch, config, grid, model)
-        np.testing.assert_allclose(stencil.dists, dense.dists, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stencil.states[-1], dense.states[-1], rtol=0, atol=1e-12)
+        blocks, stencil = _both_routes(monkeypatch, config, grid, model)
+        np.testing.assert_allclose(stencil.dists, blocks.dists, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stencil.states[-1], blocks.states[-1], rtol=0, atol=1e-12)
 
     def test_default_route_follows_the_threshold(self, monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("the stencil route builds no step matrix")
+            raise AssertionError("the stencil route builds no step blocks")
 
+        monkeypatch.setattr(evolution, "generator_blocks", unreachable)
         monkeypatch.setattr(evolution, "rk4_step_matrix", unreachable)
         config = WalkConfig(n=evolution.STENCIL_MIN_N, gamma=0.5)
         series = integrate(config, TimeGrid(t_end=1.0, dt=0.01))
         np.testing.assert_allclose(series.dists.sum(axis=1), 1.0, atol=1e-12)
-        with pytest.raises(AssertionError, match="no step matrix"):
+        with pytest.raises(AssertionError, match="no step blocks"):
             integrate(WalkConfig(n=evolution.STENCIL_MIN_N - 1), TimeGrid(t_end=1.0))
 
     def test_non_finite_state_raises(self, monkeypatch):
@@ -537,8 +574,8 @@ class TestModeSumGrid:
 
 
 class TestDenseSizeGuard:
-    """RK4 mixing routes refuse n > MAX_DENSE_N before building any N^2 x N^2
-    array; integrate's stencil route runs above it without one."""
+    """RK4 mixing routes refuse n > MAX_DENSE_N before any work starts;
+    integrate runs above it, and no RK4 route builds an N^2 x N^2 array."""
 
     @pytest.fixture(autouse=True)
     def refuse_dense_generator(self, monkeypatch):
@@ -564,13 +601,29 @@ class TestDenseSizeGuard:
             raise AssertionError("a stencil step was built")
 
         monkeypatch.setattr(evolution, "stencil_step", refuse)
-        state_bytes = 68 * 68 * (16 if model == "rho" else 8)
+        n = evolution.STENCIL_MIN_N
+        state_bytes = n * n * (16 if model == "rho" else 8)
         # Room for the 21-row output table, not for twelve N x N arrays.
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", 11 * state_bytes)
-        with pytest.raises(ValueError, match="exceeds"):
-            integrate(WalkConfig(n=68, gamma=1.0), TimeGrid(t_end=2.0), model=model)
+        with pytest.raises(ValueError, match="stencil working set of"):
+            integrate(WalkConfig(n=n, gamma=1.0), TimeGrid(t_end=2.0), model=model)
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", 12 * state_bytes)
         with pytest.raises(AssertionError, match="stencil step"):
+            integrate(WalkConfig(n=n, gamma=1.0), TimeGrid(t_end=2.0), model=model)
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_integrate_refuses_step_blocks_over_budget(self, monkeypatch, model):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(evolution, "generator_blocks", refuse)
+        # Six complex 68 x 68 x 68 tables, whatever the picture.
+        tables = 6 * 16 * 68**3
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", tables - 1)
+        with pytest.raises(ValueError, match="RK4 step blocks of"):
+            integrate(WalkConfig(n=68, gamma=1.0), TimeGrid(t_end=2.0), model=model)
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", tables)
+        with pytest.raises(AssertionError, match="a block was built"):
             integrate(WalkConfig(n=68, gamma=1.0), TimeGrid(t_end=2.0), model=model)
 
     @pytest.mark.parametrize("method", ["s-literal", "rho"])

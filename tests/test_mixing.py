@@ -1,5 +1,7 @@
 """Total-variation distance and mixing-time search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from decowalk.mixing import (
     total_variation,
     uniform_distribution,
 )
-from decowalk.model import WalkConfig
+from decowalk.model import WalkConfig, initial_density, initial_state
 from decowalk.spectral import small_gamma_mixing_bound
 
 
@@ -121,6 +123,25 @@ class TestMixingTime:
         with pytest.raises(ValueError, match="exceeds"):
             mixing_time(WalkConfig(n=6, gamma=5.0), 0.01, method="large-gamma-closed-form")
 
+    def test_distance_takes_no_second_table(self):
+        # The 2049 x 4000 grid table is 62.5 MiB; a second one for |P - U|
+        # would lift the search's peak that far above the closed form's own.
+        config = WalkConfig(n=4000, gamma=10.0)
+        times = np.linspace(0.0, default_horizon(config, 0.01), mixing.GRID_INTERVALS + 1)
+        closed_form_a(config, times)  # FFT plans are cached outside both measurements
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = peak(lambda: closed_form_a(config, times))
+        search = peak(lambda: mixing_time(config, 0.01, method="large-gamma-closed-form"))
+        assert search <= alone + (1 << 20)
+
     def test_stepped_methods_match_spectral(self):
         # s-literal shares its generator with the exact method at any N;
         # the density route agrees when N is divisible by 4.
@@ -194,22 +215,29 @@ def _stepped(n, model, gamma=1.0, cells=4, cell=1.0):
     return mixing._SteppedDistributions(WalkConfig(n=n, gamma=gamma), model, times, 0.01)
 
 
+def _start(n, model):
+    start = initial_state(WalkConfig(n=n)) if model == "s-literal" else initial_density(
+        WalkConfig(n=n))
+    return start.ravel()
+
+
 class TestDyadicLattice:
+    """A cell of 1 at dt = 0.01 takes 100 steps, so the lattice step is
+    1/128: every distribution must equal the diagonal of a power of the
+    dense RK4 step matrix of that step, applied to the vertex-0 start."""
+
     @pytest.mark.parametrize("model", ["s-literal", "rho"])
     @pytest.mark.parametrize("n", range(5, 13))
     def test_midpoints_equal_powers_of_the_step(self, n, model):
-        # A cell of 1 at dt = 0.01 takes 100 steps, so p = 7 and dt = 1/128.
         stepped = _stepped(n, model)
-        assert stepped._depth == 7 and stepped._dt == 1.0 / 128
-        step = rk4_step_matrix(build_full_operator(WalkConfig(n=n, gamma=1.0), model),
-                               stepped._dt)
-        for cell, k in ((0, 64), (1, 37), (2, 127), (3, 96)):
-            t = stepped._times[cell] + k * stepped._dt
-            state = stepped._advance(stepped._states[cell], k * stepped._dt, 1e-12)
-            expected = np.linalg.matrix_power(step, k) @ stepped._states[cell]
-            np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+        step = rk4_step_matrix(build_full_operator(WalkConfig(n=n, gamma=1.0), model), 1.0 / 128)
+        diag = np.arange(n) * (n + 1)
+        # Stored coarse-grid states (k = 0) and midpoints of every depth.
+        for cell, k in ((2, 0), (4, 0), (0, 64), (1, 37), (2, 127), (3, 96)):
+            expected = np.linalg.matrix_power(step, 128 * cell + k) @ _start(n, model)
+            t = cell + k / 128
             np.testing.assert_allclose(stepped.distributions(np.array([t]))[0],
-                                       np.real(expected[stepped._diag]), rtol=0, atol=1e-12)
+                                       np.real(expected[diag]), rtol=0, atol=1e-12)
 
     def test_one_step_matrix_per_search(self, monkeypatch):
         calls = []
@@ -224,35 +252,39 @@ class TestDyadicLattice:
         assert len(calls) == 1
 
     def test_off_lattice_time_takes_a_partial_step(self):
-        # A quarter of a lattice step past a stored state: the lattice has
-        # nothing there, so one RK4 step of dt / 4 finishes the advance.
+        # A quarter of a lattice step past a lattice point: one RK4 step of
+        # dt / 4 finishes the advance.
         stepped = _stepped(6, "s-literal")
-        config = WalkConfig(n=6, gamma=1.0)
-        step = rk4_step_matrix(build_full_operator(config), stepped._dt)
-        partial = rk4_step_matrix(build_full_operator(config), stepped._dt / 4)
-        t = stepped._times[1] + 3.25 * stepped._dt
-        expected = partial @ np.linalg.matrix_power(step, 3) @ stepped._states[1]
+        generator = build_full_operator(WalkConfig(n=6, gamma=1.0))
+        step = rk4_step_matrix(generator, 1.0 / 128)
+        partial = rk4_step_matrix(generator, 1.0 / 512)
+        t = 1.0 + 3.25 / 128
+        expected = partial @ np.linalg.matrix_power(step, 128 + 3) @ _start(6, "s-literal")
         np.testing.assert_allclose(stepped.distributions(np.array([t]))[0],
-                                   expected[stepped._diag], rtol=0, atol=1e-13)
+                                   expected[np.arange(6) * 7], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("method", ["s-literal", "rho"])
     def test_level_cache_respects_the_table_budget(self, monkeypatch, method):
-        config = WalkConfig(n=6, gamma=1.0)
-        full = mixing_time(config, 0.01, method=method)
-        level_bytes = 36 * 36 * (8 if method == "s-literal" else 16)
-        monkeypatch.setattr(mixing, "MAX_TABLE_BYTES", 2 * level_bytes)
-        stepped = _stepped(6, method)
-        assert sorted(stepped._levels) == [stepped._depth - 2, stepped._depth - 1]
-        assert sum(level.nbytes for level in stepped._levels.values()) <= 2 * level_bytes
-        rebuilt = []
-        real_level = mixing._SteppedDistributions._level
+        # Complex 6 x 6 x 6 tables: the generator blocks and the levels
+        # S^(2^j), j = 0..7; and the five stored 6 x 6 block states.
+        budget = (1 + 8) * 16 * 6**3 + 5 * 16 * 6**2
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget)
+        times = np.array([0.5, 1.0 + 3.25 / 128, 3.75])
+        full = _stepped(6, method).distributions(times)
+        tracemalloc.start()
+        try:
+            stepped = _stepped(6, method)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # The tables above plus the stored distributions and bookkeeping.
+        assert held <= budget + 4096
+        assert np.array_equal(stepped.distributions(times), full)
 
-        def level(self, j):
-            if j not in self._levels:
-                rebuilt.append(j)
-            return real_level(self, j)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was built")
 
-        monkeypatch.setattr(mixing._SteppedDistributions, "_level", level)
-        lean = mixing_time(config, 0.01, method=method)
-        assert rebuilt  # the search reached below the cache
-        assert (lean.t_mix, lean.bracket) == (full.t_mix, full.bracket)
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget - 1)
+        monkeypatch.setattr(mixing, "generator_blocks", refuse)
+        with pytest.raises(ValueError, match="RK4 block levels and states of"):
+            _stepped(6, method)
