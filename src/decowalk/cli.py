@@ -73,8 +73,8 @@ def _trajectory_csv(meta: list[str], times, dists) -> str:
     n = dists.shape[1]
     lines = meta + [_DEFAULTS_LINE]
     lines.append("time," + ",".join(f"p_{j}" for j in range(n)))
-    for t, row in zip(times, dists):
-        lines.append(",".join([_fmt(t)] + [_fmt(p) for p in row]))
+    row = ",".join(["%.17g"] * (n + 1))  # as _fmt, once per row
+    lines.extend(row % (t, *p) for t, p in zip(times.tolist(), dists.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -36,7 +36,9 @@ step blocks (rk4_step_matrix on the stack): O(N^4) to build or to square,
 16 N^3 bytes each, and O(N^3) per step of a state in block coordinates
 (to_blocks / from_blocks).  integrate uses them below STENCIL_MIN_N,
 one batched product per sample, and the RK4 mixing methods always do
-(mixing._SteppedDistributions).  From STENCIL_MIN_N up integrate holds
+(mixing._SteppedDistributions, which reads its 2049-time grid as lead x
+lag, row 0 of (S^B)^a against S^b y0, at O(N^2) per time and with no
+table of grid states).  From STENCIL_MIN_N up integrate holds
 no N^3 table: stencil_step evaluates the same polynomial in Horner form
 on the N x N state, with G(X) = L X - X L - gamma M o X (L the circulant
 neighbour coupling, M the off-diagonal mask), at O(N^3) per step.  Every
@@ -236,10 +238,17 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     """
     a = dt * generator
     eye = np.eye(a.shape[-1], dtype=a.dtype)
-    poly = eye + a / 4.0
-    poly = eye + (a / 3.0) @ poly
-    poly = eye + (a / 2.0) @ poly
-    return eye + a @ poly
+    # Four full-size buffers, each term formed in place: a, a / k, and two
+    # polynomial iterates, one the product's output (a / 1 is a, exactly).
+    poly = a / 4.0
+    poly += eye
+    scaled, nxt = np.empty_like(a), np.empty_like(a)
+    for divisor in (3.0, 2.0, 1.0):
+        np.divide(a, divisor, out=scaled)
+        np.matmul(scaled, poly, out=nxt)
+        nxt += eye
+        poly, nxt = nxt, poly
+    return poly
 
 
 def _shift_columns(n: int) -> np.ndarray:

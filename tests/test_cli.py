@@ -55,6 +55,18 @@ class TestEvolve:
             main(["evolve", "--n", "2", "--t-max", "1.0", "--output", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    def test_rows_print_every_entry_as_fmt(self):
+        # The row template must print what cli._fmt prints, entry by entry,
+        # for special values and for arbitrary bit patterns alike.
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e16, 1e17, -1.5e-300]
+        bits = np.random.default_rng(0).integers(0, 2**63, size=60, dtype=np.uint64)
+        dists = np.concatenate([special * 3, bits.view(float)]).reshape(9, 10)
+        times = np.linspace(0.0, 8.0, 9)
+        times[3] = -0.0
+        text = cli._trajectory_csv(["# m"], times, dists)
+        rows = text.splitlines()[3:]
+        assert rows == [",".join(cli._fmt(x) for x in [t, *row]) for t, row in zip(times, dists)]
+
 
 class TestUnitary:
     def test_closed_form_rows(self, tmp_path):

@@ -8,8 +8,11 @@ import pytest
 from decowalk import evolution, mixing
 from decowalk.evolution import (
     IntegrationError,
+    apply_blocks,
+    block_diagonal,
     build_full_operator,
     rk4_step_matrix,
+    to_blocks,
 )
 from decowalk.large_gamma import closed_form_a, large_gamma_bounds
 from decowalk.mixing import (
@@ -263,11 +266,53 @@ class TestDyadicLattice:
         np.testing.assert_allclose(stepped.distributions(np.array([t]))[0],
                                    expected[np.arange(6) * 7], rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("points", [5, 2049])
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_grid_equals_the_chain_of_hops(self, n, model, points):
+        # The grid is read as lead a times lag b; B = 3 and 46 leave the
+        # last lead row ragged at T = 5 and 2049 (6 and 2070 entries).
+        stepped = _stepped(n, model, cells=points - 1)
+        hop = stepped._levels[stepped._depth]
+        state = to_blocks(_start(n, model).reshape(n, n))
+        chain = np.empty((points, n))
+        for k in range(points):
+            chain[k] = block_diagonal(state)
+            state = apply_blocks(hop, state)
+        np.testing.assert_allclose(stepped.distributions(stepped._times), chain,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_rebuilt_coarse_state_equals_the_chain(self, model):
+        stepped = _stepped(7, model, cells=2048)
+        hop = stepped._levels[stepped._depth]
+        wanted = {0, 1, 45, 46, 47, 1000, 2023, 2024, 2048}
+        state = to_blocks(_start(7, model).reshape(7, 7))
+        for k in range(2049):
+            if k in wanted:
+                np.testing.assert_allclose(stepped._coarse_state(k), state, rtol=0, atol=1e-12)
+            state = apply_blocks(hop, state)
+
+    def test_search_holds_no_table_of_grid_states(self):
+        # The old layout stored every coarse block state: 2049 x 24 x 24
+        # complex entries, 18.9 MB at n = 24.
+        config = WalkConfig(n=24, gamma=1.0)
+        mixing_time(config, 0.01, method="s-literal")  # FFT plans are cached outside the trace
+        tracemalloc.start()
+        try:
+            result = mixing_time(config, 0.01, method="s-literal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < (mixing.GRID_INTERVALS + 1) * 24**2 * 16
+
     @pytest.mark.parametrize("method", ["s-literal", "rho"])
     def test_level_cache_respects_the_table_budget(self, monkeypatch, method):
-        # Complex 6 x 6 x 6 tables: the generator blocks and the levels
-        # S^(2^j), j = 0..7; and the five stored 6 x 6 block states.
-        budget = (1 + 8) * 16 * 6**3 + 5 * 16 * 6**2
+        # Complex 6 x 6 x 6 tables: the generator blocks, the levels
+        # S^(2^j), j = 0..7, and H^B for B = 3; complex 6 x 6 tables: the
+        # three lag states and the two lead rows; and the five distributions.
+        budget = (1 + 8 + 1) * 16 * 6**3 + (3 + 2) * 16 * 6**2 + 5 * 8 * 6
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget)
         times = np.array([0.5, 1.0 + 3.25 / 128, 3.75])
         full = _stepped(6, method).distributions(times)
@@ -277,7 +322,7 @@ class TestDyadicLattice:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # The tables above plus the stored distributions and bookkeeping.
+        # The tables above, less the lead rows freed after the grid, plus bookkeeping.
         assert held <= budget + 4096
         assert np.array_equal(stepped.distributions(times), full)
 
