@@ -11,8 +11,9 @@ are computed three ways,
   index sum, so the distribution is a sum of about N^2/4 decaying modes,
   summed block by block over times split as lead + lag.  A time costs
   O(N^2) exponentials and a uniform grid of T times O(N^2 sqrt(T)) (see
-  ModeSum).  Its setup runs one O(N^3) eigenvalue solve per block, about
-  N/2 of them, so it grows close to N^4, not N^3.
+  ModeSum).  Its setup solves the about N/2 blocks as at most two
+  stacks of equal size, but still one O(N^3) eigenvalue problem per
+  block, so it grows close to N^4, not N^3.
 
 Only the oracle builds the N^2 x N^2 generator (build_full_operator,
 also the tests' reference), and it is guarded to n <= MAX_DENSE_N, as
@@ -91,6 +92,13 @@ MAX_TABLE_BYTES = 5 << 28  # 1.25 GiB
 # bytes: 566 MB at the peak of the build at 192, against a few MB for
 # the stencil (BENCH_11.json).
 STENCIL_MIN_N = 192
+# integrate refuses a stencil run of more than this many state-entry
+# steps (steps x N^2) before the first step.  One stencil_step at
+# n = 512 took 38.6 ms, 1.5e-7 s per entry (2-core Xeon VM, 2 BLAS
+# threads; 23 ms literal-S and 73 ms density in a later timing), so the
+# budget is about ten minutes of stepping (6 to 19 by picture): 15258
+# steps, t = 152 at dt = 0.01, at n = 512.
+MAX_STENCIL_WORK = 4e9
 # Complex N x N x N tables integrate holds at once on the block route:
 # the generator blocks and four temporaries of rk4_step_matrix, or the
 # step, its stride power and the powers matrix_power builds.
@@ -383,7 +391,8 @@ def integrate(
     (within 1e-10 of its initial value); violations raise
     IntegrationError.  The output table (stored states included) and the
     working set of the route, step blocks or stencil arrays, are each
-    refused above MAX_TABLE_BYTES before any work starts.
+    refused above MAX_TABLE_BYTES before any work starts, and so is a
+    stencil run of more than MAX_STENCIL_WORK state-entry steps.
     """
     _check_model(model)
     n = config.n
@@ -398,6 +407,11 @@ def integrate(
         # four stages, the state, the stage iterate, its successor and
         # one product.
         check_table_size("stencil working set", 12, state_bytes)
+        if n_steps * n * n > MAX_STENCIL_WORK:
+            raise ValueError(
+                f"{n_steps} RK4 stencil steps of {n}x{n} states exceed the "
+                f"{MAX_STENCIL_WORK:.3g} state-entry step budget; shorten t_end"
+            )
     else:
         # Complex N x N x N tables: at most _STEP_BLOCK_TABLES at once,
         # while the step blocks and their stride power are built.
@@ -481,6 +495,12 @@ _CANCEL_TOL = 10.0
 # evaluation may hold: times, blocks and batched expm slices are split to
 # stay at or below it.
 _CHUNK_ENTRIES = 1 << 20
+# Complex (G, k, k + 1) tables _block_modes holds at once (the offsets,
+# lambda gaps, w and two terms of h).  The setup stacks G blocks so that
+# all of them fit in _CHUNK_ENTRIES entries: sized per table, G = 62
+# blocks at n = 256 peaked at 96.5 MiB traced, against 16.4 MiB for
+# G = 10, in the same setup time (about 3.2 s, eigvals-bound).
+_SECULAR_TABLES = 6
 
 
 def _expm_flows(times: np.ndarray, block: np.ndarray, root: np.ndarray) -> np.ndarray:
@@ -493,6 +513,21 @@ def _expm_flows(times: np.ndarray, block: np.ndarray, root: np.ndarray) -> np.nd
     for lo in range(0, times.size, step):
         out[lo:lo + step] = scipy.linalg.expm(times[lo:lo + step, None, None] * block) @ root
     return out
+
+
+def lead_lag(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split flat times as lead[a] + lag[b], time k in row k = a len(lag) + b.
+
+    The grid np.linspace(0, t_end, T), T >= 3, splits as k = a B + b with
+    B = ceil(sqrt(T)), lead = a B Delta and lag = b Delta, so a mode sum
+    takes A + B exponentials per mode, not T, and accumulates no rounding
+    along the grid.  Any other times are their own lead with lag = [0],
+    where exp(0) = 1 and expm(0) = I exactly.
+    """
+    if times.size >= 3 and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
+        inner = math.isqrt(times.size - 1) + 1  # B, the smallest with B^2 >= T
+        return times[1] * np.arange(0, times.size, inner), times[1] * np.arange(inner)
+    return times, np.zeros(1)
 
 
 class ModeSum:
@@ -515,10 +550,9 @@ class ModeSum:
     expm(lead_a B) r and expm(lag_b B) r (B symmetric, so the first is
     also r^T expm(lead_a B)), from A + B exponentials.  The grid
     np.linspace(0, t_end, T), T >= 3, splits as k = a B + b with
-    B = ceil(sqrt(T)), lead = a B Delta, lag = b Delta: O(S K sqrt(T))
-    exponentials, no rounding accumulated along the grid.  Any other
-    times (bisection midpoints, a single time) take lead = times and
-    lag = [0], where exp(0) = 1 and expm(0) = I exactly.
+    B = ceil(sqrt(T)) (lead_lag): O(S K sqrt(T)) exponentials, no
+    rounding accumulated along the grid.  Any other times (bisection
+    midpoints, a single time) take lead = times and lag = [0].
     """
 
     def __init__(self, n: int, blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
@@ -545,11 +579,7 @@ class ModeSum:
         """Distributions at many times, shape (len(times), n); IntegrationError if not finite."""
         times = check_times(times).ravel()
         out = np.empty((times.size, self.n))
-        if times.size >= 3 and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
-            inner = math.isqrt(times.size - 1) + 1  # B, the smallest with B^2 >= T
-            lead, lag = times[1] * np.arange(0, times.size, inner), times[1] * np.arange(inner)
-        else:
-            lead, lag = times, np.zeros(1)
+        lead, lag = lead_lag(times)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the time
             for lo, sums in self._sums(lead, lag, times.size):
                 rows = out[lo:lo + sums.shape[0]]
@@ -609,25 +639,33 @@ class DiagonalPropagator:
 
     each with amplitude (N/gamma)^2 / sum_m c_m / (z + gamma - lambda_m)^2,
     so f_s(t) = sum_k amp_k exp(z_k t) over about N/2 roots per block.
-    The setup runs one eigvals per block, O(N^3) each and close to
-    O(N^4) in all (measured 0.05 / 4.1 s at n = 64 / 256, gamma = 3).  A
-    block whose roots cannot be trusted (see _block_modes) is evaluated
-    instead with expm of its merged form, and mode then reads "expm"
-    rather than "eig"; at the same lead + lag split as the modes, it takes
-    about 2 sqrt(T) expm on a grid of T times and one per other time.
+    The merged blocks come in at most two sizes, split by the parity of
+    s, and the setup solves each size group as a stack (_block_modes), in
+    groups whose temporaries together hold at most _CHUNK_ENTRIES
+    entries: O(N^3) per block and close to O(N^4) in all (measured
+    0.02 / 2.9 s at n = 64 / 256, gamma = 3).  A block whose roots
+    cannot be trusted is evaluated instead with expm of its merged form,
+    and mode then reads "expm" rather than "eig"; at the same lead + lag
+    split as the modes, it takes about 2 sqrt(T) expm on a grid of T
+    times and one per other time.
     """
 
     def __init__(self, config: WalkConfig, model: str = "s-literal") -> None:
         _check_modesum_size(config.n)
         _check_model(model)
         n = config.n
-        blocks = []
-        for s in range(1, n // 2 + 1):
-            beta, counts = _block_rates(n, s, model)
-            found = _block_modes(beta, counts, config.gamma, n)
-            if found is None:
-                found = (_merged_block(beta, counts, config.gamma, n), np.sqrt(counts))
-            blocks.append(found)
+        rates = [_block_rates(n, s, model) for s in range(1, n // 2 + 1)]
+        blocks = [None] * len(rates)
+        for size in sorted({beta.size for beta, _ in rates}):
+            rows = [row for row, (beta, _) in enumerate(rates) if beta.size == size]
+            beta = np.array([rates[row][0] for row in rows])
+            counts = np.array([rates[row][1] for row in rows])
+            step = max(1, _CHUNK_ENTRIES // (_SECULAR_TABLES * size * (size + 1)))
+            for lo in range(0, len(rows), step):
+                group = slice(lo, lo + step)
+                found = _block_modes(beta[group], counts[group], config.gamma, n)
+                for row, modes, b, c in zip(rows[group], found, beta[group], counts[group]):
+                    blocks[row] = modes or (_merged_block(b, c, config.gamma, n), np.sqrt(c))
         self._modes = ModeSum(n, blocks)
         self.mode = "expm" if self._modes.dense else "eig"
 
@@ -661,58 +699,72 @@ def _block_rates(n: int, s: int, model: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merged_block(beta: np.ndarray, counts: np.ndarray, gamma: float, n: int) -> np.ndarray:
-    """B_s on the merged modes: f_s(t) = r^T exp(t B) r with r = sqrt(counts)."""
+    """B_s on the merged modes: f_s(t) = r^T exp(t B) r with r = sqrt(counts).
+
+    Stacks of rates (..., k) give stacks of blocks (..., k, k).
+    """
     root = np.sqrt(counts)
-    return np.diag(1j * beta - gamma) + (gamma / n) * np.outer(root, root)
+    block = ((gamma / n) * (root[..., :, None] * root[..., None, :])).astype(complex)
+    diagonal = np.arange(beta.shape[-1])
+    block[..., diagonal, diagonal] += 1j * beta - gamma
+    return block
 
 
 def _block_modes(
     beta: np.ndarray, counts: np.ndarray, gamma: float, n: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Secular roots and amplitudes of one merged block, or None if untrusted.
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Secular roots and amplitudes of a stack of merged blocks of one size.
 
-    Roots start from the eigenvalues of the merged block and take
-    _NEWTON_STEPS Newton steps on h.  Each is held as anchor + delta,
-    the anchor being the origin or the nearest pole i*beta_k - gamma.
-    offset[i, m] = anchor_i - pole_m is exact for both kinds of anchor,
-    so z + gamma - lambda_m = delta + offset and lambda_m - z =
-    (gamma - offset) - delta lose no digits to cancellation: neither the
-    slow root near 0 at large gamma (fixed only to eps*gamma by the
-    eigenvalue solver) nor the roots within O(gamma) of a pole at small
-    gamma.  The roots are trusted when finite, when each leaves a
-    residual under _SECULAR_RESIDUAL_TOL, and when the amplitudes add up
-    to f_s(0) = N and cancel by at most _CANCEL_TOL.  A defective block
-    (at an exceptional point) fails these, and so does gamma below about
-    1e-13, where the eigenvalues cannot resolve the O(gamma) offsets.
+    beta and counts are (G, k); the result holds, per block, its (roots,
+    amplitudes) or None if they are untrusted.  Every step acts on the
+    whole stack: one stacked eigvals gives the guesses, which take
+    _NEWTON_STEPS Newton steps on h, and each block is decided on its
+    own, in the bits it would get alone.  Each root is held as anchor +
+    delta, the anchor being the origin or the nearest pole
+    i*beta_k - gamma.  offset[i, m] = anchor_i - pole_m is exact for both
+    kinds of anchor, so z + gamma - lambda_m = delta + offset and
+    lambda_m - z = (gamma - offset) - delta lose no digits to
+    cancellation: neither the slow root near 0 at large gamma (fixed
+    only to eps*gamma by the eigenvalue solver) nor the roots within
+    O(gamma) of a pole at small gamma.  A block's roots are trusted when
+    finite, when each leaves a residual under _SECULAR_RESIDUAL_TOL, and
+    when the amplitudes add up to f_s(0) = N and cancel by at most
+    _CANCEL_TOL.  A defective block (at an exceptional point) fails
+    these, and so does gamma below about 1e-13, where the eigenvalues
+    cannot resolve the O(gamma) offsets.  It holds up to _SECULAR_TABLES
+    tables of G k (k + 1) entries at once; the caller sizes G.
     """
     if gamma == 0.0:
-        return 1j * beta, counts.astype(complex)
+        return [(1j * b, c.astype(complex)) for b, c in zip(beta, counts)]
     poles = 1j * beta - gamma
     guess = np.linalg.eigvals(_merged_block(beta, counts, gamma, n))
-    nearest = np.abs(guess[:, None] - np.concatenate(([0.0], poles))).argmin(axis=1)
+    targets = np.concatenate((np.zeros((beta.shape[0], 1), dtype=complex), poles), axis=-1)
+    nearest = np.abs(guess[..., :, None] - targets[..., None, :]).argmin(axis=-1)
     at_origin = nearest == 0
     pole = np.maximum(nearest - 1, 0)
-    anchor = np.where(at_origin, 0.0, poles[pole])
-    offset = (np.where(at_origin, gamma, 0.0)[:, None]
-              + 1j * (np.where(at_origin, 0.0, beta[pole])[:, None] - beta))
+    anchor = np.where(at_origin, 0.0, np.take_along_axis(poles, pole, axis=-1))
+    anchor_beta = np.where(at_origin, 0.0, np.take_along_axis(beta, pole, axis=-1))
+    offset = (np.where(at_origin, gamma, 0.0)[..., None]
+              + 1j * (anchor_beta[..., None] - beta[..., None, :]))
     lam_gap = gamma - offset  # lambda_m - anchor_i
+    counts = counts[..., None, :]
     delta = guess - anchor
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            w = delta[:, None] + offset
-            h = (counts * (lam_gap - delta[:, None]) / w).sum(axis=1)
-            slope = -gamma * (counts / w**2).sum(axis=1)
+            w = delta[..., None] + offset
+            h = (counts * (lam_gap - delta[..., None]) / w).sum(axis=-1)
+            slope = -gamma * (counts / w**2).sum(axis=-1)
             delta = delta - h / slope
-        w = delta[:, None] + offset
-        terms = counts * (lam_gap - delta[:, None]) / w
-        residual = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
-        amp = 1.0 / (counts * (gamma / (n * w)) ** 2).sum(axis=1)
-    z = anchor + delta
-    trusted = (
-        np.all(np.isfinite(z))
-        and np.all(np.isfinite(amp))
-        and residual.max() <= _SECULAR_RESIDUAL_TOL
-        and abs(amp.sum() - n) <= _SECULAR_RESIDUAL_TOL * n
-        and np.abs(amp).sum() <= _CANCEL_TOL * n
-    )
-    return (z, amp) if trusted else None
+        w = delta[..., None] + offset
+        terms = counts * (lam_gap - delta[..., None]) / w
+        residual = np.abs(terms.sum(axis=-1)) / np.abs(terms).sum(axis=-1)
+        amp = 1.0 / (counts * (gamma / (n * w)) ** 2).sum(axis=-1)
+        z = anchor + delta
+        trusted = (
+            np.isfinite(z).all(axis=-1)
+            & np.isfinite(amp).all(axis=-1)
+            & (residual.max(axis=-1) <= _SECULAR_RESIDUAL_TOL)
+            & (np.abs(amp.sum(axis=-1) - n) <= _SECULAR_RESIDUAL_TOL * n)
+            & (np.abs(amp).sum(axis=-1) <= _CANCEL_TOL * n)
+        )
+    return [(z[g], amp[g]) if trusted[g] else None for g in range(beta.shape[0])]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _CHUNK_ENTRIES, check_table_size
+from .evolution import _CHUNK_ENTRIES, check_table_size, lead_lag
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
 
 
@@ -100,20 +100,40 @@ def closed_form_a(config: WalkConfig, t: float | np.ndarray) -> np.ndarray:
     a_j(t) = (1/N) sum_k exp(-sin^2(pi k / N) t / (2 gamma)) omega^{jk}:
     the classical heat kernel on the cycle with per-direction hop rate
     1/(8 gamma), started at vertex 0.  Fast transients (rates close to
-    gamma) are dropped.  An array of times gives one row per time.  A
-    result above MAX_TABLE_BYTES is refused before any work starts, and
-    the rows are filled in chunks of at most _CHUNK_ENTRIES entries.
+    gamma) are dropped.  An array of times gives one row per time.  The
+    rates of k and N - k are equal, so each row is np.fft.irfft of the
+    real half spectrum k = 0..N/2.  Times are split as in ModeSum
+    (evolution.lead_lag): on the grid np.linspace(0, t_end, T), T >= 3,
+    each mode takes A + B = about 2 sqrt(T) exponentials, whose products
+    lead_a lag_b give the rows; any other time takes one exponential per
+    mode.  A result above MAX_TABLE_BYTES is refused before any work
+    starts, and the rows are filled in chunks of at most _CHUNK_ENTRIES
+    entries.
     """
     check_positive("gamma", config.gamma)
     t = check_times(t)
     check_table_size("closed-form distribution table", t.size, 8 * config.n)
-    decay = -np.sin(np.pi * np.arange(config.n) / config.n) ** 2
-    out = np.empty((t.size, config.n))
-    step = max(1, _CHUNK_ENTRIES // config.n)
-    for lo in range(0, t.size, step):
-        rows = np.exp(decay * t.ravel()[lo:lo + step, None] / (2.0 * config.gamma)).astype(complex)
-        out[lo:lo + step] = np.fft.ifft(rows, axis=-1, out=rows).real  # in place: one complex table
-    return out.reshape(t.shape + (config.n,))
+    n = config.n
+    times = t.ravel()
+    decay = -np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+
+    def factors(x: np.ndarray) -> np.ndarray:
+        return np.exp(decay * x[:, None] / (2.0 * config.gamma))
+
+    lead, lag = lead_lag(times)
+    inner = lag.size
+    tail = factors(lag)
+    out = np.empty((times.size, n))
+    step = max(1, _CHUNK_ENTRIES // n)
+    if step > inner:
+        step -= step % inner  # whole lead rows per chunk
+    for lo in range(0, times.size, step):
+        hi = min(lo + step, times.size)
+        first = lo // inner
+        rows = factors(lead[first:-(-hi // inner)])[:, None, :] * tail
+        rows = rows.reshape(-1, decay.size)[lo - first * inner:hi - first * inner]
+        np.fft.irfft(rows, n=n, axis=-1, out=out[lo:hi])
+    return out.reshape(t.shape + (n,))
 
 
 def classical_heat_kernel(n: int, hop_rate: float, t: float) -> np.ndarray:

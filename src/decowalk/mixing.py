@@ -16,7 +16,10 @@ The analytic methods are mode sums: `exact` and `perturbative` are the
 same evolution.ModeSum over the index-sum blocks of the literal-S
 generator, solved exactly (DiagonalPropagator) or at first order
 (spectral._PerturbativeKernel), and `large-gamma-closed-form` is the
-heat-kernel mode sum of the slow branch (large_gamma.closed_form_a).
+heat-kernel mode sum of the slow branch (large_gamma.closed_form_a), on
+its real half spectrum.  Every mode sum reads the grid as lead x lag
+(evolution.lead_lag): about 2 sqrt(T) exponentials per mode for T
+times, and one per mode at a midpoint.
 `s-literal` / `rho` step either master equation with RK4, guarded to
 n <= MAX_DENSE_N, on the generator's N diagonal-shift blocks of N x N
 (evolution.generator_blocks, O(N^3) to read off).  Their steps form a

@@ -344,6 +344,31 @@ class TestStencilIntegrate:
         with pytest.raises(AssertionError, match="no step blocks"):
             integrate(WalkConfig(n=evolution.STENCIL_MIN_N - 1), TimeGrid(t_end=1.0))
 
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_refuses_a_run_over_the_work_budget(self, monkeypatch, model):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stencil step was built")
+
+        monkeypatch.setattr(evolution, "stencil_step", refuse)
+        n = evolution.STENCIL_MIN_N
+        # Room for 100 steps of n x n entries: t_end = 1 at dt = 0.01.
+        monkeypatch.setattr(evolution, "MAX_STENCIL_WORK", 100 * n * n)
+        with pytest.raises(AssertionError, match="stencil step"):
+            integrate(WalkConfig(n=n, gamma=1.0), TimeGrid(t_end=1.0), model=model)
+        with pytest.raises(ValueError, match=f"^101 RK4 stencil steps of {n}x{n} states exceed"):
+            integrate(WalkConfig(n=n, gamma=1.0), TimeGrid(t_end=1.01), model=model)
+
+    def test_cli_refuses_a_run_over_the_work_budget(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stencil step was built")
+
+        monkeypatch.setattr(evolution, "stencil_step", refuse)
+        # About 11 h of stepping at the measured cost per entry.
+        assert main(["evolve", "--n", "512", "--t-max", "10000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 1000000 RK4 stencil steps of 512x512 states")
+
     def test_non_finite_state_raises(self, monkeypatch):
         real = evolution.stencil_step
 
@@ -459,6 +484,77 @@ class TestDiagonalPropagator:
         with pytest.raises(evolution.IntegrationError,
                            match=r"^mode sum is not finite at t=1000$"):
             modes.distributions(np.array([0.0, 1.0, 1000.0]))
+
+
+def _size_groups(n, model):
+    """The merged blocks of each size: {size: (s values, beta (G, k), counts (G, k))}."""
+    rates = {s: evolution._block_rates(n, s, model) for s in range(1, n // 2 + 1)}
+    groups = {}
+    for s, (beta, counts) in rates.items():
+        groups.setdefault(beta.size, []).append((s, beta, counts))
+    return {size: ([s for s, _, _ in group], np.array([b for _, b, _ in group]),
+                   np.array([c for _, _, c in group]))
+            for size, group in groups.items()}
+
+
+def _mode_tables(prop):
+    """The bytes of every table a propagator's mode sum holds."""
+    modes = prop._modes
+    return (modes._rates.tobytes(), modes._amps.tobytes(),
+            [(row, block.tobytes(), root.tobytes()) for row, block, root in modes.dense])
+
+
+class TestStackedBlockModes:
+    """_block_modes on a stack of equal-size blocks against each block alone."""
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1957, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [4, 10, 20, 64])
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_stack_equals_each_block_alone(self, model, n, gamma):
+        groups = _size_groups(n, model)
+        assert len(groups) <= 2  # split by the parity of s
+        for s_values, beta, counts in groups.values():
+            stacked = evolution._block_modes(beta, counts, gamma, n)
+            assert len(stacked) == len(s_values)
+            for g, found in enumerate(stacked):
+                alone = evolution._block_modes(beta[g:g + 1], counts[g:g + 1], gamma, n)[0]
+                assert (found is None) == (alone is None)
+                if found is not None:
+                    assert [x.tobytes() for x in found] == [x.tobytes() for x in alone]
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_untrusted_block_leaves_its_group_in_mode_form(self, model):
+        # At n = 64, gamma = 0.1957 only block s = 4 is untrusted, and it
+        # shares its size with the other 15 even blocks.
+        s_values, beta, counts = _size_groups(64, model)[33]
+        assert 4 in s_values and len(s_values) == 16
+        found = evolution._block_modes(beta, counts, 0.1957, 64)
+        assert [s for s, modes in zip(s_values, found) if modes is None] == [4]
+        prop = DiagonalPropagator(WalkConfig(n=64, gamma=0.1957), model)
+        assert [row + 1 for row, _, _ in prop._modes.dense] == [4]
+
+    @pytest.mark.parametrize("entries", [1, evolution._SECULAR_TABLES * 3 * 33 * 34 + 1])
+    @pytest.mark.parametrize("n, gamma, model", [(20, 0.3, "rho"), (64, 0.1957, "s-literal"),
+                                                 (4, 1.0, "s-literal")])
+    def test_chunk_size_changes_no_table(self, monkeypatch, n, gamma, model, entries):
+        # One block per group, or three at n = 64 with a short last group.
+        config = WalkConfig(n=n, gamma=gamma)
+        want = _mode_tables(DiagonalPropagator(config, model))
+        calls = []
+        real = evolution._block_modes
+
+        def counted(beta, counts, *args):
+            calls.append(beta.shape[0])
+            return real(beta, counts, *args)
+
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(evolution, "_block_modes", counted)
+        assert _mode_tables(DiagonalPropagator(config, model)) == want
+        assert sum(calls) == n // 2
+        if entries == 1:
+            assert set(calls) == {1}
+        elif n == 64:
+            assert max(calls) == 3
 
 
 def _spy_lags(patch):

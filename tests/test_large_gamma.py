@@ -182,6 +182,33 @@ class TestClosedFormA:
         rows = closed_form_a(config, times)
         assert np.array_equal(rows, np.array([closed_form_a(config, float(t)) for t in times]))
 
+    @pytest.mark.parametrize("size", [3, 4, 5, 2049])
+    def test_grid_rows_equal_single_times(self, monkeypatch, size):
+        config = WalkConfig(n=9, gamma=6.0)
+        times = np.linspace(0.0, 700.0, size)
+        lags = []
+
+        def spy(ts):
+            split = evolution.lead_lag(ts)
+            lags.append(split[1].size)
+            return split
+
+        monkeypatch.setattr(large_gamma, "lead_lag", spy)
+        rows = closed_form_a(config, times)
+        assert lags == [math.isqrt(size - 1) + 1]
+        single = np.array([closed_form_a(config, float(t)) for t in times])
+        assert np.abs(rows - single).max() <= 1e-15
+
+    @pytest.mark.parametrize("entries", [9 * 20, 9 * 50])
+    def test_chunk_boundaries_change_no_grid_row(self, monkeypatch, entries):
+        # Chunks of 20 rows cut through the 46-row lead rows of the 2049-time
+        # grid; chunks of 50 are trimmed to one whole lead row.
+        config = WalkConfig(n=9, gamma=6.0)
+        times = np.linspace(0.0, 700.0, 2049)
+        want = closed_form_a(config, times)
+        monkeypatch.setattr(large_gamma, "_CHUNK_ENTRIES", entries)
+        assert np.array_equal(closed_form_a(config, times), want)
+
     def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
         # The 2049-time mixing grid at n = 256 with 4096-entry chunks,
         # beyond the 4 MiB output: measured 0.16 MiB.  Unchunked, the
