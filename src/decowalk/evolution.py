@@ -530,6 +530,52 @@ def lead_lag(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return times, np.zeros(1)
 
 
+def envelope_margin(eps: float, reach: float, modes: int, n: int) -> float:
+    """How far under eps a mode-sum envelope must fall before grid rows are left out.
+
+    Rounding can lift a computed distance above the exact one and put a
+    computed envelope below the exact one.  At an envelope of at most
+    eps the two together stay, to first order, under u ((reach + modes
+    + n) eps + n), u = 2^-53:
+
+    * reach = max |z| t_end, for the exponent z t of each term, rounded
+      as lead and lag apart;
+    * modes + n, for the sums over the modes and blocks and over the n
+      vertices;
+    * n, for P_j = 1/N + x and back (or the inverse FFT of a real half
+      spectrum).
+
+    The margin is 8 times that bound.
+    """
+    return 8.0 * 2.0**-53 * ((reach + modes + n) * eps + n)
+
+
+def envelope_leads(lead: np.ndarray, lag: np.ndarray, eps: float, n: int,
+                   rates: np.ndarray, weights: np.ndarray) -> int:
+    """Lead rows of a lead x lag split on which the distance may still exceed eps.
+
+    rates (M,), real or complex, all with Re z < 0, and weights (M,) >= 0
+    give the envelope E(t) = sum_m weights_m exp(Re z_m t).  It bounds the
+    distance sum_j |P_j - 1/N| of a mode sum and decreases in t, so once
+    E(lead_a) <= eps - envelope_margin the computed distance stays at or
+    under eps at lead_a and at every later time of the split.  E is
+    evaluated once at the lead times, in chunks of at most _CHUNK_ENTRIES
+    entries, and the result is the first lead row where it does so, or
+    every row (lead.size) if none does or the leads do not ascend.
+    """
+    if lead.size == 0 or np.any(lead[1:] < lead[:-1]):
+        return lead.size
+    reach = float(np.abs(rates).max()) * (lead[-1] + lag[-1])
+    level = eps - envelope_margin(eps, reach, rates.size, n)
+    decay = rates.real
+    envelope = np.empty(lead.size)
+    step = max(1, _CHUNK_ENTRIES // rates.size)
+    for lo in range(0, lead.size, step):
+        envelope[lo:lo + step] = np.exp(lead[lo:lo + step, None] * decay) @ weights
+    clear = np.flatnonzero(envelope <= level)
+    return int(clear[0]) if clear.size else lead.size
+
+
 class ModeSum:
     """Vertex distribution from vertex 0 as a sum over the index-sum blocks.
 
@@ -553,6 +599,19 @@ class ModeSum:
     B = ceil(sqrt(T)) (lead_lag): O(S K sqrt(T)) exponentials, no
     rounding accumulated along the grid.  Any other times (bisection
     midpoints, a single time) take lead = times and lag = [0].
+
+    The distance sum_j |P_j - 1/N| is at most the envelope
+    E(t) = n sum_s c_s sum_k |amp_sk| exp(Re z_sk t), since each
+    |P_j - 1/N| is at most sum_s c_s |f_s(t)|.  When every block is in
+    mode form, every rate and amplitude is finite and every mode of
+    nonzero amplitude decays (Re z < 0), E decreases in t and
+    distributions(times, eps) leaves out the grid rows from the first
+    lead time with E <= eps - envelope_margin on (envelope_leads): their
+    distance is known to be at or under eps.  Those rows cannot hold a
+    non-finite value either, since each of their terms is a finite
+    amplitude times an exponential of modulus at most 1.  An expm block
+    or a mode that does not decay (gamma = 0) leaves no envelope, and
+    every row is evaluated.
     """
 
     def __init__(self, n: int, blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
@@ -574,14 +633,30 @@ class ModeSum:
         # view of f: row 2s holds Re phase_s, row 2s + 1 holds -Im phase_s.
         self._combine = np.empty((2 * count, n))
         self._combine[0::2], self._combine[1::2] = phase.real, -phase.imag
+        # The envelope's modes: (rates, weights n c_s |amp|) of nonzero weight.
+        weights = n * scale * np.abs(self._amps)
+        live = weights > 0
+        self._envelope = None
+        if (not self.dense and np.isfinite(self._rates).all() and np.isfinite(weights).all()
+                and (self._rates.real[live] < 0).all()):
+            self._envelope = (self._rates[live], weights[live])
 
-    def distributions(self, times: np.ndarray) -> np.ndarray:
-        """Distributions at many times, shape (len(times), n); IntegrationError if not finite."""
+    def distributions(self, times: np.ndarray, eps: float | None = None) -> np.ndarray:
+        """Distributions at many times, shape (len(times), n); IntegrationError if not finite.
+
+        With eps, the rows from the envelope's cut on (see the class
+        docstring) are left out and the result holds the first rows only;
+        those it holds are bitwise the rows of the whole table.
+        """
         times = check_times(times).ravel()
-        out = np.empty((times.size, self.n))
         lead, lag = lead_lag(times)
+        size = times.size
+        if eps is not None and self._envelope is not None:
+            keep = envelope_leads(lead, lag, eps, self.n, *self._envelope)
+            lead, size = lead[:keep], min(size, keep * lag.size)
+        out = np.empty((size, self.n))
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the time
-            for lo, sums in self._sums(lead, lag, times.size):
+            for lo, sums in self._sums(lead, lag, size):
                 rows = out[lo:lo + sums.shape[0]]
                 np.matmul(sums.view(float), self._combine, out=rows)
                 rows += 1.0 / self.n
@@ -654,7 +729,7 @@ class DiagonalPropagator:
         _check_modesum_size(config.n)
         _check_model(model)
         n = config.n
-        rates = [_block_rates(n, s, model) for s in range(1, n // 2 + 1)]
+        rates = _block_rates(n, np.arange(1, n // 2 + 1), model)
         blocks = [None] * len(rates)
         for size in sorted({beta.size for beta, _ in rates}):
             rows = [row for row, (beta, _) in enumerate(rates) if beta.size == size]
@@ -672,12 +747,13 @@ class DiagonalPropagator:
     def distribution(self, t: float) -> np.ndarray:
         return self._modes.distributions(np.array([float(t)]))[0]
 
-    def distributions(self, times: np.ndarray) -> np.ndarray:
-        """Distributions at many times, shape (len(times), n)."""
-        return self._modes.distributions(times)
+    def distributions(self, times: np.ndarray, eps: float | None = None) -> np.ndarray:
+        """Distributions at many times, shape (len(times), n); with eps, the
+        rows before the envelope's cut only (ModeSum.distributions)."""
+        return self._modes.distributions(times, eps)
 
 
-def _block_rates(n: int, s: int, model: str) -> tuple[np.ndarray, np.ndarray]:
+def _block_rates(n: int, s, model: str):
     """Distinct undamped rates i*beta of index-sum block s, with multiplicities.
 
     Mode (m, s-m) has rate (i/2)(sin 2 pi m/N + sin 2 pi (s-m)/N) in the
@@ -685,17 +761,22 @@ def _block_rates(n: int, s: int, model: str) -> tuple[np.ndarray, np.ndarray]:
     density picture.  Writing either as i sin(pi s/N) g(pi (2m - s)/N)
     shows the only coincidences: m <-> s-m in the literal picture
     (g = cos), and m <-> s - N/2 - m in the density picture at even N
-    (g = sin).
+    (g = sin).  An array of index sums gives a list with one
+    (beta, counts) pair per entry, all read off one (len(s), N) table.
     """
+    sums = np.atleast_1d(s)[:, None]
     m = np.arange(n)
     if model == "s-literal":
-        beta = 0.5 * (np.sin(2 * np.pi * m / n) + np.sin(2 * np.pi * (s - m) / n))
-        partner = (s - m) % n
+        beta = 0.5 * (np.sin(2 * np.pi * m / n) + np.sin(2 * np.pi * (sums - m) / n))
+        partner = (sums - m) % n
     else:
-        beta = 0.5 * (np.cos(2 * np.pi * (s - m) / n) - np.cos(2 * np.pi * m / n))
-        partner = (s - n // 2 - m) % n if n % 2 == 0 else m
+        beta = 0.5 * (np.cos(2 * np.pi * (sums - m) / n) - np.cos(2 * np.pi * m / n))
+        partner = (sums - n // 2 - m) % n if n % 2 == 0 else np.broadcast_to(m, beta.shape)
     keep = m <= partner
-    return beta[keep], np.where(m[keep] == partner[keep], 1.0, 2.0)
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    beta, counts = beta[keep], np.where((m == partner)[keep], 1.0, 2.0)
+    pairs = [(beta[lo:hi], counts[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+    return pairs if np.ndim(s) else pairs[0]
 
 
 def _merged_block(beta: np.ndarray, counts: np.ndarray, gamma: float, n: int) -> np.ndarray:

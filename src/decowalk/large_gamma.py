@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _CHUNK_ENTRIES, check_table_size, lead_lag
+from .evolution import _CHUNK_ENTRIES, check_table_size, envelope_leads, lead_lag
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
 
 
@@ -94,7 +94,8 @@ def mode_rates(k: int, config: WalkConfig) -> ModeRates:
     return ModeRates(k=k, gamma0=gamma0, gamma1=gamma1)
 
 
-def closed_form_a(config: WalkConfig, t: float | np.ndarray) -> np.ndarray:
+def closed_form_a(config: WalkConfig, t: float | np.ndarray,
+                  eps: float | None = None) -> np.ndarray:
     """Slow-branch vertex distribution at strong dephasing.
 
     a_j(t) = (1/N) sum_k exp(-sin^2(pi k / N) t / (2 gamma)) omega^{jk}:
@@ -106,9 +107,17 @@ def closed_form_a(config: WalkConfig, t: float | np.ndarray) -> np.ndarray:
     (evolution.lead_lag): on the grid np.linspace(0, t_end, T), T >= 3,
     each mode takes A + B = about 2 sqrt(T) exponentials, whose products
     lead_a lag_b give the rows; any other time takes one exponential per
-    mode.  A result above MAX_TABLE_BYTES is refused before any work
-    starts, and the rows are filled in chunks of at most _CHUNK_ENTRIES
-    entries.
+    mode.  A result of all the times above MAX_TABLE_BYTES is refused
+    before any work starts, and the rows are filled in chunks of at most
+    _CHUNK_ENTRIES entries.
+
+    With eps (ascending times), the rows from the first lead time at
+    which the envelope E(t) = sum_{k=1}^{N-1} exp(-sin^2(pi k / N) t /
+    (2 gamma)), a bound on sum_j |a_j - 1/N| that decreases in t, is at
+    most eps - evolution.envelope_margin are left out: the result holds
+    the rows before them, bitwise the rows of the whole table.  Every
+    rate decays (gamma > 0) and every term is at most 1, so no row left
+    out could have been non-finite.
     """
     check_positive("gamma", config.gamma)
     t = check_times(t)
@@ -122,18 +131,24 @@ def closed_form_a(config: WalkConfig, t: float | np.ndarray) -> np.ndarray:
 
     lead, lag = lead_lag(times)
     inner = lag.size
+    size = times.size
+    if eps is not None:
+        # k and N - k share a rate: weight 2, and 1 for k = N/2 at even N.
+        weights = np.where(2 * np.arange(1, n // 2 + 1) == n, 1.0, 2.0)
+        keep = envelope_leads(lead, lag, eps, n, decay[1:] / (2.0 * config.gamma), weights)
+        size = min(size, keep * inner)
     tail = factors(lag)
-    out = np.empty((times.size, n))
+    out = np.empty((size, n))
     step = max(1, _CHUNK_ENTRIES // n)
     if step > inner:
         step -= step % inner  # whole lead rows per chunk
-    for lo in range(0, times.size, step):
-        hi = min(lo + step, times.size)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
         first = lo // inner
         rows = factors(lead[first:-(-hi // inner)])[:, None, :] * tail
         rows = rows.reshape(-1, decay.size)[lo - first * inner:hi - first * inner]
         np.fft.irfft(rows, n=n, axis=-1, out=out[lo:hi])
-    return out.reshape(t.shape + (n,))
+    return out if eps is not None else out.reshape(t.shape + (n,))
 
 
 def classical_heat_kernel(n: int, hop_rate: float, t: float) -> np.ndarray:

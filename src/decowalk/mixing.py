@@ -3,7 +3,9 @@
 The distance is total variation ||P - U|| = sum_j |P_j - 1/N|, range
 [0, 2].  mixing_time scans a coarse grid of 2048 intervals over the
 search horizon, then bisects the bracketing interval with fresh distance
-evaluations down to relative width 1e-4.  Two crossing notions are
+evaluations down to relative width 1e-4.  A mode-sum method evaluates
+only the grid rows before its envelope's cut: past it the distance is
+known to stay under eps (see mixing_time).  Two crossing notions are
 supported: `first-crossing` (the literal first time the distance dips
 under eps) and `sustained` (the first time after which every sampled
 distance stays under eps).  The oscillatory small-gamma regime dips
@@ -249,14 +251,19 @@ def check_request(n: int, eps: float, method: str) -> None:
 
 
 def _route(config: WalkConfig, method: str, times: np.ndarray, dt: float):
-    """times -> vertex distributions, shape (len(times), n), of one method."""
+    """(times, eps=None) -> vertex distributions, shape (rows, n), of one method.
+
+    rows is len(times), or with eps on the grid of a mode sum, the rows
+    before its envelope's cut (evolution.envelope_leads).
+    """
     if method == "exact":
         return DiagonalPropagator(config).distributions
     if method in ("s-literal", "rho"):
-        return _SteppedDistributions(config, method, times, dt).distributions
+        stepped = _SteppedDistributions(config, method, times, dt)
+        return lambda ts, eps=None: stepped.distributions(ts)  # no envelope: every row
     if method == "perturbative":
         return _PerturbativeKernel(config).distributions
-    return lambda ts: closed_form_a(config, ts)
+    return lambda ts, eps=None: closed_form_a(config, ts, eps)
 
 
 def mixing_time(
@@ -273,6 +280,19 @@ def mixing_time(
     with distance <= eps; sustained returns the earliest time from which
     every later grid sample stays <= eps.  Reports converged=False with
     t_mix=horizon when the distance never qualifies.
+
+    The mode-sum methods bound the distance by an envelope
+    E(t) = sum_k |w_k| exp(Re z_k t) that decreases in t (ModeSum,
+    closed_form_a).  E is evaluated at the grid's lead times
+    (evolution.lead_lag, every 46th time), and the grid rows from the
+    first lead time with E <= eps - envelope_margin on are not evaluated:
+    the margin covers the rounding of both the envelope and the
+    distance, so every row left out would have read <= eps.  The rows
+    before the cut are bitwise those of the whole grid, so both modes
+    give what the whole grid gives.  A row left out cannot be
+    non-finite (every rate decays and every amplitude is finite), so no
+    IntegrationError is missed.  With no envelope (an expm block, gamma =
+    0) and on the RK4 methods, every row is evaluated.
     """
     check_request(config.n, eps, method)
     check_positive("dt", dt)
@@ -286,13 +306,16 @@ def mixing_time(
     distributions = _route(config, method, times, dt)
     uniform = uniform_distribution(config.n)
 
-    def distance(ts: np.ndarray) -> np.ndarray:
-        table = distributions(ts)  # every method returns a fresh table: reduce it in place
+    def distance(ts: np.ndarray, cut: float | None = None) -> np.ndarray:
+        table = distributions(ts, cut)  # every method returns a fresh table: reduce it in place
         table -= uniform
         np.abs(table, out=table)
         return table.sum(axis=1)
 
-    below = distance(times) <= eps
+    # A mode sum leaves out the rows past its envelope's cut: they are under eps.
+    below = np.ones(times.size, dtype=bool)
+    near = distance(times, eps)
+    below[:near.size] = near <= eps
     if mode == "sustained":
         below = np.logical_and.accumulate(below[::-1])[::-1]
 

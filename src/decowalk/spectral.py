@@ -135,14 +135,14 @@ class _PerturbativeKernel:
     def __init__(self, config: WalkConfig) -> None:
         _check_modesum_size(config.n)
         n, gamma = config.n, config.gamma
-        blocks = []
-        for s in range(1, n // 2 + 1):
-            beta, counts = _block_rates(n, s, "s-literal")
-            blocks.append((1j * beta - gamma + gamma * counts / n, counts))
+        blocks = [(1j * beta - gamma + gamma * counts / n, counts)
+                  for beta, counts in _block_rates(n, np.arange(1, n // 2 + 1), "s-literal")]
         self._modes = ModeSum(n, blocks)
 
-    def distributions(self, times: np.ndarray) -> np.ndarray:
-        return self._modes.distributions(times)
+    def distributions(self, times: np.ndarray, eps: float | None = None) -> np.ndarray:
+        """Distributions at many times; with eps, the rows before the
+        envelope's cut only (evolution.ModeSum.distributions)."""
+        return self._modes.distributions(times, eps)
 
 
 def perturbative_distribution(config: WalkConfig, t: float) -> np.ndarray:

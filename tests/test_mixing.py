@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decowalk import evolution, mixing
+from decowalk import evolution, large_gamma, mixing, spectral
 from decowalk.evolution import (
+    DiagonalPropagator,
     IntegrationError,
     apply_blocks,
     block_diagonal,
     build_full_operator,
+    envelope_margin,
     rk4_step_matrix,
     to_blocks,
 )
@@ -23,6 +25,7 @@ from decowalk.mixing import (
 )
 from decowalk.model import WalkConfig, initial_density, initial_state
 from decowalk.spectral import small_gamma_mixing_bound
+from decowalk.sweep import default_gamma_grid
 
 
 class TestTotalVariation:
@@ -102,9 +105,9 @@ class TestMixingTime:
         # One call for the whole grid, then one per bisection midpoint.
         calls = []
 
-        def counted(config, t):
+        def counted(config, t, eps=None):
             calls.append(np.shape(t))
-            return closed_form_a(config, t)
+            return closed_form_a(config, t, eps)
 
         monkeypatch.setattr(mixing, "closed_form_a", counted)
         result = mixing_time(WalkConfig(n=30, gamma=5.0), 0.01, method="large-gamma-closed-form")
@@ -333,3 +336,121 @@ class TestDyadicLattice:
         monkeypatch.setattr(mixing, "generator_blocks", refuse)
         with pytest.raises(ValueError, match="RK4 block levels and states of"):
             _stepped(6, method)
+
+
+def _grid(config, eps=0.01):
+    return np.linspace(0.0, default_horizon(config, eps), mixing.GRID_INTERVALS + 1)
+
+
+def _distance(table, n):
+    return np.abs(table - 1.0 / n).sum(axis=1)
+
+
+class TestEnvelopeCut:
+    """Mode-sum searches leave out the grid rows past their envelope's cut.
+
+    The computed distance may pass the envelope E by the rounding of
+    P_j = 1/N + x, about n u once E is below 1e-16, so the bound checked
+    is E plus envelope_margin at E: the bound the cut relies on.
+    """
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 20, 64])
+    @pytest.mark.parametrize("method", ["exact", "perturbative"])
+    def test_mode_sum_distance_stays_under_its_envelope(self, method, n):
+        checked = cut = 0
+        for gamma in np.geomspace(1e-3, 100.0, 6):
+            config = WalkConfig(n=n, gamma=gamma)
+            route = DiagonalPropagator(config) if method == "exact" else (
+                spectral._PerturbativeKernel(config))
+            if route._modes._envelope is None:
+                assert route._modes.dense  # n = 64, gamma = 1: expm blocks, no envelope
+                continue
+            rates, weights = route._modes._envelope
+            times = _grid(config)
+            distance = _distance(route.distributions(times), n)
+            envelope = np.exp(np.outer(times, rates.real)) @ weights
+            reach = np.abs(rates).max() * times[-1]
+            assert np.all(distance <= envelope + envelope_margin(envelope, reach, rates.size, n))
+            checked += 1
+            for eps in (0.01, 0.1, 0.5):
+                rows = route.distributions(times, eps).shape[0]
+                cut += times.size - rows
+                margin = envelope_margin(eps, reach, rates.size, n)
+                assert np.all(eps - distance[rows:] > 1e3 * margin)
+        assert checked >= 5 and cut > 0
+
+    @pytest.mark.parametrize("n", [5, 256])
+    def test_closed_form_distance_stays_under_its_envelope(self, n):
+        k = np.arange(1, n)
+        for gamma in (3.0, 10.0, 100.0):
+            config = WalkConfig(n=n, gamma=gamma)
+            times = _grid(config)
+            rates = -np.sin(np.pi * k / n) ** 2 / (2.0 * gamma)
+            distance = _distance(closed_form_a(config, times), n)
+            envelope = np.exp(np.outer(times, rates)).sum(axis=1)
+            reach = -rates.min() * times[-1]
+            assert np.all(distance <= envelope + envelope_margin(envelope, reach, n // 2, n))
+            for eps in (0.01, 0.1, 0.5):
+                rows = closed_form_a(config, times, eps).shape[0]
+                assert rows < times.size
+                margin = envelope_margin(eps, reach, n // 2, n)
+                assert np.all(eps - distance[rows:] > 1e3 * margin)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("mode", ["sustained", "first-crossing"])
+    def test_results_equal_the_whole_grid(self, monkeypatch, mode, eps):
+        # The default transition points, and the perturbative and
+        # large-gamma sweeps of the benchmark.
+        cases = [(WalkConfig(n=n, gamma=g), "exact")
+                 for n in (5, 10, 15, 20) for g in default_gamma_grid()]
+        cases += [(WalkConfig(n=64, gamma=g), "perturbative") for g in np.geomspace(1e-5, 1e-3, 7)]
+        cases += [(WalkConfig(n=256, gamma=g), "large-gamma-closed-form")
+                  for g in np.geomspace(3.0, 100.0, 13)]
+        cut = [mixing_time(config, eps, method=method, mode=mode) for config, method in cases]
+
+        def whole(lead, *args):
+            return lead.size
+
+        monkeypatch.setattr(evolution, "envelope_leads", whole)
+        monkeypatch.setattr(large_gamma, "envelope_leads", whole)
+        assert cut == [mixing_time(config, eps, method=method, mode=mode)
+                       for config, method in cases]
+
+    @staticmethod
+    def _grid_rows(monkeypatch, owner, config, method):
+        """Rows of the first table the search's distributions return."""
+        rows = []
+        real = owner.distributions
+
+        def recorded(self, times, *args):
+            table = real(self, times, *args)
+            rows.append(table.shape[0])
+            return table
+
+        monkeypatch.setattr(owner, "distributions", recorded)
+        mixing_time(config, 0.01, method=method)
+        return rows[0]
+
+    def test_mode_sums_cut_their_grid(self, monkeypatch):
+        config = WalkConfig(n=10, gamma=1.0)
+        assert self._grid_rows(monkeypatch, DiagonalPropagator, config, "exact") < 2049
+        assert self._grid_rows(monkeypatch, spectral._PerturbativeKernel, config,
+                               "perturbative") < 2049
+
+    @pytest.mark.parametrize("owner, method", [
+        (DiagonalPropagator, "exact"),
+        (spectral._PerturbativeKernel, "perturbative"),
+    ])
+    def test_undamped_mode_sum_evaluates_the_whole_grid(self, monkeypatch, owner, method):
+        config = WalkConfig(n=5, gamma=0.0)
+        assert self._grid_rows(monkeypatch, owner, config, method) == 2049
+
+    def test_expm_block_evaluates_the_whole_grid(self, monkeypatch):
+        config = WalkConfig(n=4, gamma=1.0)
+        assert DiagonalPropagator(config).mode == "expm"
+        assert self._grid_rows(monkeypatch, DiagonalPropagator, config, "exact") == 2049
+
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
+    def test_rk4_evaluates_the_whole_grid(self, monkeypatch, method):
+        config = WalkConfig(n=6, gamma=1.0)
+        assert self._grid_rows(monkeypatch, mixing._SteppedDistributions, config, method) == 2049
