@@ -36,14 +36,17 @@ the right-hand sides in O(N^3 log N)), and the step polynomial into N
 step blocks (rk4_step_matrix on the stack): O(N^4) to build or to square,
 16 N^3 bytes each, and O(N^3) per step of a state in block coordinates
 (to_blocks / from_blocks).  integrate uses them below STENCIL_MIN_N,
-one batched product per sample, and the RK4 mixing methods always do
-(mixing._SteppedDistributions, which reads its 2049-time grid as lead x
-lag, row 0 of (S^B)^a against S^b y0, at O(N^2) per time and with no
-table of grid states).  From STENCIL_MIN_N up integrate holds
-no N^3 table: stencil_step evaluates the same polynomial in Horner form
-on the N x N state, with G(X) = L X - X L - gamma M o X (L the circulant
-neighbour coupling, M the off-diagonal mask), at O(N^3) per step.  Every
-working set is refused above MAX_TABLE_BYTES before any work starts.
+and the RK4 mixing methods always do.  Both read a chain of hops
+H^k y0 as lead x lag (_HopChain): row 0 of (H^B)^a against H^b y0, at
+O(N^2) per sample plus O(N^4 log B) and with no table of states, H
+being the stride power of the step for integrate and the coarse-grid
+hop for the 2049-time grid of mixing._SteppedDistributions.  Only
+integrate's keep_states takes one batched product per sample.  From
+STENCIL_MIN_N up integrate holds no N^3 table: stencil_step evaluates
+the same polynomial in Horner form on the N x N state, with
+G(X) = L X - X L - gamma M o X (L the circulant neighbour coupling, M
+the off-diagonal mask), at O(N^3) per step.  Every working set is
+refused above MAX_TABLE_BYTES before any work starts.
 """
 
 from __future__ import annotations
@@ -79,18 +82,18 @@ MAX_DENSE_N = 64
 MAX_MODESUM_N = 512
 # A trajectory table is held whole in memory before it is written out,
 # and is refused above this budget before any work starts, by
-# check_table_size; so are the RK4 step blocks, their levels and the
-# stencil working set.  A mode sum needs far less even at MAX_MODESUM_N
+# check_table_size; so are the RK4 step blocks, their levels, the lead
+# and lag tables of their chains and the stencil working set.  A mode sum needs far less even at MAX_MODESUM_N
 # (70 MiB, above).
 MAX_TABLE_BYTES = 5 << 28  # 1.25 GiB
 # integrate steps the N x N state with stencil_step from this size up,
-# and takes one product with the stride power of the step blocks per
-# sample below it.  Over 5000 steps sampled every 10 the blocks are the
-# faster route at every size measured, n = 40..192 (at 192: 5.5 against
-# 9.5 s literal-S, 6.3 against 35 s density), but their O(N^4) setup
-# needs 176 samples to pay off at 192, and their tables grow as 16 N^3
-# bytes: 566 MB at the peak of the build at 192, against a few MB for
-# the stencil (BENCH_11.json).
+# and uses the step blocks below it.  Over 5000 steps sampled every 10
+# the blocks were the faster route at every size measured, n = 40..192,
+# even at one batched product per sample (at 192: 5.5 against 9.5 s
+# literal-S, 6.3 against 35 s density; the lead x lag chain now costs
+# less per sample), but their O(N^4) setup needs 176 samples to pay off
+# at 192, and their tables grow as 16 N^3 bytes: 566 MB at the peak of
+# the build at 192, against a few MB for the stencil (BENCH_11.json).
 STENCIL_MIN_N = 192
 # integrate refuses a stencil run of more than this many state-entry
 # steps (steps x N^2) before the first step.  One stencil_step at
@@ -101,8 +104,13 @@ STENCIL_MIN_N = 192
 MAX_STENCIL_WORK = 4e9
 # Complex N x N x N tables integrate holds at once on the block route:
 # the generator blocks and four temporaries of rk4_step_matrix, or the
-# step, its stride power and the powers matrix_power builds.
+# step, its stride power H and the powers matrix_power builds for H or
+# H^B.
 _STEP_BLOCK_TABLES = 6
+# Entries of the stacks of unit states generator_blocks passes to a
+# right-hand side at once.  Each call makes about eight temporaries of
+# the stack's size: about one N x N x N table at n = 40, less above.
+_RHS_STACK_ENTRIES = 1 << 13
 
 
 class IntegrationError(RuntimeError):
@@ -302,25 +310,111 @@ def generator_blocks(config: WalkConfig, model: str) -> np.ndarray:
     being the whole derivative.  Column d' of every block is read off
     the right-hand side (s_rhs or rho_rhs) applied to the unit state at
     X[0, d'], whose coordinates Y^[q, d] = delta(d, d') are the same for
-    every q.  N right-hand sides and one transform cost O(N^3 log N); no
-    rate, root or closed form enters, so RK4 on the blocks stays a route
-    independent of the mode sums.
+    every q.  The right-hand side takes the unit states as stacks of at
+    most _RHS_STACK_ENTRIES entries; with one transform that costs
+    O(N^3 log N).  No rate, root or closed form enters, so RK4 on the
+    blocks stays a route independent of the mode sums.
     """
     _check_model(model)
     n = config.n
     rhs = s_rhs if model == "s-literal" else rho_rhs
-    unit = np.zeros((n, n), dtype=float if model == "s-literal" else complex)
-    images = np.empty((n, n, n), dtype=unit.dtype)  # images[j, k, d'], one per unit state
-    for column in range(n):
-        unit[0, column] = 1.0
-        images[..., column] = rhs(config, unit)
-        unit[0, column] = 0.0
+    dtype = float if model == "s-literal" else complex
+    images = np.empty((n, n, n), dtype=dtype)  # images[j, k, d'], one per unit state
+    width = max(1, _RHS_STACK_ENTRIES // (n * n))
+    for lo in range(0, n, width):
+        units = np.zeros((min(width, n - lo), n, n), dtype=dtype)
+        units[np.arange(units.shape[0]), 0, np.arange(lo, lo + units.shape[0])] = 1.0
+        images[..., lo:lo + units.shape[0]] = rhs(config, units).transpose(1, 2, 0)
     return np.fft.fft(images[np.arange(n)[:, None], _shift_columns(n)], axis=0)
 
 
 def apply_blocks(blocks: np.ndarray, y: np.ndarray) -> np.ndarray:
     """blocks[q] @ y[q] for every q: one batched product."""
     return (blocks @ y[..., None])[..., 0]
+
+
+def _chain_split(count: int) -> tuple[int, int]:
+    """(B, A) for count states read as k = a B + b: B = ceil(sqrt(count)), A = ceil(count / B)."""
+    inner = math.isqrt(count - 1) + 1  # the smallest B with B^2 >= count
+    return inner, -(-count // inner)
+
+
+def _chain_chunk(n: int, inner: int) -> int:
+    """Lead rows per contraction of a _HopChain: (N, rows, B) of at most _CHUNK_ENTRIES."""
+    return max(1, _CHUNK_ENTRIES // (n * inner))
+
+
+class _HopChain:
+    """Vertex distributions of the block states y_k = H^k y0, k < T, read as lead x lag.
+
+    H is a stack of N hop blocks (N, N, N) and y0 a block state (N, N)
+    (to_blocks).  As in ModeSum, k splits as a B + b with B = ceil(sqrt(T))
+    (_chain_split), and only the entry block_diagonal reads is formed:
+    Y^_k[q, 0] = e0^T (H_q^B)^a H_q^b y0_q.  The lag states H^b y0 (B - 1
+    batched products), the lead covectors, row 0 of (H^B)^a (one
+    matrix_power and A - 1 products with H^B, A = ceil(T/B)), and one
+    batched (N, A, N) @ (N, N, B) product, split by lead rows into
+    chunks of at most _CHUNK_ENTRIES entries, and one inverse FFT per
+    chunk give every distribution: O(N^2 T + N^4 log B), against
+    O(N^3 T) for T sequential hops, and about 2 sqrt(T) N^2 entries, not
+    T N^2.  The lag states and H^B are kept, so state(k) rebuilds any
+    y_k as (H^B)^a applied to lag state b.
+
+    dists (T, N) is written into out.  bad is the first k whose lag
+    state, lead covector or distribution is not finite (T if none): the
+    distribution at k and every lag or lead factor it reads are finite
+    for every k < bad.  The caller checks the lag, lead and chunk tables
+    (table_rows) against MAX_TABLE_BYTES before building them.
+    """
+
+    def __init__(self, hop: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+        count, n = out.shape
+        self.inner, outer = _chain_split(count)
+        self.dists = out
+        self.lag = np.empty((self.inner, n, n), dtype=complex)
+        # Non-finite values are allowed to run on; bad names where they start.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.lag[0] = state
+            for b in range(1, self.inner):
+                state = apply_blocks(hop, state)
+                self.lag[b] = state
+            self.lead_hop = np.linalg.matrix_power(hop, self.inner)
+            lead = np.zeros((n, outer, n), dtype=complex)  # lead[q, a] = row 0 of (H_q^B)^a
+            lead[:, 0, 0] = 1.0
+            for a in range(1, outer):
+                lead[:, a:a + 1] = lead[:, a - 1:a] @ self.lead_hop
+            lag = self.lag.transpose(1, 2, 0)
+            rows = _chain_chunk(n, self.inner)
+            for a0 in range(0, outer, rows):
+                lo = a0 * self.inner
+                hi = min(count, lo + rows * self.inner)
+                grid = (lead[:, a0:a0 + rows] @ lag).reshape(n, -1)[:, :hi - lo]
+                out[lo:hi] = np.fft.ifft(grid.T, axis=-1).real
+        self.bad = min(_first_non_finite(self.lag, count),
+                       self.inner * _first_non_finite(lead.transpose(1, 0, 2), outer),
+                       _first_non_finite(out, count))
+
+    @staticmethod
+    def table_rows(n: int, count: int) -> int:
+        """Rows of n doubles in the lag and lead tables and the complex
+        product and transform of one contraction chunk, for count states."""
+        inner, outer = _chain_split(count)
+        return 2 * n * (inner + outer) + 4 * min(outer, _chain_chunk(n, inner)) * inner
+
+    def state(self, k: int) -> np.ndarray:
+        """Block state y_k, rebuilt as (H^B)^a applied to lag state b, k = a B + b."""
+        a, b = divmod(k, self.inner)
+        state = self.lag[b]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(a):
+                state = apply_blocks(self.lead_hop, state)
+        return state
+
+
+def _first_non_finite(table: np.ndarray, default: int) -> int:
+    """Index of the first entry along axis 0 of table that is not finite, else default."""
+    finite = np.isfinite(table).reshape(table.shape[0], -1).all(axis=1)
+    return default if finite.all() else int(np.argmin(finite))
 
 
 def stencil_step(config: WalkConfig, model: str, dt: float):
@@ -372,6 +466,23 @@ def effective_step(span: float, dt_request: float, gamma: float) -> tuple[float,
     return span / n_steps, n_steps
 
 
+def _check_samples(times: np.ndarray, dists: np.ndarray, finite: np.ndarray,
+                   trace0: float, trace_tol: float) -> None:
+    """Raise IntegrationError at the first sample that is not finite or
+    whose diagonal sum is more than trace_tol from trace0."""
+    with np.errstate(invalid="ignore"):
+        sums = dists.sum(axis=1)
+        failed = ~finite | (np.abs(sums - trace0) > trace_tol)
+    if failed.any():
+        pos = int(np.argmax(failed))
+        if not finite[pos]:
+            raise IntegrationError(f"non-finite state at t={times[pos]:g}; reduce dt")
+        raise IntegrationError(
+            f"diagonal sum drifted to {float(sums[pos])!r} at t={times[pos]:g} "
+            f"(started at {trace0!r})"
+        )
+
+
 def integrate(
     config: WalkConfig,
     grid: TimeGrid,
@@ -383,16 +494,28 @@ def integrate(
 
     The effective step is min(grid.dt, 0.1/max(gamma, 1)) rounded so it
     divides the window exactly.  Below STENCIL_MIN_N the state is held
-    in block coordinates (to_blocks) and each sample is one batched
-    product with the stride power of the RK4 step blocks (O(N^4) to
-    build, O(N^3) per sample); from STENCIL_MIN_N up it is stepped with
-    stencil_step (O(N^3) per step on N x N arrays).  Every sample is
-    checked for finiteness and for conservation of the diagonal sum
-    (within 1e-10 of its initial value); violations raise
-    IntegrationError.  The output table (stored states included) and the
-    working set of the route, step blocks or stencil arrays, are each
-    refused above MAX_TABLE_BYTES before any work starts, and so is a
-    stencil run of more than MAX_STENCIL_WORK state-entry steps.
+    in block coordinates (to_blocks), where H, the stride power of the
+    RK4 step blocks, hops one sample (O(N^4) to build).  The samples on
+    its lattice are then read as lead x lag (_HopChain): row 0 of
+    (H^B)^a against H^b y0, O(N^2) per sample plus O(N^4 log B), with
+    no per-sample product.  A last partial stride starts from the last
+    lattice state, rebuilt by the chain, and takes one product with the
+    step's power for the steps left.  With keep_states every sample is
+    instead one batched product with H, O(N^3), since every state is
+    stored anyway.  From STENCIL_MIN_N up the state is stepped with
+    stencil_step (O(N^3) per step on N x N arrays).
+
+    Every sample's distribution is checked for finiteness and for
+    conservation of the diagonal sum (within 1e-10 of its initial
+    value); violations raise IntegrationError at the first sample that
+    fails.  A state the route holds whole (each sample on the sequential
+    routes, the rebuilt and the final state of a partial stride) must be
+    finite in every entry, and so must every lag state and lead
+    covector of the chain, at the first sample that reads it.  The
+    output table (stored states included) and the working set of the
+    route, step blocks, chain tables or stencil arrays, are each refused
+    above MAX_TABLE_BYTES before any work starts, and so is a stencil
+    run of more than MAX_STENCIL_WORK state-entry steps.
     """
     _check_model(model)
     n = config.n
@@ -414,12 +537,42 @@ def integrate(
             )
     else:
         # Complex N x N x N tables: at most _STEP_BLOCK_TABLES at once,
-        # while the step blocks and their stride power are built.
+        # while the step blocks, their stride power and H^B are built.
         check_table_size("RK4 step blocks", _STEP_BLOCK_TABLES * n, 16 * n * n)
+    lattice = n_steps // stride + 1  # samples on the stride lattice
+    chained = n < STENCIL_MIN_N and not keep_states
+    if chained:
+        check_table_size("RK4 lead and lag tables", _HopChain.table_rows(n, lattice), 8 * n)
 
     start = _as_state_vector(config, model, initial).reshape(n, n)
     trace0 = float(np.real(np.trace(start)))
     trace_tol = 1e-10 * max(1.0, abs(trace0))
+
+    sample_steps = np.arange(0, n_steps + 1, stride)
+    if sample_steps[-1] != n_steps:
+        sample_steps = np.append(sample_steps, n_steps)
+
+    times = dt_eff * sample_steps
+    times[-1] = grid.t_end
+
+    if chained:
+        step = rk4_step_matrix(generator_blocks(config, model), dt_eff)
+        partial = lattice < times.size
+        tail = np.linalg.matrix_power(step, n_steps % stride) if partial else None
+        hop = np.linalg.matrix_power(step, stride)
+        del step  # not held while the chain takes H^B
+        dists = np.empty((times.size, n))
+        chain = _HopChain(hop, to_blocks(start), dists[:lattice])
+        finite = np.arange(times.size) < chain.bad
+        if partial:
+            state = chain.state(lattice - 1)
+            finite[lattice - 1] &= np.isfinite(state).all()
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = apply_blocks(tail, state)
+            finite[-1] = np.isfinite(state).all()
+            dists[-1] = block_diagonal(state)
+        _check_samples(times, dists, finite, trace0, trace_tol)
+        return TimeSeries(times=times, dists=dists, dt_used=dt_eff)
 
     if n >= STENCIL_MIN_N:
         step = stencil_step(config, model, dt_eff)
@@ -449,24 +602,13 @@ def integrate(
         def full(y: np.ndarray) -> np.ndarray:
             return from_blocks(y, real=model == "s-literal")
 
-    sample_steps = np.arange(0, n_steps + 1, stride)
-    if sample_steps[-1] != n_steps:
-        sample_steps = np.append(sample_steps, n_steps)
-
-    times = dt_eff * sample_steps
-    times[-1] = grid.t_end
-    dists = np.empty((sample_steps.size, n))
+    dists = np.empty((times.size, n))
     states: list[np.ndarray] | None = [] if keep_states else None
 
     def record(pos: int, v: np.ndarray) -> None:
-        if not np.all(np.isfinite(v)):
-            raise IntegrationError(f"non-finite state at t={times[pos]:g}; reduce dt")
         dists[pos] = diagonal(v)
-        dsum = float(dists[pos].sum())
-        if abs(dsum - trace0) > trace_tol:
-            raise IntegrationError(
-                f"diagonal sum drifted to {dsum!r} at t={times[pos]:g} (started at {trace0!r})"
-            )
+        _check_samples(times[pos:pos + 1], dists[pos:pos + 1], np.isfinite(v).all()[None],
+                       trace0, trace_tol)
         if states is not None:
             states.append(full(v))
 
@@ -525,7 +667,7 @@ def lead_lag(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where exp(0) = 1 and expm(0) = I exactly.
     """
     if times.size >= 3 and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
-        inner = math.isqrt(times.size - 1) + 1  # B, the smallest with B^2 >= T
+        inner, _ = _chain_split(times.size)
         return times[1] * np.arange(0, times.size, inner), times[1] * np.arange(inner)
     return times, np.zeros(1)
 

@@ -28,7 +28,8 @@ n <= MAX_DENSE_N, on the generator's N diagonal-shift blocks of N x N
 dyadic lattice (see _SteppedDistributions): one set of step blocks per
 search, squared up to the coarse-grid hop H at O(N^4) per squaring.  The
 grid is read as lead x lag, as ModeSum reads its own: row 0 of (H^B)^a
-against the lag states H^b y0, about 2 sqrt(T) N^2 entries and
+against the lag states H^b y0 (evolution._HopChain, which integrate's
+trajectories share), about 2 sqrt(T) N^2 entries and
 O(N^2 T + N^4 log B) for T times, with no table of T block states.  Each
 bisection midpoint costs at most p + 1 batched products of O(N^3), and
 four more off the lattice, from the coarse state below it, rebuilt once
@@ -39,7 +40,6 @@ search holds one T x n table, not two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +55,9 @@ from .evolution import (
     generator_blocks,
     rk4_step_matrix,
     to_blocks,
+    _HopChain,
     _as_state_vector,
+    _chain_split,
     _check_dense_size,
     _check_modesum_size,
 )
@@ -127,23 +129,22 @@ class _SteppedDistributions:
     the levels S^(2^j), j = 0..p, are p batched squarings, O(N^4) each.
     H = S^(2^p) hops the coarse grid of T times.  As in evolution.ModeSum,
     grid index k splits as a B + b with B = ceil(sqrt(T)), and only the
-    entry the distribution reads is formed: block_diagonal uses Y^[q, 0]
-    alone, and Y^_k[q, 0] = e0^T (H_q^B)^a H_q^b y0_q.  The lag states
-    H^b y0 (B - 1 batched products), the lead covectors, row 0 of
-    (H^B)^a (one matrix_power and A - 1 products with H^B, A = ceil(T/B)),
-    and one batched (N, A, N) @ (N, N, B) product give the whole grid:
-    O(N^2 T + N^4 log B), against O(N^3 T) for T sequential hops, and
-    about 2 sqrt(T) N^2 entries plus H^B, not T N^2.  A later request at
-    offset k dt from the grid point below it (every bisection midpoint
-    down to depth p) starts from that coarse state, rebuilt as
-    (H^B)^a H^b y0 and kept for the next request, and takes one batched
-    product with S^(2^j) per set bit j of k, O(N^3) each.  A request off
-    the lattice adds one RK4 step of the remaining fraction of a step, in
-    Horner form on the block vector.  The generator blocks, the p + 1
-    levels, H^B, the lag and lead tables and the distributions are
-    refused above MAX_TABLE_BYTES before any is built.  A non-finite lag
-    state, lead covector, grid distribution or rebuilt or advanced state
-    raises IntegrationError naming its time.
+    entry the distribution reads is formed: Y^_k[q, 0] = e0^T (H_q^B)^a
+    H_q^b y0_q, from the lag states H^b y0, the lead covectors, row 0 of
+    (H^B)^a, and one batched contraction (evolution._HopChain, which
+    integrate shares): O(N^2 T + N^4 log B), against O(N^3 T) for T
+    sequential hops, and about 2 sqrt(T) N^2 entries plus H^B, not
+    T N^2.  A later request at offset k dt from the grid point below it
+    (every bisection midpoint down to depth p) starts from that coarse
+    state, rebuilt as (H^B)^a H^b y0 and kept for the next request, and
+    takes one batched product with S^(2^j) per set bit j of k, O(N^3)
+    each.  A request off the lattice adds one RK4 step of the remaining
+    fraction of a step, in Horner form on the block vector.  The
+    generator blocks, the p + 1 levels, H^B, the lag and lead tables and
+    the distributions are refused above MAX_TABLE_BYTES before any is
+    built.  A non-finite lag state, lead covector, grid distribution or
+    rebuilt or advanced state raises IntegrationError naming its time:
+    on the grid, the first time whose distribution reads one.
     """
 
     def __init__(self, config: WalkConfig, model: str, times: np.ndarray, dt: float) -> None:
@@ -153,11 +154,10 @@ class _SteppedDistributions:
         _, per_cell = effective_step(cell, dt, config.gamma)
         self._depth = (per_cell - 1).bit_length()
         self._dt = cell / 2**self._depth
-        self._inner = math.isqrt(times.size - 1) + 1  # B, the smallest with B^2 >= T
-        outer = -(-times.size // self._inner)  # A
+        inner, outer = _chain_split(times.size)
         # Rows of n doubles: 2n per complex N x N table, one per distribution.
         check_table_size("RK4 block levels and states",
-                         2 * n * ((self._depth + 3) * n + self._inner + outer) + times.size,
+                         2 * n * ((self._depth + 3) * n + inner + outer) + times.size,
                          8 * n)
         self._blocks = generator_blocks(config, model)
         hop = rk4_step_matrix(self._blocks, self._dt)
@@ -165,39 +165,18 @@ class _SteppedDistributions:
         for _ in range(self._depth):
             hop = hop @ hop
             self._levels.append(hop)
-        state = to_blocks(_as_state_vector(config, model, None).reshape(n, n))
-        self._lag = np.empty((self._inner, n, n), dtype=complex)
-        self._lag[0] = state
-        for b in range(1, self._inner):
-            state = apply_blocks(hop, state)
-            self._lag[b] = state
-        self._check(self._lag, np.arange(self._inner))
-        self._lead_hop = np.linalg.matrix_power(hop, self._inner)
-        lead = np.zeros((n, outer, n), dtype=complex)  # lead[q, a] = row 0 of (H_q^B)^a
-        lead[:, 0, 0] = 1.0
-        for a in range(1, outer):
-            lead[:, a:a + 1] = lead[:, a - 1:a] @ self._lead_hop
-        self._check(lead.transpose(1, 0, 2), self._inner * np.arange(outer))
-        grid = (lead @ self._lag.transpose(1, 2, 0)).reshape(n, -1)[:, :times.size]
-        self._dists = np.ascontiguousarray(np.fft.ifft(grid.T, axis=-1).real)
-        self._check(self._dists, np.arange(times.size))
-        self._coarse = (0, self._lag[0])
-
-    def _check(self, table: np.ndarray, index: np.ndarray) -> None:
-        """Raise at the grid time of the first entry of table that is not finite."""
-        finite = np.isfinite(table).reshape(table.shape[0], -1).all(axis=1)
-        if not finite.all():
-            raise IntegrationError(
-                f"non-finite RK4 state at t={self._times[index[np.argmin(finite)]]:g}")
+        start = to_blocks(_as_state_vector(config, model, None).reshape(n, n))
+        self._chain = _HopChain(hop, start, np.empty((times.size, n)))
+        if self._chain.bad < times.size:
+            raise IntegrationError(f"non-finite RK4 state at t={times[self._chain.bad]:g}")
+        self._coarse = (0, self._chain.lag[0])
 
     def _coarse_state(self, k: int) -> np.ndarray:
-        """Block state at grid index k = a B + b, as (H^B)^a applied to lag b."""
+        """Block state at grid index k, rebuilt by the chain and kept for the next request."""
         if self._coarse[0] != k:
-            a, b = divmod(k, self._inner)
-            state = self._lag[b]
-            for _ in range(a):
-                state = apply_blocks(self._lead_hop, state)
-            self._check(state[None], np.array([k]))
+            state = self._chain.state(k)
+            if not np.isfinite(state).all():
+                raise IntegrationError(f"non-finite RK4 state at t={self._times[k]:g}")
             self._coarse = (k, state)
         return self._coarse[1]
 
@@ -223,7 +202,7 @@ class _SteppedDistributions:
         tol = 1e-12 * np.maximum(1.0, np.abs(times))
         idx = np.searchsorted(self._times, times + tol, side="right") - 1
         idx = np.clip(idx, 0, self._times.size - 1)
-        out = self._dists[idx]
+        out = self._chain.dists[idx]
         delta = times - self._times[idx]
         for k in np.flatnonzero(np.abs(delta) > tol):
             state = self._advance(self._coarse_state(int(idx[k])), float(delta[k]),

@@ -109,20 +109,26 @@ def initial_density(config: WalkConfig) -> np.ndarray:
     return rho
 
 
+def _check_state_shape(config: WalkConfig, x: np.ndarray) -> None:
+    """A state, or each state of a stack, must be N x N."""
+    if x.shape[-2:] != (config.n, config.n):
+        raise ValueError(f"state must be {config.n}x{config.n}, got {x.shape}")
+
+
 def s_rhs(config: WalkConfig, s: np.ndarray) -> np.ndarray:
     """Time derivative of the phase-rotated state S.
 
     Quarter-rate neighbour stencil plus uniform off-diagonal damping at
-    rate gamma.  Row/column shifts are cyclic.
+    rate gamma.  Row/column shifts are cyclic.  A stack of states
+    (..., N, N) gives the stack of their derivatives.
     """
-    if s.shape != (config.n, config.n):
-        raise ValueError(f"state must be {config.n}x{config.n}, got {s.shape}")
-    # np.roll(s, -1, axis=1)[j, k] = s[j, k+1] etc., all mod n.
+    _check_state_shape(config, s)
+    # np.roll(s, -1, axis=-1)[..., j, k] = s[..., j, k+1] etc., all mod n.
     coherent = 0.25 * (
-        np.roll(s, -1, axis=1)
-        + np.roll(s, -1, axis=0)
-        - np.roll(s, 1, axis=0)
-        - np.roll(s, 1, axis=1)
+        np.roll(s, -1, axis=-1)
+        + np.roll(s, -1, axis=-2)
+        - np.roll(s, 1, axis=-2)
+        - np.roll(s, 1, axis=-1)
     )
     return coherent - config.gamma * offdiagonal_mask(config.n) * s
 
@@ -131,15 +137,15 @@ def rho_rhs(config: WalkConfig, rho: np.ndarray) -> np.ndarray:
     """Time derivative of the density matrix rho.
 
     Coherent part is -i [H, rho] with H the cycle adjacency scaled so
-    nearest-neighbour amplitudes move at rate 1/4; damping as in s_rhs.
+    nearest-neighbour amplitudes move at rate 1/4; damping and stacks as
+    in s_rhs.
     """
-    if rho.shape != (config.n, config.n):
-        raise ValueError(f"state must be {config.n}x{config.n}, got {rho.shape}")
+    _check_state_shape(config, rho)
     coherent = 0.25j * (
-        np.roll(rho, -1, axis=1)
-        - np.roll(rho, -1, axis=0)
-        - np.roll(rho, 1, axis=0)
-        + np.roll(rho, 1, axis=1)
+        np.roll(rho, -1, axis=-1)
+        - np.roll(rho, -1, axis=-2)
+        - np.roll(rho, 1, axis=-2)
+        + np.roll(rho, 1, axis=-1)
     )
     return coherent - config.gamma * offdiagonal_mask(config.n) * rho
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import IntegrationError
+from .evolution import MAX_DENSE_N, IntegrationError
 from .mixing import check_request, mixing_time
 from .model import WalkConfig, check_positive
 
@@ -24,7 +24,9 @@ DEFAULT_GAMMA_MIN = 1e-3
 DEFAULT_GAMMA_MAX = 1e2
 DEFAULT_GAMMA_POINTS = 25
 # Largest N whose default sweep method is the Fourier-block `exact`
-# propagator (setup close to O(N^4) per gamma); larger N default to RK4.
+# propagator (setup close to O(N^4) per gamma); larger N default to RK4
+# up to MAX_DENSE_N, where the RK4 methods stop, and to `exact` again
+# above it.
 EXACT_METHOD_MAX_N = 20
 
 # Converged points per tail in the log-log slope fits of tail_slopes.
@@ -90,7 +92,7 @@ def default_gamma_grid(
 
 
 def default_method(n: int) -> str:
-    return "exact" if n <= EXACT_METHOD_MAX_N else "s-literal"
+    return "s-literal" if EXACT_METHOD_MAX_N < n <= MAX_DENSE_N else "exact"
 
 
 def _evaluate_point(n: int, gamma: float, eps: float, method: str) -> SweepPoint:

@@ -145,6 +145,26 @@ class TestGeneratorBlocks:
         np.testing.assert_allclose(evolution.from_blocks(image, real=model == "s-literal").ravel(),
                                    dense, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("columns", [1, 3, 7, 64])
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", [3, 5, 8, 24, 40, 64])
+    def test_stacked_unit_states_equal_the_column_loop(self, monkeypatch, n, model, columns):
+        # The reference reads one column per right-hand side; any stack,
+        # from one column per call to all of them in one call, must give
+        # the same bytes.
+        monkeypatch.setattr(evolution, "_RHS_STACK_ENTRIES", columns * n * n)
+        config = WalkConfig(n=n, gamma=0.3)
+        rhs = s_rhs if model == "s-literal" else rho_rhs
+        unit = np.zeros((n, n), dtype=float if model == "s-literal" else complex)
+        images = np.empty((n, n, n), dtype=unit.dtype)
+        for column in range(n):
+            unit[0, column] = 1.0
+            images[..., column] = rhs(config, unit)
+            unit[0, column] = 0.0
+        shift = (np.arange(n)[:, None] + np.arange(n)) % n
+        loop = np.fft.fft(images[np.arange(n)[:, None], shift], axis=0)
+        assert evolution.generator_blocks(config, model).tobytes() == loop.tobytes()
+
     def test_state_maps_invert_each_other(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
@@ -398,6 +418,172 @@ class TestStencilIntegrate:
         monkeypatch.setattr(evolution, "STENCIL_MIN_N", 3)
         with pytest.raises(evolution.IntegrationError, match="diagonal sum drifted"):
             integrate(WalkConfig(n=5, gamma=0.1), TimeGrid(t_end=1.0), initial=s0)
+
+
+def _hop_chain(hop, state, count):
+    return evolution._HopChain(hop, state, np.empty((count, state.shape[-1])))
+
+
+class TestHopChain:
+    """integrate's block route and the RK4 mixing grid read H^k y0 as lead x lag."""
+
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 10.0])
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", [3, 5, 8, 24, 40, 100])
+    def test_matches_the_sequential_trajectory(self, n, model, gamma, stride):
+        # 101 steps: 101, 34 and 11 samples, the last two after a partial
+        # stride of 2 and 1 steps.
+        config = WalkConfig(n=n, gamma=gamma)
+        dt = 0.1 / max(gamma, 1.0)
+        grid = TimeGrid(t_end=101 * dt, dt=dt, sample_stride=stride)
+        chained = integrate(config, grid, model=model)
+        stepped = integrate(config, grid, model=model, keep_states=True)
+        assert chained.states is None
+        assert chained.dt_used == stepped.dt_used
+        np.testing.assert_array_equal(chained.times, stepped.times)
+        np.testing.assert_allclose(chained.dists, stepped.dists, rtol=0, atol=1e-13)
+
+    def test_takes_no_per_sample_product(self, monkeypatch):
+        # 501 samples, as evolve --t-max 50 takes: B = 23 lag states, so
+        # 22 products with the step blocks; the A = 22 lead covectors are
+        # products with H^B, and no sample takes one of its own.
+        calls = []
+        real = evolution.apply_blocks
+
+        def counted(blocks, y):
+            calls.append(1)
+            return real(blocks, y)
+
+        monkeypatch.setattr(evolution, "apply_blocks", counted)
+        series = integrate(WalkConfig(n=6, gamma=0.1), TimeGrid(t_end=50.0))
+        assert series.dists.shape == (501, 6)
+        assert len(calls) == 22
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 46, 2049])
+    def test_rebuilt_states_equal_the_chain(self, count):
+        rng = np.random.default_rng(count)
+        hop = rk4_step_matrix(evolution.generator_blocks(WalkConfig(n=5, gamma=0.4), "rho"), 0.3)
+        start = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        chain = _hop_chain(hop, start, count)
+        state = start
+        for k in range(count):
+            np.testing.assert_allclose(chain.state(k), state, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(chain.dists[k], evolution.block_diagonal(state),
+                                       rtol=0, atol=1e-13)
+            state = evolution.apply_blocks(hop, state)
+        assert chain.bad == count
+
+    @pytest.mark.parametrize("count, first", [
+        (200, "lag"),  # B = 15: lag state 11 overflows
+        (101, "lead"),  # B = 11: H^B, so lead row 1, overflows
+        (50, "contraction"),  # B = 8: lead row 1 and lag 3 are finite, their product is not
+    ])
+    def test_bad_names_the_first_non_finite_state(self, count, first):
+        # H = 1e30 I: y_k ~ 1e30^k overflows first at k = 11.
+        hop = np.broadcast_to(1e30 * np.eye(4), (4, 4, 4))
+        chain = _hop_chain(hop, evolution.to_blocks(np.eye(4) / 4), count)
+        assert chain.bad == 11
+        lag_finite = np.isfinite(chain.lag).all(axis=(1, 2))
+        assert lag_finite.all() == (first != "lag")
+        assert np.isfinite(chain.lead_hop).all() == (first == "contraction")
+        assert np.isfinite(chain.dists[:11]).all()
+
+    @pytest.mark.parametrize("entries", [1, 40, 100])
+    def test_chunked_contraction_changes_nothing(self, monkeypatch, entries):
+        # One lead row per chunk (the floor), two, and five of the 8.
+        hop = rk4_step_matrix(evolution.generator_blocks(WalkConfig(n=5, gamma=0.2), "rho"), 0.5)
+        start = evolution.to_blocks(initial_state(WalkConfig(n=5)))
+        whole = _hop_chain(hop, start, 61)
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", entries)
+        chunked = _hop_chain(hop, start, 61)
+        np.testing.assert_allclose(chunked.dists, whole.dists, rtol=0, atol=1e-15)
+
+    def test_non_finite_state_raises(self, monkeypatch):
+        # The block-route twin of TestStencilIntegrate's: a NaN in the
+        # step blocks shows at the first sample after t = 0.
+        def poisoned(generator, dt):
+            step = rk4_step_matrix(generator, dt)
+            step[2, 1, 3] = np.nan
+            return step
+
+        monkeypatch.setattr(evolution, "rk4_step_matrix", poisoned)
+        for keep_states in (False, True):
+            with pytest.raises(evolution.IntegrationError,
+                               match=r"^non-finite state at t=0\.1; reduce dt$"):
+                integrate(WalkConfig(n=5, gamma=0.1), TimeGrid(t_end=1.0, dt=0.01),
+                          keep_states=keep_states)
+
+    def test_trace_drift_raises(self):
+        # The block-route twin of TestStencilIntegrate's 1e9 start.
+        s0 = np.zeros((5, 5))
+        s0[0, 0] = 1.0
+        s0[0, 1], s0[1, 0], s0[2, 4] = 1e9 * np.pi, -1e9, 3e8
+        for keep_states in (False, True):
+            with pytest.raises(evolution.IntegrationError,
+                               match=r"^diagonal sum drifted to .* at t=0\.1 \(started at 1\.0\)$"):
+                integrate(WalkConfig(n=5, gamma=0.1), TimeGrid(t_end=1.0), initial=s0,
+                          keep_states=keep_states)
+
+    def test_first_failing_sample_is_named(self, monkeypatch):
+        # Steps of 1e30 times the RK4 step keep every state finite up to
+        # the 10th and leave sample 1 drifted: the drift is named, at
+        # t = 0.01, on both routes, and with a NaN start sample 0 is.
+        def grown(generator, dt):
+            return 1e30 * rk4_step_matrix(generator, dt)
+
+        monkeypatch.setattr(evolution, "rk4_step_matrix", grown)
+        grid = TimeGrid(t_end=1.0, dt=0.01, sample_stride=1)
+        for keep_states in (False, True):
+            with pytest.raises(evolution.IntegrationError,
+                               match=r"^diagonal sum drifted to .* at t=0\.01 "):
+                integrate(WalkConfig(n=5, gamma=0.1), grid, keep_states=keep_states)
+            start = np.eye(5) / 5
+            start[1, 2] = np.nan
+            with pytest.raises(evolution.IntegrationError,
+                               match=r"^non-finite state at t=0; reduce dt$"):
+                integrate(WalkConfig(n=5, gamma=0.1), grid, initial=start,
+                          keep_states=keep_states)
+
+    def test_rebuilt_state_of_a_partial_stride_is_checked(self, monkeypatch):
+        # 105 steps sampled every 10: the rebuilt state of sample 10
+        # (t = 1) starts the partial stride to t = 1.05.
+        def poisoned(self, k):
+            return np.full((5, 5), np.nan, dtype=complex)
+
+        monkeypatch.setattr(evolution._HopChain, "state", poisoned)
+        with pytest.raises(evolution.IntegrationError, match=r"^non-finite state at t=1; "):
+            integrate(WalkConfig(n=5, gamma=0.1), TimeGrid(t_end=1.05, dt=0.01))
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_refuses_chain_tables_over_budget(self, monkeypatch, model):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(evolution, "generator_blocks", refuse)
+        # 1000 steps sampled every step at n = 5: B = A = 32, so 2 n (B + A)
+        # rows of lag states and lead covectors and 4 A B of the one
+        # contraction chunk, 4736 rows of 5 doubles, above the 1001-row
+        # trajectory table and the step blocks.
+        grid = TimeGrid(t_end=10.0, dt=0.01, sample_stride=1)
+        budget = (2 * 5 * (32 + 32) + 4 * 32 * 32) * 8 * 5
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget - 1)
+        with pytest.raises(ValueError, match="^RK4 lead and lag tables of 4.74e"):
+            integrate(WalkConfig(n=5, gamma=1.0), grid, model=model)
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget)
+        with pytest.raises(AssertionError, match="a block was built"):
+            integrate(WalkConfig(n=5, gamma=1.0), grid, model=model)
+
+    def test_long_trajectory_chunks_its_contraction(self, monkeypatch):
+        # At most two lead rows of B = 32 per contraction: the chunk term
+        # of the chain tables shrinks to 4 x 2 x 32 rows, and they fit in
+        # a budget of just the 1001-row trajectory table.
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 2 * 5 * 32)
+        grid = TimeGrid(t_end=10.0, dt=0.01, sample_stride=1)
+        reference = integrate(WalkConfig(n=5, gamma=1.0), grid, keep_states=True)
+        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", 1001 * 8 * 5)
+        series = integrate(WalkConfig(n=5, gamma=1.0), grid)
+        np.testing.assert_allclose(series.dists, reference.dists, rtol=0, atol=1e-13)
 
 
 class TestDiagonalPropagator:
@@ -671,7 +857,8 @@ class TestModeSumGrid:
 
 class TestDenseSizeGuard:
     """RK4 mixing routes refuse n > MAX_DENSE_N before any work starts;
-    integrate runs above it, and no RK4 route builds an N^2 x N^2 array."""
+    integrate runs above it, the default sweep method turns to `exact`
+    there, and no RK4 route builds an N^2 x N^2 array."""
 
     @pytest.fixture(autouse=True)
     def refuse_dense_generator(self, monkeypatch):
@@ -727,7 +914,7 @@ class TestDenseSizeGuard:
         with pytest.raises(ValueError, match="n <= 64"):
             mixing.mixing_time(WalkConfig(n=65, gamma=1.0), 0.01, method=method)
 
-    @pytest.mark.parametrize("method", [None, "s-literal", "rho"])
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
     def test_sweep_is_refused_before_any_point(self, method):
         with pytest.raises(ValueError, match="n <= 64"):
             sweep.sweep_gamma(65, gammas=np.array([0.1, 1.0]), method=method)
@@ -738,11 +925,27 @@ class TestDenseSizeGuard:
 
         monkeypatch.setattr(sweep, "mixing_time", refuse)
         with pytest.raises(ValueError, match="n <= 64"):
-            sweep.transition_report([5, 65], gammas=np.array([0.1, 1.0]))
+            sweep.transition_report([5, 65], gammas=np.array([0.1, 1.0]), method="s-literal")
+
+    def test_default_method_above_the_guard_is_exact(self):
+        assert sweep.default_method(evolution.MAX_DENSE_N) == "s-literal"
+        assert sweep.default_method(evolution.MAX_DENSE_N + 1) == "exact"
+        result = sweep.sweep_gamma(65, gammas=np.array([0.1, 1.0]))
+        assert result.method == "exact"
+        assert all(point.converged for point in result.points)
+
+    def test_cli_default_sweep_runs_above_the_guard(self, capsys):
+        assert main(["sweep", "--n", "65", "--points", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "# n=65 eps=0.01 method=exact " in captured.out
+        rows = captured.out.split("gamma,t_mix,converged\n")[1].splitlines()
+        assert [row.split(",")[0] for row in rows] == ["0.001", "100"]
+        assert all(row.endswith(",true") for row in rows)
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--n", "65", "--points", "3"],
-        ["transition", "--ns", "5,65", "--points", "3"],
+        ["sweep", "--n", "65", "--points", "3", "--method", "s-literal"],
+        ["transition", "--ns", "5,65", "--points", "3", "--method", "rho"],
     ])
     def test_cli_exits_with_the_reason(self, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):

@@ -130,6 +130,30 @@ class TestRhoRhs:
             rho_rhs(WalkConfig(n=3), np.zeros((4, 4), dtype=complex))
 
 
+class TestStackedRhs:
+    """A stack of states (..., N, N) gives each state its own derivative, bit for bit."""
+
+    @pytest.mark.parametrize("rhs, complex_states", [(s_rhs, False), (rho_rhs, True)])
+    @pytest.mark.parametrize("n", [3, 4, 7, 12])
+    def test_each_state_of_a_stack_is_its_own(self, rhs, complex_states, n):
+        rng = np.random.default_rng(n)
+        config = WalkConfig(n=n, gamma=0.7)
+        stack = rng.normal(size=(2, 3, n, n))
+        if complex_states:
+            stack = stack + 1j * rng.normal(size=stack.shape)
+        images = rhs(config, stack)
+        assert images.shape == stack.shape
+        for index in np.ndindex(2, 3):
+            alone = rhs(config, stack[index].copy())
+            assert images[index].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("rhs", [s_rhs, rho_rhs])
+    @pytest.mark.parametrize("shape", [(5,), (5, 4), (2, 4, 5), (2, 5, 5, 4)])
+    def test_bad_trailing_shape(self, rhs, shape):
+        with pytest.raises(ValueError, match="state must be 5x5"):
+            rhs(WalkConfig(n=5), np.zeros(shape))
+
+
 class TestConversions:
     def test_first_off_diagonal_phase(self):
         rho = np.zeros((4, 4), dtype=complex)
