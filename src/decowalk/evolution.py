@@ -19,9 +19,11 @@ Only the oracle builds the N^2 x N^2 generator (build_full_operator,
 also the tests' reference), and it is guarded to n <= MAX_DENSE_N, as
 are the RK4 mixing methods.  The block propagator never forms the
 generator and is guarded to n <= MAX_MODESUM_N.  Its mode sum, ModeSum,
-is the one evaluator behind every analytic distribution: the
-perturbative route (spectral) fills the same blocks with first-order
-rates.  SciPy is imported only by the functions that call expm, so
+is the one evaluator behind every analytic distribution, combining its
+blocks through one inverse real FFT per time: the perturbative route
+(spectral) fills the same blocks with first-order rates, and the
+strong-dephasing closed form (large_gamma) with one heat-kernel mode
+each.  SciPy is imported only by the functions that call expm, so
 importing the package, and the command line, does not load it.
 
 For a linear autonomous system the classical RK4 update is exactly the
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -684,8 +687,7 @@ def envelope_margin(eps: float, reach: float, modes: int, n: int) -> float:
       as lead and lag apart;
     * modes + n, for the sums over the modes and blocks and over the n
       vertices;
-    * n, for P_j = 1/N + x and back (or the inverse FFT of a real half
-      spectrum).
+    * n, for the inverse real FFT that forms P_j = 1/N + x, and back.
 
     The margin is 8 times that bound.
     """
@@ -721,67 +723,63 @@ def envelope_leads(lead: np.ndarray, lag: np.ndarray, eps: float, n: int,
 class ModeSum:
     """Vertex distribution from vertex 0 as a sum over the index-sum blocks.
 
-    P_j(t) = 1/N + Re sum_s c_s omega^(s j) f_s(t) for s = 1..N/2, with
-    c_s = 2/N^2 (1/N^2 at s = N/2) folding in f_(N-s) = conj(f_s); the
-    s = 0 block is the stationary uniform term.  blocks holds one entry
-    per s, either (rates, amps), so that f_s(t) = sum_k amps_k
-    exp(rates_k t), or (B, r) with B complex symmetric, a block evaluated
-    as r^T expm(t B) r.
+    P_j(t) = 1/N + Re sum_s c_s omega^(s j) f_s(t) for s = 1..S, S = N//2,
+    with c_s = 2/N^2 (1/N^2 at s = N/2) folding in f_(N-s) = conj(f_s);
+    the s = 0 block is the stationary uniform term.  Row s - 1 of the
+    S x K tables rates and amps gives f_s(t) = sum_k amps_k exp(rates_k t),
+    a block of fewer modes being padded with zero amplitudes.  dense holds
+    the blocks evaluated instead as r^T expm(t B) r, as (row, B, r) with B
+    complex symmetric; their table rows are zero.  The combine is the
+    inverse real FFT: the half spectrum (1, f_1/N, ..., f_S/N) gives
+    P_j = np.fft.irfft(..., N)_j exactly as the sum above, at O(N log N)
+    per time.  Building a ModeSum costs at most a copy of its tables, so
+    a caller may build one per call (large_gamma.closed_form_a).
 
-    The rates and amplitudes are padded with zeros into S x K tables
-    (S = N//2 blocks, K the largest block, S <= K); an evaluation fills
-    f_s(t) for every block and then combines the blocks once, through
-    the n x S phase table c_s omega^(s j), at O(n S) per time.  One kernel
-    fills f at t = lead_a + lag_b, where exp(z t) = exp(z lead_a)
-    exp(z lag_b): f over all (a, b) is one batched (S, A, K) @ (S, K, B)
-    product of directly computed exponentials, and an expm block takes
-    expm(lead_a B) r and expm(lag_b B) r (B symmetric, so the first is
-    also r^T expm(lead_a B)), from A + B exponentials.  The grid
-    np.linspace(0, t_end, T), T >= 3, splits as k = a B + b with
+    One kernel fills f at t = lead_a + lag_b, where exp(z t) =
+    exp(z lead_a) exp(z lag_b): f over all (a, b) is one batched
+    (S, A, K) @ (S, K, B) product of directly computed exponentials, and
+    an expm block takes expm(lead_a B) r and expm(lag_b B) r (B symmetric,
+    so the first is also r^T expm(lead_a B)), from A + B exponentials.
+    The grid np.linspace(0, t_end, T), T >= 3, splits as k = a B + b with
     B = ceil(sqrt(T)) (lead_lag): O(S K sqrt(T)) exponentials, no
     rounding accumulated along the grid.  Any other times (bisection
-    midpoints, a single time) take lead = times and lag = [0].
+    midpoints, a single time) take lead = times and lag = [0].  Every
+    temporary, the half spectra included, holds at most _CHUNK_ENTRIES
+    entries, split by lead rows and then by blocks.
 
     The distance sum_j |P_j - 1/N| is at most the envelope
     E(t) = n sum_s c_s sum_k |amp_sk| exp(Re z_sk t), since each
-    |P_j - 1/N| is at most sum_s c_s |f_s(t)|.  When every block is in
-    mode form, every rate and amplitude is finite and every mode of
-    nonzero amplitude decays (Re z < 0), E decreases in t and
+    |P_j - 1/N| is at most sum_s c_s |f_s(t)|.  When no block is dense,
+    every rate and amplitude is finite and every mode of nonzero
+    amplitude decays (Re z < 0), E decreases in t and
     distributions(times, eps) leaves out the grid rows from the first
     lead time with E <= eps - envelope_margin on (envelope_leads): their
     distance is known to be at or under eps.  Those rows cannot hold a
     non-finite value either, since each of their terms is a finite
-    amplitude times an exponential of modulus at most 1.  An expm block
+    amplitude times an exponential of modulus at most 1.  A dense block
     or a mode that does not decay (gamma = 0) leaves no envelope, and
     every row is evaluated.
     """
 
-    def __init__(self, n: int, blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    def __init__(self, n: int, rates: np.ndarray, amps: np.ndarray, dense=()) -> None:
         self.n = n
-        count, width = len(blocks), max(first.shape[0] for first, _ in blocks)
-        self._rates = np.zeros((count, width), dtype=complex)
-        self._amps = np.zeros((count, width), dtype=complex)
-        self.dense = []
-        for row, (first, second) in enumerate(blocks):
-            if first.ndim == 2:
-                self.dense.append((row, first, second))
-            else:
-                self._rates[row, :first.size] = first
-                self._amps[row, :first.size] = second
-        s = np.arange(1, count + 1)[:, None]
-        scale = np.where(2 * s == n, 1.0, 2.0) / n**2
-        phase = scale * np.exp(2j * np.pi * s * np.arange(n) / n)
-        # Re(sum_s phase_s f_s) as one real product with the (T, 2S) real
-        # view of f: row 2s holds Re phase_s, row 2s + 1 holds -Im phase_s.
-        self._combine = np.empty((2 * count, n))
-        self._combine[0::2], self._combine[1::2] = phase.real, -phase.imag
-        # The envelope's modes: (rates, weights n c_s |amp|) of nonzero weight.
-        weights = n * scale * np.abs(self._amps)
+        # Real tables (the heat kernel's) stay real: real exponentials.
+        dtype = np.result_type(rates, amps, float)
+        self._rates, self._amps = np.asarray(rates, dtype), np.asarray(amps, dtype)
+        self.dense = list(dense)
+
+    @cached_property
+    def _envelope(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The envelope's modes, (rates, weights n c_s |amp|) of nonzero
+        weight, or None if it has none; built at the first call with eps."""
+        n = self.n
+        s = np.arange(1, self._rates.shape[0] + 1)[:, None]
+        weights = n * (np.where(2 * s == n, 1.0, 2.0) / n**2) * np.abs(self._amps)
         live = weights > 0
-        self._envelope = None
         if (not self.dense and np.isfinite(self._rates).all() and np.isfinite(weights).all()
                 and (self._rates.real[live] < 0).all()):
-            self._envelope = (self._rates[live], weights[live])
+            return self._rates[live], weights[live]
+        return None
 
     def distributions(self, times: np.ndarray, eps: float | None = None) -> np.ndarray:
         """Distributions at many times, shape (len(times), n); IntegrationError if not finite.
@@ -798,26 +796,28 @@ class ModeSum:
             lead, size = lead[:keep], min(size, keep * lag.size)
         out = np.empty((size, self.n))
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the time
-            for lo, sums in self._sums(lead, lag, size):
-                rows = out[lo:lo + sums.shape[0]]
-                np.matmul(sums.view(float), self._combine, out=rows)
-                rows += 1.0 / self.n
+            for lo, spectrum in self._sums(lead, lag, size):
+                blocks = spectrum[:, 1:].view(float)  # f_s / N, on the real view
+                blocks *= 1.0 / self.n
+                np.fft.irfft(spectrum, n=self.n, axis=-1, out=out[lo:lo + spectrum.shape[0]])
         finite = np.isfinite(out).all(axis=1)
         if not finite.all():
             raise IntegrationError(f"mode sum is not finite at t={times[np.argmin(finite)]:g}")
         return out
 
     def _sums(self, lead: np.ndarray, lag: np.ndarray, size: int):
-        """(offset, f) per chunk, f of shape (chunk, S): f_s at lead[a] + lag[b]
-        in row a len(lag) + b, for the first size rows."""
+        """(offset, spectrum) per chunk, spectrum of shape (chunk, S + 1):
+        1 in column 0 and f_s at lead[a] + lag[b] in column s of row
+        a len(lag) + b, for the first size rows."""
         count, width = self._rates.shape
         inner = lag.size
-        rows = max(1, _CHUNK_ENTRIES // (width * inner))  # a per chunk; S <= K
+        rows = max(1, _CHUNK_ENTRIES // (max(width, count + 1) * inner))  # a per chunk
         for a0 in range(0, lead.size, rows):
             heads = lead[a0:a0 + rows]
             lo = a0 * inner
             valid = min(size - lo, heads.size * inner)
-            sums = np.empty((valid, count), dtype=complex)
+            spectrum = np.empty((valid, count + 1), dtype=complex)
+            spectrum[:, 0] = 1.0
             group = max(1, _CHUNK_ENTRIES // max(width * heads.size, width * inner,
                                                  heads.size * inner))
             for first in range(0, count, group):
@@ -829,12 +829,12 @@ class ModeSum:
                 tail = self._rates[blocks, :, None] * lag
                 np.exp(tail, out=tail)
                 grid = (head @ tail).reshape(head.shape[0], -1)
-                sums[:, blocks] = grid[:, :valid].T
+                spectrum[:, 1 + first:1 + first + group] = grid[:, :valid].T
             for row, block, root in self.dense:
                 head = _expm_flows(heads, block, root)  # rows r^T expm(lead B)
                 tail = _expm_flows(lag, block, root)
-                sums[:, row] = (head @ tail.T).ravel()[:valid]
-            yield lo, sums
+                spectrum[:, 1 + row] = (head @ tail.T).ravel()[:valid]
+            yield lo, spectrum
 
 
 class DiagonalPropagator:
@@ -871,19 +871,23 @@ class DiagonalPropagator:
         _check_modesum_size(config.n)
         _check_model(model)
         n = config.n
-        rates = _block_rates(n, np.arange(1, n // 2 + 1), model)
-        blocks = [None] * len(rates)
-        for size in sorted({beta.size for beta, _ in rates}):
-            rows = [row for row, (beta, _) in enumerate(rates) if beta.size == size]
-            beta = np.array([rates[row][0] for row in rows])
-            counts = np.array([rates[row][1] for row in rows])
+        beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), model)
+        rates = np.zeros(beta.shape, dtype=complex)
+        amps = np.zeros(beta.shape, dtype=complex)
+        dense = []
+        sizes = np.count_nonzero(counts, axis=1)
+        for size in sorted(set(sizes.tolist())):
+            rows = np.flatnonzero(sizes == size)
             step = max(1, _CHUNK_ENTRIES // (_SECULAR_TABLES * size * (size + 1)))
-            for lo in range(0, len(rows), step):
-                group = slice(lo, lo + step)
-                found = _block_modes(beta[group], counts[group], config.gamma, n)
-                for row, modes, b, c in zip(rows[group], found, beta[group], counts[group]):
-                    blocks[row] = modes or (_merged_block(b, c, config.gamma, n), np.sqrt(c))
-        self._modes = ModeSum(n, blocks)
+            for lo in range(0, rows.size, step):
+                group = rows[lo:lo + step]
+                b, c = beta[group, :size], counts[group, :size]
+                for row, modes, bg, cg in zip(group, _block_modes(b, c, config.gamma, n), b, c):
+                    if modes is None:
+                        dense.append((row, _merged_block(bg, cg, config.gamma, n), np.sqrt(cg)))
+                    else:
+                        rates[row, :size], amps[row, :size] = modes
+        self._modes = ModeSum(n, rates, amps, dense)
         self.mode = "expm" if self._modes.dense else "eig"
 
     def distribution(self, t: float) -> np.ndarray:
@@ -903,8 +907,10 @@ def _block_rates(n: int, s, model: str):
     density picture.  Writing either as i sin(pi s/N) g(pi (2m - s)/N)
     shows the only coincidences: m <-> s-m in the literal picture
     (g = cos), and m <-> s - N/2 - m in the density picture at even N
-    (g = sin).  An array of index sums gives a list with one
-    (beta, counts) pair per entry, all read off one (len(s), N) table.
+    (g = sin).  An array of index sums gives (beta, counts) tables, one
+    row per entry in order of m, padded with zeros to the longest row
+    (a count is never zero otherwise); a single index sum gives its row
+    unpadded.
     """
     sums = np.atleast_1d(s)[:, None]
     m = np.arange(n)
@@ -915,10 +921,12 @@ def _block_rates(n: int, s, model: str):
         beta = 0.5 * (np.cos(2 * np.pi * (sums - m) / n) - np.cos(2 * np.pi * m / n))
         partner = (sums - n // 2 - m) % n if n % 2 == 0 else np.broadcast_to(m, beta.shape)
     keep = m <= partner
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    beta, counts = beta[keep], np.where((m == partner)[keep], 1.0, 2.0)
-    pairs = [(beta[lo:hi], counts[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
-    return pairs if np.ndim(s) else pairs[0]
+    counts = np.where(keep, np.where(m == partner, 1.0, 2.0), 0.0)
+    # The kept modes of each row first, in order of m.
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
+    rows = np.arange(keep.shape[0])[:, None]
+    beta, counts = np.where(keep, beta, 0.0)[rows, order], counts[rows, order]
+    return (beta, counts) if np.ndim(s) else (beta[0], counts[0])
 
 
 def _merged_block(beta: np.ndarray, counts: np.ndarray, gamma: float, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _CHUNK_ENTRIES, check_table_size, envelope_leads, lead_lag
+from .evolution import ModeSum, check_table_size
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive, check_times
 
 
@@ -102,52 +102,25 @@ def closed_form_a(config: WalkConfig, t: float | np.ndarray,
     the classical heat kernel on the cycle with per-direction hop rate
     1/(8 gamma), started at vertex 0.  Fast transients (rates close to
     gamma) are dropped.  An array of times gives one row per time.  The
-    rates of k and N - k are equal, so each row is np.fft.irfft of the
-    real half spectrum k = 0..N/2.  Times are split as in ModeSum
-    (evolution.lead_lag): on the grid np.linspace(0, t_end, T), T >= 3,
-    each mode takes A + B = about 2 sqrt(T) exponentials, whose products
-    lead_a lag_b give the rows; any other time takes one exponential per
-    mode.  A result of all the times above MAX_TABLE_BYTES is refused
-    before any work starts, and the rows are filled in chunks of at most
-    _CHUNK_ENTRIES entries.
+    rates of k and N - k are equal, so this is an evolution.ModeSum with
+    one mode per block s = 1..N/2, of rate -sin^2(pi s / N) / (2 gamma)
+    and amplitude N, and it is evaluated as every mode sum is: times
+    split as lead x lag, in chunks, one inverse real FFT per row.  A
+    result of all the times above MAX_TABLE_BYTES is refused before any
+    work starts.
 
-    With eps (ascending times), the rows from the first lead time at
-    which the envelope E(t) = sum_{k=1}^{N-1} exp(-sin^2(pi k / N) t /
-    (2 gamma)), a bound on sum_j |a_j - 1/N| that decreases in t, is at
-    most eps - evolution.envelope_margin are left out: the result holds
-    the rows before them, bitwise the rows of the whole table.  Every
-    rate decays (gamma > 0) and every term is at most 1, so no row left
-    out could have been non-finite.
+    With eps (ascending times), the rows past the mode sum's envelope
+    cut are left out: E(t) = sum_{k=1}^{N-1} exp(-sin^2(pi k / N) t /
+    (2 gamma)) bounds sum_j |a_j - 1/N|, and the result holds the rows
+    before the first lead time with E <= eps - envelope_margin, bitwise
+    the rows of the whole table (ModeSum.distributions).
     """
     check_positive("gamma", config.gamma)
     t = check_times(t)
     check_table_size("closed-form distribution table", t.size, 8 * config.n)
     n = config.n
-    times = t.ravel()
-    decay = -np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-
-    def factors(x: np.ndarray) -> np.ndarray:
-        return np.exp(decay * x[:, None] / (2.0 * config.gamma))
-
-    lead, lag = lead_lag(times)
-    inner = lag.size
-    size = times.size
-    if eps is not None:
-        # k and N - k share a rate: weight 2, and 1 for k = N/2 at even N.
-        weights = np.where(2 * np.arange(1, n // 2 + 1) == n, 1.0, 2.0)
-        keep = envelope_leads(lead, lag, eps, n, decay[1:] / (2.0 * config.gamma), weights)
-        size = min(size, keep * inner)
-    tail = factors(lag)
-    out = np.empty((size, n))
-    step = max(1, _CHUNK_ENTRIES // n)
-    if step > inner:
-        step -= step % inner  # whole lead rows per chunk
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        first = lo // inner
-        rows = factors(lead[first:-(-hi // inner)])[:, None, :] * tail
-        rows = rows.reshape(-1, decay.size)[lo - first * inner:hi - first * inner]
-        np.fft.irfft(rows, n=n, axis=-1, out=out[lo:hi])
+    rates = -np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2 / (2.0 * config.gamma)
+    out = ModeSum(n, rates[:, None], np.full((rates.size, 1), float(n))).distributions(t, eps)
     return out if eps is not None else out.reshape(t.shape + (n,))
 
 

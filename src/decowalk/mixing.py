@@ -14,14 +14,14 @@ default and is what the sweep module uses.
 
 Every method is one callable, times -> distributions of shape
 (len(times), n), used for the grid and for each bisection midpoint.
-The analytic methods are mode sums: `exact` and `perturbative` are the
-same evolution.ModeSum over the index-sum blocks of the literal-S
-generator, solved exactly (DiagonalPropagator) or at first order
-(spectral._PerturbativeKernel), and `large-gamma-closed-form` is the
-heat-kernel mode sum of the slow branch (large_gamma.closed_form_a), on
-its real half spectrum.  Every mode sum reads the grid as lead x lag
-(evolution.lead_lag): about 2 sqrt(T) exponentials per mode for T
-times, and one per mode at a midpoint.
+The analytic methods are one evolution.ModeSum each, over the index
+sums s = 1..N/2: `exact` and `perturbative` hold the blocks of the
+literal-S generator, solved exactly (DiagonalPropagator) or at first
+order (spectral._PerturbativeKernel), and `large-gamma-closed-form`
+(large_gamma.closed_form_a) one heat-kernel mode of the slow branch
+per block.  Every mode sum reads the grid as lead x lag: about
+2 sqrt(T) exponentials per mode for T times, and one per mode at a
+midpoint.
 `s-literal` / `rho` step either master equation with RK4, guarded to
 n <= MAX_DENSE_N, on the generator's N diagonal-shift blocks of N x N
 (evolution.generator_blocks, O(N^3) to read off).  Their steps form a
@@ -57,7 +57,6 @@ from .evolution import (
     to_blocks,
     _HopChain,
     _as_state_vector,
-    _chain_split,
     _check_dense_size,
     _check_modesum_size,
 )
@@ -154,11 +153,11 @@ class _SteppedDistributions:
         _, per_cell = effective_step(cell, dt, config.gamma)
         self._depth = (per_cell - 1).bit_length()
         self._dt = cell / 2**self._depth
-        inner, outer = _chain_split(times.size)
-        # Rows of n doubles: 2n per complex N x N table, one per distribution.
+        # Rows of n doubles: 2n per complex N x N table, one per distribution,
+        # and the chain's lag, lead and contraction tables.
         check_table_size("RK4 block levels and states",
-                         2 * n * ((self._depth + 3) * n + inner + outer) + times.size,
-                         8 * n)
+                         2 * n * n * (self._depth + 3) + _HopChain.table_rows(n, times.size)
+                         + times.size, 8 * n)
         self._blocks = generator_blocks(config, model)
         hop = rk4_step_matrix(self._blocks, self._dt)
         self._levels = [hop]
@@ -261,8 +260,8 @@ def mixing_time(
     t_mix=horizon when the distance never qualifies.
 
     The mode-sum methods bound the distance by an envelope
-    E(t) = sum_k |w_k| exp(Re z_k t) that decreases in t (ModeSum,
-    closed_form_a).  E is evaluated at the grid's lead times
+    E(t) = sum_k |w_k| exp(Re z_k t) that decreases in t (ModeSum).  E
+    is evaluated at the grid's lead times
     (evolution.lead_lag, every 46th time), and the grid rows from the
     first lead time with E <= eps - envelope_margin on are not evaluated:
     the margin covers the rounding of both the envelope and the

@@ -129,15 +129,15 @@ class _PerturbativeKernel:
     of the merged block survives, so a merged mode of weight c (1 for
     m = s-m, 2 for a swap pair) keeps amplitude c and its undamped rate
     shifted by -gamma + gamma c / N: -gamma (N-1)/N for c = 1 and
-    -gamma (N-2)/N for c = 2.
+    -gamma (N-2)/N for c = 2.  Both tables are _block_rates' (beta,
+    counts) tables taken entrywise, so a padding entry keeps amplitude 0.
     """
 
     def __init__(self, config: WalkConfig) -> None:
         _check_modesum_size(config.n)
         n, gamma = config.n, config.gamma
-        blocks = [(1j * beta - gamma + gamma * counts / n, counts)
-                  for beta, counts in _block_rates(n, np.arange(1, n // 2 + 1), "s-literal")]
-        self._modes = ModeSum(n, blocks)
+        beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), "s-literal")
+        self._modes = ModeSum(n, 1j * beta - gamma + gamma * counts / n, counts)
 
     def distributions(self, times: np.ndarray, eps: float | None = None) -> np.ndarray:
         """Distributions at many times; with eps, the rows before the

@@ -5,7 +5,8 @@ src/decowalk/*.py other than __init__.py (its own def or class line
 excluded), or as an identifier or a whole string literal in
 perfbench/*.py, where the tracer patches attributes by name.  Comments
 and docstrings do not count.  Names kept without such a caller are
-listed in ALLOWED, each with its reason.
+listed in ALLOWED, each with its reason.  The names that decide how a
+mode sum is evaluated are identifiers of evolution.py alone.
 """
 
 import inspect
@@ -69,3 +70,18 @@ def test_every_allowed_name_is_public_and_still_uncalled():
     for name in ALLOWED:
         assert name in public, f"{name} is no longer public; drop it from ALLOWED"
         assert name not in used, f"{name} now has a caller; drop it from ALLOWED"
+
+
+MODE_SUM_INTERNALS = ("lead_lag", "envelope_leads", "_CHUNK_ENTRIES", "irfft")
+
+
+def test_mode_sum_internals_stay_in_evolution():
+    # One module decides how mode sums split times, cut at their envelope,
+    # chunk and combine: every other module goes through ModeSum.
+    where = {
+        path.name: sorted(set(MODE_SUM_INTERNALS) & _references(path, strings=False))
+        for path in sorted((ROOT / "src" / "decowalk").glob("*.py"))
+    }
+    assert {name: found for name, found in where.items()
+            if found and name != "evolution.py"} == {}
+    assert set(where["evolution.py"]) == set(MODE_SUM_INTERNALS)

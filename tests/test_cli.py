@@ -222,14 +222,14 @@ _GOLDEN = [
         '# n=7 gamma=0.01 t=40\n'
         '# defaults: eps=0.01 gamma_grid=25 log-spaced in [0.001,100.0] mode=sustained\n'
         'vertex,p_exact,p_perturbative,p_large_gamma,err_perturbative,err_large_gamma\n'
-        '0,0.043131430277991885,0.044805267188386122,0.14285714285714285,'
-        '0.0016738369103942372,0.099725712579150971\n'
-        '1,0.055708530734195967,0.057083173550056654,0.14285714285714285,'
-        '0.0013746428158606869,0.087148612122946889\n'
-        '2,0.042502179067365899,0.044306109581168554,0.14285714285714285,'
-        '0.0018039305138026554,0.10035496378977696\n'
-        '3,0.23931519960483652,0.24118912399137177,0.14285714285714285,'
-        '0.0018739243865352473,0.096458056747693671\n'
+        '0,0.043131430277991885,0.044805267188386108,0.14285714285714285,'
+        '0.0016738369103942233,0.099725712579150971\n'
+        '1,0.055708530734195967,0.057083173550056661,0.14285714285714285,'
+        '0.0013746428158606938,0.087148612122946889\n'
+        '2,0.042502179067365899,0.044306109581168568,0.14285714285714285,'
+        '0.0018039305138026693,0.10035496378977696\n'
+        '3,0.23931519960483652,0.24118912399137185,0.14285714285714285,'
+        '0.0018739243865353306,0.096458056747693671\n'
         '4,0.35964064238015037,0.35410930141722041,0.14285714285714285,'
         '0.0055313409629299537,0.21678349952300752\n'
         '5,0.12116446692151382,0.1187454532199293,0.14285714285714285,'

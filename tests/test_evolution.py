@@ -666,7 +666,7 @@ class TestDiagonalPropagator:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mode_block_raises(self):
         # The rates-and-amplitudes blocks of the perturbative route share the check.
-        modes = evolution.ModeSum(4, [(np.array([1.0 + 0j]), np.array([1.0 + 0j]))] * 2)
+        modes = evolution.ModeSum(4, np.ones((2, 1)), np.ones((2, 1)))
         with pytest.raises(evolution.IntegrationError,
                            match=r"^mode sum is not finite at t=1000$"):
             modes.distributions(np.array([0.0, 1.0, 1000.0]))
@@ -853,6 +853,108 @@ class TestModeSumGrid:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes <= 1 << 20
+
+
+def _phase_table_sum(n, rates, amps, dense, times):
+    """1/N + Re sum_s c_s omega^(s j) f_s(t), c_s = 2/N^2 (1/N^2 at s = N/2),
+    summed term by term through the n x S phase table: the reference combine."""
+    s = np.arange(1, rates.shape[0] + 1)
+    scale = np.where(2 * s == n, 1.0, 2.0) / n**2
+    phase = scale[:, None] * np.exp(2j * np.pi * np.outer(s, np.arange(n)) / n)
+    rows = []
+    for t in times:
+        f = (amps * np.exp(rates * t)).sum(axis=1)
+        for row, block, root in dense:
+            f[row] = root @ scipy.linalg.expm(t * block) @ root
+        rows.append(1.0 / n + (f @ phase).real)
+    return np.array(rows)
+
+
+def _random_tables(n, seed, rows="all"):
+    """Decaying S x 3 rate and amplitude tables; rows="last" keeps only row S."""
+    rng = np.random.default_rng(seed)
+    shape = (n // 2, 3)
+    rates = -rng.uniform(0.05, 1.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if rows == "last":
+        amps[:-1] = 0.0
+    return rates, amps
+
+
+_COMBINE_TIMES = {
+    "grid": np.linspace(0.0, 12.0, 50),  # lead x lag, B = 8
+    "other": np.array([0.0, 0.3, 7.1, 2.0]),  # lead = times, lag = [0]
+}
+
+
+class TestModeSumCombine:
+    """ModeSum's inverse real FFT against the phase-table sum it replaces."""
+
+    @pytest.mark.parametrize("times", sorted(_COMBINE_TIMES))
+    @pytest.mark.parametrize("rows", ["all", "last"])
+    @pytest.mark.parametrize("n", [7, 8, 3, 4])
+    def test_matches_the_phase_table(self, n, rows, times):
+        # Even n puts the s = N/2 row, of weight 1/N^2, last.
+        rates, amps = _random_tables(n, seed=n, rows=rows)
+        ts = _COMBINE_TIMES[times]
+        got = evolution.ModeSum(n, rates, amps).distributions(ts)
+        want = _phase_table_sum(n, rates, amps, [], ts)
+        assert np.abs(got - want).max() <= 1e-14
+        if rows == "last":
+            assert np.abs(want - 1.0 / n).max() > 1e-3  # the row is seen
+
+    @pytest.mark.parametrize("entries", [1, 40])
+    @pytest.mark.parametrize("times", sorted(_COMBINE_TIMES))
+    def test_chunked_call_matches_the_phase_table(self, monkeypatch, times, entries):
+        # One lead row and one block per chunk, or a few of each.
+        rates, amps = _random_tables(10, seed=3)
+        ts = _COMBINE_TIMES[times]
+        whole = evolution.ModeSum(10, rates, amps).distributions(ts)
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", entries)
+        with monkeypatch.context() as patch:
+            lags = _spy_lags(patch)
+            got = evolution.ModeSum(10, rates, amps).distributions(ts)
+        assert (lags[0] > 1) == (times == "grid")
+        assert np.abs(got - whole).max() <= 1e-15
+        assert np.abs(got - _phase_table_sum(10, rates, amps, [], ts)).max() <= 1e-14
+
+    @pytest.mark.parametrize("times", sorted(_COMBINE_TIMES))
+    @pytest.mark.parametrize("n, row", [(8, 3), (8, 1), (9, 2)])
+    def test_expm_block_matches_the_phase_table(self, n, row, times):
+        # A complex symmetric block in row s - 1 (s = N/2 at n = 8, row 3),
+        # whose table row is zero.
+        rng = np.random.default_rng(row)
+        rates, amps = _random_tables(n, seed=n)
+        amps[row] = 0.0
+        block = random_symmetric(rng, 3).astype(complex) - 3.0 * np.eye(3)
+        block += 1j * np.diag(rng.uniform(-1.0, 1.0, 3))
+        root = np.sqrt(np.array([1.0, 2.0, 2.0]))
+        modes = evolution.ModeSum(n, rates, amps, [(row, block, root)])
+        assert modes._envelope is None
+        ts = _COMBINE_TIMES[times]
+        want = _phase_table_sum(n, rates, amps, [(row, block, root)], ts)
+        assert np.abs(modes.distributions(ts) - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 8, 49, 98, 103])
+    def test_uniform_term_is_exact(self, n):
+        # Column 0 of the half spectrum is 1 exactly, also where
+        # n * (1/n) rounds below 1 (n = 49, 98, 103).
+        zeros = np.zeros((n // 2, 2))
+        got = evolution.ModeSum(n, zeros, zeros).distributions(np.array([0.0, 5.0]))
+        assert np.array_equal(got, np.full((2, n), 1.0 / n))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 3.0, 30.0])
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_propagator_starts_at_vertex_zero(self, model, gamma):
+        # Column 0 of the half spectrum is exactly 1 and the blocks add up
+        # to N within the secular tolerance, so t = 0 gives delta_0 to
+        # about 2 ulp.  Near an exceptional point (gamma = 1 at small n)
+        # the amplitudes cancel and the error grows with them.
+        for n in (5, 6, 12, 20, 64):
+            start = np.zeros(n)
+            start[0] = 1.0
+            got = DiagonalPropagator(WalkConfig(n=n, gamma=gamma), model).distribution(0.0)
+            assert np.abs(got - start).max() <= 4.5e-16
 
 
 class TestDenseSizeGuard:

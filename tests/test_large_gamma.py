@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decowalk import evolution, large_gamma
+from decowalk import evolution
 from decowalk.evolution import TimeGrid, exact_evolve, integrate
 from decowalk.large_gamma import (
     classical_heat_kernel,
@@ -175,8 +175,9 @@ class TestClosedFormA:
         assert np.array_equal(rows, np.array([closed_form_a(config, float(t)) for t in times]))
 
     def test_chunked_rows_equal_stacked_single_times(self, monkeypatch):
-        # 18 entries: chunks of two rows of n = 9, the last one short.
-        monkeypatch.setattr(large_gamma, "_CHUNK_ENTRIES", 18)
+        # 18 entries: chunks of three rows of the 5-entry half spectrum
+        # of n = 9, the last one short.
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 18)
         config = WalkConfig(n=9, gamma=6.0)
         times = np.array([0.0, 0.5, 20.0, 300.0, 1e6])
         rows = closed_form_a(config, times)
@@ -187,13 +188,14 @@ class TestClosedFormA:
         config = WalkConfig(n=9, gamma=6.0)
         times = np.linspace(0.0, 700.0, size)
         lags = []
+        real = evolution.lead_lag
 
         def spy(ts):
-            split = evolution.lead_lag(ts)
+            split = real(ts)
             lags.append(split[1].size)
             return split
 
-        monkeypatch.setattr(large_gamma, "lead_lag", spy)
+        monkeypatch.setattr(evolution, "lead_lag", spy)
         rows = closed_form_a(config, times)
         assert lags == [math.isqrt(size - 1) + 1]
         single = np.array([closed_form_a(config, float(t)) for t in times])
@@ -201,19 +203,19 @@ class TestClosedFormA:
 
     @pytest.mark.parametrize("entries", [9 * 20, 9 * 50])
     def test_chunk_boundaries_change_no_grid_row(self, monkeypatch, entries):
-        # Chunks of 20 rows cut through the 46-row lead rows of the 2049-time
-        # grid; chunks of 50 are trimmed to one whole lead row.
+        # One 46-row lead row of the 2049-time grid per chunk, its four
+        # blocks split into groups of three and one, or taken whole.
         config = WalkConfig(n=9, gamma=6.0)
         times = np.linspace(0.0, 700.0, 2049)
         want = closed_form_a(config, times)
-        monkeypatch.setattr(large_gamma, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", entries)
         assert np.array_equal(closed_form_a(config, times), want)
 
     def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
         # The 2049-time mixing grid at n = 256 with 4096-entry chunks,
-        # beyond the 4 MiB output: measured 0.16 MiB.  Unchunked, the
+        # beyond the 4 MiB output: measured 0.68 MiB.  Unchunked, the
         # temporaries took 16 MiB.
-        monkeypatch.setattr(large_gamma, "_CHUNK_ENTRIES", 4096)
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 4096)
         times = np.linspace(0.0, 1e4, 2049)
         tracemalloc.start()
         try:

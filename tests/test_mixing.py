@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decowalk import evolution, large_gamma, mixing, spectral
+from decowalk import evolution, mixing, spectral
 from decowalk.evolution import (
     DiagonalPropagator,
     IntegrationError,
@@ -314,8 +314,11 @@ class TestDyadicLattice:
     def test_level_cache_respects_the_table_budget(self, monkeypatch, method):
         # Complex 6 x 6 x 6 tables: the generator blocks, the levels
         # S^(2^j), j = 0..7, and H^B for B = 3; complex 6 x 6 tables: the
-        # three lag states and the two lead rows; and the five distributions.
-        budget = (1 + 8 + 1) * 16 * 6**3 + (3 + 2) * 16 * 6**2 + 5 * 8 * 6
+        # three lag states and the two lead rows; two complex tables of
+        # 6 x 2 x 3 entries: the contraction's product and its inverse
+        # transform; and the five distributions.
+        budget = ((1 + 8 + 1) * 16 * 6**3 + (3 + 2) * 16 * 6**2 + 2 * 16 * 6 * 2 * 3
+                  + 5 * 8 * 6)
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget)
         times = np.array([0.5, 1.0 + 3.25 / 128, 3.75])
         full = _stepped(6, method).distributions(times)
@@ -412,7 +415,6 @@ class TestEnvelopeCut:
             return lead.size
 
         monkeypatch.setattr(evolution, "envelope_leads", whole)
-        monkeypatch.setattr(large_gamma, "envelope_leads", whole)
         assert cut == [mixing_time(config, eps, method=method, mode=mode)
                        for config, method in cases]
 
