@@ -33,21 +33,24 @@ degree-4 Taylor polynomial of the step map,
 
 and RK4 applies it in one of two ways.  Both generators commute with the
 diagonal shift (j, k) -> (j+1, k+1), so a Fourier transform along the
-diagonals splits G into N blocks of N x N (generator_blocks, read off
-the right-hand sides in O(N^3 log N)), and the step polynomial into N
-step blocks (rk4_step_matrix on the stack): O(N^4) to build or to square,
-16 N^3 bytes each, and O(N^3) per step of a state in block coordinates
-(to_blocks / from_blocks).  integrate uses them below STENCIL_MIN_N,
-and the RK4 mixing methods always do.  Both read a chain of hops
-H^k y0 as lead x lag (_HopChain): row 0 of (H^B)^a against H^b y0, at
-O(N^2) per sample plus O(N^4 log B) and with no table of states, H
-being the stride power of the step for integrate and the coarse-grid
-hop for the 2049-time grid of mixing._SteppedDistributions.  Only
-integrate's keep_states takes one batched product per sample.  From
-STENCIL_MIN_N up integrate holds no N^3 table: stencil_step evaluates
-the same polynomial in Horner form on the N x N state, with
-G(X) = L X - X L - gamma M o X (L the circulant neighbour coupling, M
-the off-diagonal mask), at O(N^3) per step.  Every working set is
+diagonals splits G into N blocks of N x N.  The states are real
+(literal-S) or Hermitian (density), so the blocks past N/2 mirror the
+others (to_blocks) and only the half spectrum, N//2 + 1 blocks, is
+built (generator_blocks, read off the right-hand sides in
+O(N^3 log N)); so is the step polynomial (rk4_step_matrix on the
+stack): O(N^4) to build or to square, 8 N^3 bytes each, and O(N^3) per
+step of a state in block coordinates (to_blocks / from_blocks).
+integrate uses them below STENCIL_MIN_N, and the RK4 mixing methods
+always do.  Both read a chain of hops H^k y0 as lead x lag (_HopChain):
+row 0 of (H^B)^a against H^b y0, at O(N^2) per sample plus
+O(N^4 log B) and with no table of states, H being the stride power of
+the step for integrate and the coarse-grid hop for the 2049-time grid
+of mixing._SteppedDistributions.  Only integrate's keep_states takes
+one batched product per sample.  From STENCIL_MIN_N up integrate holds
+no N^3 table: stencil_step evaluates the same polynomial in Horner form
+on the N x N state, with G(X) = L X - X L - gamma M o X (L the
+circulant neighbour coupling, M the off-diagonal mask), at O(N^3) per
+step.  Every working set is
 refused above MAX_TABLE_BYTES before any work starts.
 """
 
@@ -95,8 +98,9 @@ MAX_TABLE_BYTES = 5 << 28  # 1.25 GiB
 # even at one batched product per sample (at 192: 5.5 against 9.5 s
 # literal-S, 6.3 against 35 s density; the lead x lag chain now costs
 # less per sample), but their O(N^4) setup needs 176 samples to pay off
-# at 192, and their tables grow as 16 N^3 bytes: 566 MB at the peak of
-# the build at 192, against a few MB for the stencil (BENCH_11.json).
+# at 192, and their tables grew as 16 N^3 bytes on all N blocks: 566 MB
+# at the peak of the build at 192, against a few MB for the stencil
+# (BENCH_11.json); the half spectrum about halves both.
 STENCIL_MIN_N = 192
 # integrate refuses a stencil run of more than this many state-entry
 # steps (steps x N^2) before the first step.  One stencil_step at
@@ -105,7 +109,7 @@ STENCIL_MIN_N = 192
 # budget is about ten minutes of stepping (6 to 19 by picture): 15258
 # steps, t = 152 at dt = 0.01, at n = 512.
 MAX_STENCIL_WORK = 4e9
-# Complex N x N x N tables integrate holds at once on the block route:
+# Complex (N//2 + 1) x N x N tables integrate holds at once on the block route:
 # the generator blocks and four temporaries of rk4_step_matrix, or the
 # step, its stride power H and the powers matrix_power builds for H or
 # H^B.
@@ -220,6 +224,9 @@ def _as_state_vector(config: WalkConfig, model: str, initial: np.ndarray | None)
                 raise ValueError("literal-S states are real matrices")
             state = state.real
         return state.astype(float).ravel().copy()
+    # A non-finite start is left to the integrators, which name it at t = 0.
+    if np.isfinite(state).all() and not np.array_equal(state, np.conj(state).T):
+        raise ValueError("density-picture states are Hermitian matrices")
     return state.astype(complex).ravel().copy()
 
 
@@ -234,6 +241,7 @@ def exact_evolve(
     Scaling-and-squaring Pade exponential of t times the generator; this
     is the oracle every integrator is measured against.  Guarded to
     n <= MAX_DENSE_N, where the N^2 x N^2 exponential is still cheap.
+    It takes the starts integrate takes: real literal-S, Hermitian density.
     """
     import scipy.linalg
 
@@ -276,47 +284,68 @@ def _shift_columns(n: int) -> np.ndarray:
     return (j[:, None] + j) % n
 
 
+def _half_spectrum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Rows q = 0..N//2 of the Fourier transform of a over axis (N long): rfft if a is real."""
+    if np.isrealobj(a):
+        return np.fft.rfft(a, axis=axis)
+    return np.fft.fft(a, axis=axis).take(np.arange(a.shape[axis] // 2 + 1), axis=axis)
+
+
 def to_blocks(x: np.ndarray) -> np.ndarray:
-    """States (..., N, N) in the block coordinates of generator_blocks.
+    """States (..., N, N) in the block coordinates of generator_blocks, shape (..., N//2 + 1, N).
 
     Y[j, d] = X[j, j + d] (indices mod N) is X along its N shifted
-    diagonals, and the result is its Fourier transform over j,
-    Y^[q, d] = sum_j exp(-2 pi i q j / N) Y[j, d] (np.fft.fft).  The
-    vertex distribution is X[j, j] = Y[j, 0], the inverse transform of
-    Y^[:, 0].
+    diagonals, and the block coordinates are its Fourier transform over
+    j, Y^[q, d] = sum_j exp(-2 pi i q j / N) Y[j, d], on the half
+    spectrum q = 0..N//2.  The other rows follow from these for the
+    states the two pictures hold, with omega = exp(2 pi i / N):
+
+        real X (literal-S):     Y^[N - q, d] = conj(Y^[q, d]),
+        Hermitian X (density):  Y^[N - q, d] = omega^(-q d) conj(Y^[q, -d]).
+
+    At d = 0 both read Y^[N - q, 0] = conj(Y^[q, 0]), so the vertex
+    distribution X[j, j] = Y[j, 0] is the inverse real transform of
+    Y^[:, 0] (block_diagonal).
     """
     n = x.shape[-1]
-    return np.fft.fft(x[..., np.arange(n)[:, None], _shift_columns(n)], axis=-2)
+    return _half_spectrum(x[..., np.arange(n)[:, None], _shift_columns(n)], axis=-2)
 
 
 def from_blocks(y: np.ndarray, real: bool) -> np.ndarray:
-    """Inverse of to_blocks; real keeps the real part (literal-S states)."""
+    """Inverse of to_blocks: the real (literal-S) or else Hermitian (density) states of y."""
     n = y.shape[-1]
-    shifted = np.fft.ifft(y, axis=-2)
+    if real:
+        shifted = np.fft.irfft(y, n=n, axis=-2)
+    else:
+        p = np.arange((n - 1) // 2, 0, -1)  # rows N - p = N//2 + 1..N - 1, by the mirror
+        d = np.arange(n)
+        mirror = np.exp(-2j * np.pi * (p[:, None] * d % n) / n) * y[..., p[:, None], -d % n].conj()
+        shifted = np.fft.ifft(np.concatenate((y, mirror), axis=-2), axis=-2)
     x = np.empty_like(shifted)
     x[..., np.arange(n)[:, None], _shift_columns(n)] = shifted
-    return x.real if real else x
+    return x
 
 
 def block_diagonal(y: np.ndarray) -> np.ndarray:
-    """The real vertex distribution X[j, j] of block states (..., N, N), shape (..., N)."""
-    return np.fft.ifft(y[..., 0], axis=-1).real
+    """The real vertex distribution X[j, j] of block states (..., N//2 + 1, N), shape (..., N)."""
+    return np.fft.irfft(y[..., 0], n=y.shape[-1], axis=-1)
 
 
 def generator_blocks(config: WalkConfig, model: str) -> np.ndarray:
-    """The generator as N blocks of N x N, shape (N, N, N), complex.
+    """The generator as N//2 + 1 blocks of N x N, shape (N//2 + 1, N, N), complex.
 
     Both generators commute with the diagonal shift (j, k) -> (j+1, k+1),
     which in the coordinates of to_blocks only moves j.  The Fourier
     transform over j therefore splits the generator: blocks[q] maps
     Y^[q, :] to the same row of the derivative, blocks @ Y^[..., None]
-    being the whole derivative.  Column d' of every block is read off
-    the right-hand side (s_rhs or rho_rhs) applied to the unit state at
+    being the whole derivative, and the rows q > N/2 of a state mirror
+    the others (to_blocks).  Column d' of every block is read off the
+    right-hand side (s_rhs or rho_rhs) applied to the unit state at
     X[0, d'], whose coordinates Y^[q, d] = delta(d, d') are the same for
     every q.  The right-hand side takes the unit states as stacks of at
-    most _RHS_STACK_ENTRIES entries; with one transform that costs
-    O(N^3 log N).  No rate, root or closed form enters, so RK4 on the
-    blocks stays a route independent of the mode sums.
+    most _RHS_STACK_ENTRIES entries; with one transform (rfft of the
+    real literal-S images) that costs O(N^3 log N).  No rate, root or closed form enters, so RK4 on
+    the blocks stays a route independent of the mode sums.
     """
     _check_model(model)
     n = config.n
@@ -328,7 +357,7 @@ def generator_blocks(config: WalkConfig, model: str) -> np.ndarray:
         units = np.zeros((min(width, n - lo), n, n), dtype=dtype)
         units[np.arange(units.shape[0]), 0, np.arange(lo, lo + units.shape[0])] = 1.0
         images[..., lo:lo + units.shape[0]] = rhs(config, units).transpose(1, 2, 0)
-    return np.fft.fft(images[np.arange(n)[:, None], _shift_columns(n)], axis=0)
+    return _half_spectrum(images[np.arange(n)[:, None], _shift_columns(n)], axis=0)
 
 
 def apply_blocks(blocks: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -342,26 +371,27 @@ def _chain_split(count: int) -> tuple[int, int]:
     return inner, -(-count // inner)
 
 
-def _chain_chunk(n: int, inner: int) -> int:
-    """Lead rows per contraction of a _HopChain: (N, rows, B) of at most _CHUNK_ENTRIES."""
-    return max(1, _CHUNK_ENTRIES // (n * inner))
+def _chain_chunk(blocks: int, inner: int) -> int:
+    """Lead rows per contraction of a _HopChain: (blocks, rows, B) of at most _CHUNK_ENTRIES."""
+    return max(1, _CHUNK_ENTRIES // (blocks * inner))
 
 
 class _HopChain:
     """Vertex distributions of the block states y_k = H^k y0, k < T, read as lead x lag.
 
-    H is a stack of N hop blocks (N, N, N) and y0 a block state (N, N)
-    (to_blocks).  As in ModeSum, k splits as a B + b with B = ceil(sqrt(T))
-    (_chain_split), and only the entry block_diagonal reads is formed:
-    Y^_k[q, 0] = e0^T (H_q^B)^a H_q^b y0_q.  The lag states H^b y0 (B - 1
-    batched products), the lead covectors, row 0 of (H^B)^a (one
-    matrix_power and A - 1 products with H^B, A = ceil(T/B)), and one
-    batched (N, A, N) @ (N, N, B) product, split by lead rows into
-    chunks of at most _CHUNK_ENTRIES entries, and one inverse FFT per
-    chunk give every distribution: O(N^2 T + N^4 log B), against
-    O(N^3 T) for T sequential hops, and about 2 sqrt(T) N^2 entries, not
-    T N^2.  The lag states and H^B are kept, so state(k) rebuilds any
-    y_k as (H^B)^a applied to lag state b.
+    H is a stack of M = N//2 + 1 hop blocks (M, N, N) and y0 a block
+    state (M, N) (to_blocks).  As in ModeSum, k splits as a B + b with
+    B = ceil(sqrt(T)) (_chain_split), and only the entry block_diagonal
+    reads is formed: Y^_k[q, 0] = e0^T (H_q^B)^a H_q^b y0_q.  The lag
+    states H^b y0 (B - 1 batched products), the lead covectors, row 0 of
+    (H^B)^a (one matrix_power and A - 1 products with H^B,
+    A = ceil(T/B)), and one batched (M, A, N) @ (M, N, B) product, split
+    by lead rows into chunks of at most _CHUNK_ENTRIES entries, each
+    combined by one inverse real FFT written into the distributions,
+    give every distribution: O(N^2 T + N^4 log B), against O(N^3 T) for
+    T sequential hops, and about sqrt(T) N^2 entries, not T N^2.  The
+    lag states and H^B are kept, so state(k) rebuilds any y_k as (H^B)^a
+    applied to lag state b.
 
     dists (T, N) is written into out.  bad is the first k whose lag
     state, lead covector or distribution is not finite (T if none): the
@@ -372,9 +402,10 @@ class _HopChain:
 
     def __init__(self, hop: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
         count, n = out.shape
+        blocks = hop.shape[0]
         self.inner, outer = _chain_split(count)
         self.dists = out
-        self.lag = np.empty((self.inner, n, n), dtype=complex)
+        self.lag = np.empty((self.inner, blocks, n), dtype=complex)
         # Non-finite values are allowed to run on; bad names where they start.
         with np.errstate(over="ignore", invalid="ignore"):
             self.lag[0] = state
@@ -382,27 +413,29 @@ class _HopChain:
                 state = apply_blocks(hop, state)
                 self.lag[b] = state
             self.lead_hop = np.linalg.matrix_power(hop, self.inner)
-            lead = np.zeros((n, outer, n), dtype=complex)  # lead[q, a] = row 0 of (H_q^B)^a
+            lead = np.zeros((blocks, outer, n), dtype=complex)  # lead[q, a] = row 0 of (H_q^B)^a
             lead[:, 0, 0] = 1.0
             for a in range(1, outer):
                 lead[:, a:a + 1] = lead[:, a - 1:a] @ self.lead_hop
             lag = self.lag.transpose(1, 2, 0)
-            rows = _chain_chunk(n, self.inner)
+            rows = _chain_chunk(blocks, self.inner)
             for a0 in range(0, outer, rows):
                 lo = a0 * self.inner
                 hi = min(count, lo + rows * self.inner)
-                grid = (lead[:, a0:a0 + rows] @ lag).reshape(n, -1)[:, :hi - lo]
-                out[lo:hi] = np.fft.ifft(grid.T, axis=-1).real
+                grid = (lead[:, a0:a0 + rows] @ lag).reshape(blocks, -1)[:, :hi - lo]
+                np.fft.irfft(grid.T, n=n, axis=-1, out=out[lo:hi])
         self.bad = min(_first_non_finite(self.lag, count),
                        self.inner * _first_non_finite(lead.transpose(1, 0, 2), outer),
                        _first_non_finite(out, count))
 
     @staticmethod
     def table_rows(n: int, count: int) -> int:
-        """Rows of n doubles in the lag and lead tables and the complex
-        product and transform of one contraction chunk, for count states."""
+        """Rows of n doubles in the lag and lead tables and the complex product
+        of one contraction chunk (rounded up), for count states of N//2 + 1 blocks."""
+        blocks = n // 2 + 1
         inner, outer = _chain_split(count)
-        return 2 * n * (inner + outer) + 4 * min(outer, _chain_chunk(n, inner)) * inner
+        chunk = 2 * blocks * min(outer, _chain_chunk(blocks, inner)) * inner
+        return 2 * blocks * (inner + outer) - (-chunk // n)
 
     def state(self, k: int) -> np.ndarray:
         """Block state y_k, rebuilt as (H^B)^a applied to lag state b, k = a B + b."""
@@ -497,16 +530,17 @@ def integrate(
 
     The effective step is min(grid.dt, 0.1/max(gamma, 1)) rounded so it
     divides the window exactly.  Below STENCIL_MIN_N the state is held
-    in block coordinates (to_blocks), where H, the stride power of the
-    RK4 step blocks, hops one sample (O(N^4) to build).  The samples on
-    its lattice are then read as lead x lag (_HopChain): row 0 of
-    (H^B)^a against H^b y0, O(N^2) per sample plus O(N^4 log B), with
-    no per-sample product.  A last partial stride starts from the last
-    lattice state, rebuilt by the chain, and takes one product with the
-    step's power for the steps left.  With keep_states every sample is
+    in block coordinates (to_blocks, N//2 + 1 blocks), where H, the
+    stride power of the RK4 step blocks, hops one sample (O(N^4) to
+    build).  The samples on its lattice are then read as lead x lag
+    (_HopChain): row 0 of (H^B)^a against H^b y0, O(N^2) per sample
+    plus O(N^4 log B), with no per-sample product.  A last partial
+    stride starts from the last lattice state, rebuilt by the chain, and
+    takes one product with the step's power for the steps left.  With keep_states every sample is
     instead one batched product with H, O(N^3), since every state is
     stored anyway.  From STENCIL_MIN_N up the state is stepped with
-    stencil_step (O(N^3) per step on N x N arrays).
+    stencil_step (O(N^3) per step on N x N arrays).  A literal-S start
+    must be real and a density-picture start Hermitian, else ValueError.
 
     Every sample's distribution is checked for finiteness and for
     conservation of the diagonal sum (within 1e-10 of its initial
@@ -539,9 +573,9 @@ def integrate(
                 f"{MAX_STENCIL_WORK:.3g} state-entry step budget; shorten t_end"
             )
     else:
-        # Complex N x N x N tables: at most _STEP_BLOCK_TABLES at once,
-        # while the step blocks, their stride power and H^B are built.
-        check_table_size("RK4 step blocks", _STEP_BLOCK_TABLES * n, 16 * n * n)
+        # Complex (N//2 + 1) x N x N tables: at most _STEP_BLOCK_TABLES at
+        # once, while the step blocks, their stride power and H^B are built.
+        check_table_size("RK4 step blocks", _STEP_BLOCK_TABLES * (n // 2 + 1), 16 * n * n)
     lattice = n_steps // stride + 1  # samples on the stride lattice
     chained = n < STENCIL_MIN_N and not keep_states
     if chained:

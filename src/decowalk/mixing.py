@@ -23,13 +23,14 @@ per block.  Every mode sum reads the grid as lead x lag: about
 2 sqrt(T) exponentials per mode for T times, and one per mode at a
 midpoint.
 `s-literal` / `rho` step either master equation with RK4, guarded to
-n <= MAX_DENSE_N, on the generator's N diagonal-shift blocks of N x N
+n <= MAX_DENSE_N, on the half spectrum of the generator's
+diagonal-shift blocks, N//2 + 1 blocks of N x N
 (evolution.generator_blocks, O(N^3) to read off).  Their steps form a
 dyadic lattice (see _SteppedDistributions): one set of step blocks per
 search, squared up to the coarse-grid hop H at O(N^4) per squaring.  The
 grid is read as lead x lag, as ModeSum reads its own: row 0 of (H^B)^a
 against the lag states H^b y0 (evolution._HopChain, which integrate's
-trajectories share), about 2 sqrt(T) N^2 entries and
+trajectories share), about sqrt(T) N^2 entries and
 O(N^2 T + N^4 log B) for T times, with no table of T block states.  Each
 bisection midpoint costs at most p + 1 batched products of O(N^3), and
 four more off the lattice, from the coarse state below it, rebuilt once
@@ -122,19 +123,20 @@ class _SteppedDistributions:
     """Vertex distributions of an RK4 trajectory on a dyadic lattice of one step.
 
     The state is held in block coordinates (evolution.to_blocks), where
-    the generator is N blocks of N x N (generator_blocks) and so is the
-    RK4 step S.  The step is dt = cell / 2^p, with 2^p the smallest power
-    of two at or above effective_step's count for one coarse cell, and
-    the levels S^(2^j), j = 0..p, are p batched squarings, O(N^4) each.
-    H = S^(2^p) hops the coarse grid of T times.  As in evolution.ModeSum,
+    the generator is N//2 + 1 blocks of N x N (generator_blocks) and so
+    is the RK4 step S.  The step is dt = cell / 2^p, with 2^p the
+    smallest power of two at or above effective_step's count for one
+    coarse cell, and the levels S^(2^j), j = 0..p, are p batched
+    squarings, O(N^4) each.  H = S^(2^p) hops the coarse grid of T
+    times.  As in evolution.ModeSum,
     grid index k splits as a B + b with B = ceil(sqrt(T)), and only the
     entry the distribution reads is formed: Y^_k[q, 0] = e0^T (H_q^B)^a
     H_q^b y0_q, from the lag states H^b y0, the lead covectors, row 0 of
     (H^B)^a, and one batched contraction (evolution._HopChain, which
     integrate shares): O(N^2 T + N^4 log B), against O(N^3 T) for T
-    sequential hops, and about 2 sqrt(T) N^2 entries plus H^B, not
-    T N^2.  A later request at offset k dt from the grid point below it
-    (every bisection midpoint down to depth p) starts from that coarse
+    sequential hops, and about sqrt(T) N^2 entries plus H^B, not
+    T N^2 / 2.  A later request at offset k dt from the grid point below
+    it (every bisection midpoint down to depth p) starts from that coarse
     state, rebuilt as (H^B)^a H^b y0 and kept for the next request, and
     takes one batched product with S^(2^j) per set bit j of k, O(N^3)
     each.  A request off the lattice adds one RK4 step of the remaining
@@ -153,11 +155,12 @@ class _SteppedDistributions:
         _, per_cell = effective_step(cell, dt, config.gamma)
         self._depth = (per_cell - 1).bit_length()
         self._dt = cell / 2**self._depth
-        # Rows of n doubles: 2n per complex N x N table, one per distribution,
+        # Rows of n doubles: 2 (n//2 + 1) n per complex table of blocks (the
+        # generator, the depth + 1 levels and H^B), one per distribution,
         # and the chain's lag, lead and contraction tables.
         check_table_size("RK4 block levels and states",
-                         2 * n * n * (self._depth + 3) + _HopChain.table_rows(n, times.size)
-                         + times.size, 8 * n)
+                         2 * (n // 2 + 1) * n * (self._depth + 3)
+                         + _HopChain.table_rows(n, times.size) + times.size, 8 * n)
         self._blocks = generator_blocks(config, model)
         hop = rk4_step_matrix(self._blocks, self._dt)
         self._levels = [hop]

@@ -416,6 +416,41 @@ class TestUsage:
         payload = json.loads(stdout.getvalue())
         assert payload["command"] == "bounds"
 
+    def test_one_parser_serves_every_call(self, monkeypatch):
+        # main builds its parser at its first call and reuses it: a run of
+        # subcommands, a usage error among them, prints and exits as the
+        # same run does with a fresh parser per call.
+        runs = [
+            "bounds --n 8 --gamma 5.0",
+            "mixing --n 6 --gamma 1 --eps 3",
+            "evolve --n 4 --gamma 0.5 --t-max 0.2",
+            "mixing --n 6 --gamma 1 --method s-literal",
+            "frobnicate",
+            "bounds --n 8 --gamma 5.0",
+        ]
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        reused = [_run(argv.split()) for argv in runs]
+        assert len(built) == 1
+        fresh = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            fresh.append(_run(argv.split()))
+        assert len(built) == 1 + len(runs)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0, 2, 0]
+
+    def test_import_builds_no_parser(self):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        probe = "import decowalk.cli as c; print(c._parser.cache_info().currsize)"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "0\n"
+
 
 def _run(argv):
     """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""

@@ -50,6 +50,11 @@ def random_symmetric(rng, n):
     return 0.5 * (raw + raw.T)
 
 
+def random_hermitian(rng, *shape):
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 0.5 * (raw + np.conj(raw).swapaxes(-1, -2))
+
+
 class TestTimeGrid:
     def test_rejects_reversed_window(self):
         for t_end in (0.0, -1.0):
@@ -135,23 +140,22 @@ class TestGeneratorBlocks:
     def test_blocks_reproduce_the_dense_generator(self, n, model, gamma):
         rng = np.random.default_rng(n)
         config = WalkConfig(n=n, gamma=gamma)
-        x = rng.normal(size=(n, n))
-        if model == "rho":
-            x = x + 1j * rng.normal(size=(n, n))
+        x = rng.normal(size=(n, n)) if model == "s-literal" else random_hermitian(rng, n, n)
         dense = build_full_operator(config, model) @ x.ravel()
         blocks = evolution.generator_blocks(config, model)
-        assert blocks.shape == (n, n, n)
+        assert blocks.shape == (n // 2 + 1, n, n)
         image = evolution.apply_blocks(blocks, evolution.to_blocks(x))
         np.testing.assert_allclose(evolution.from_blocks(image, real=model == "s-literal").ravel(),
                                    dense, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("columns", [1, 3, 7, 64])
     @pytest.mark.parametrize("model", ["s-literal", "rho"])
-    @pytest.mark.parametrize("n", [3, 5, 8, 24, 40, 64])
+    @pytest.mark.parametrize("n", [*range(3, 14), 24, 40, 64])
     def test_stacked_unit_states_equal_the_column_loop(self, monkeypatch, n, model, columns):
         # The reference reads one column per right-hand side; any stack,
         # from one column per call to all of them in one call, must give
-        # the same bytes.
+        # the same bytes: rows 0..N//2 of the transform, by rfft of the
+        # real literal-S images and by fft of the complex density ones.
         monkeypatch.setattr(evolution, "_RHS_STACK_ENTRIES", columns * n * n)
         config = WalkConfig(n=n, gamma=0.3)
         rhs = s_rhs if model == "s-literal" else rho_rhs
@@ -162,23 +166,48 @@ class TestGeneratorBlocks:
             images[..., column] = rhs(config, unit)
             unit[0, column] = 0.0
         shift = (np.arange(n)[:, None] + np.arange(n)) % n
-        loop = np.fft.fft(images[np.arange(n)[:, None], shift], axis=0)
-        assert evolution.generator_blocks(config, model).tobytes() == loop.tobytes()
+        diagonals = images[np.arange(n)[:, None], shift]
+        full = np.fft.fft(diagonals, axis=0)
+        loop = np.fft.rfft(diagonals, axis=0) if model == "s-literal" else full[:n // 2 + 1]
+        blocks = evolution.generator_blocks(config, model)
+        assert blocks.shape == (n // 2 + 1, n, n)
+        assert blocks.tobytes() == loop.tobytes()
+        # The real transform is the half of the full one, to rounding.
+        np.testing.assert_allclose(blocks, full[:n // 2 + 1], rtol=0, atol=1e-15)
 
     def test_state_maps_invert_each_other(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
+        x = random_hermitian(rng, 3, 7, 7)
         y = evolution.to_blocks(x)
+        assert y.shape == (3, 4, 7)
         np.testing.assert_allclose(evolution.from_blocks(y, real=False), x, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(evolution.from_blocks(y, real=True), x.real, rtol=0,
-                                   atol=1e-15)
+        np.testing.assert_allclose(evolution.from_blocks(evolution.to_blocks(x.real), real=True),
+                                   x.real, rtol=0, atol=1e-15)
         np.testing.assert_allclose(evolution.block_diagonal(y),
                                    np.diagonal(x, axis1=1, axis2=2).real, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_half_spectrum_round_trips(self, n):
+        # Odd N has no Nyquist row; the rows past N/2 are rebuilt by the
+        # real and the Hermitian mirror alike.
+        rng = np.random.default_rng(n)
+        real = rng.uniform(-1, 1, size=(2, n, n))
+        hermitian = 0.5 * (real + 1j * rng.uniform(-1, 1, size=(2, n, n)))
+        hermitian = hermitian + np.conj(hermitian).swapaxes(-1, -2)
+        for x, is_real in ((real, True), (hermitian, False)):
+            y = evolution.to_blocks(x)
+            assert y.shape == (2, n // 2 + 1, n)
+            np.testing.assert_allclose(evolution.from_blocks(y, real=is_real), x, rtol=0,
+                                       atol=1e-15)
+            # The kept rows are those of the full transform.
+            j = np.arange(n)
+            full = np.fft.fft(x[:, j[:, None], (j[:, None] + j) % n], axis=-2)
+            np.testing.assert_allclose(y, full[:, :n // 2 + 1], rtol=0, atol=1e-14)
 
     def test_step_blocks_are_the_step_matrix_of_each_block(self):
         blocks = evolution.generator_blocks(WalkConfig(n=6, gamma=0.7), "rho")
         stacked = rk4_step_matrix(blocks, 0.05)
-        for q in range(6):
+        for q in range(4):
             np.testing.assert_allclose(stacked[q], rk4_step_matrix(blocks[q], 0.05),
                                        rtol=0, atol=1e-15)
 
@@ -305,6 +334,36 @@ class TestIntegrate:
         bad[0, 1] = 0.1j
         with pytest.raises(ValueError):
             integrate(config, TimeGrid(t_end=1.0), initial=bad)
+
+    @pytest.mark.parametrize("keep_states", [False, True])
+    @pytest.mark.parametrize("stencil_min_n", [evolution.STENCIL_MIN_N, 3])
+    def test_rejects_non_hermitian_initial_for_rho(self, monkeypatch, stencil_min_n,
+                                                   keep_states):
+        # The block route keeps only the half spectrum, which a Hermitian
+        # state fixes; the stencil route takes the same starts.
+        monkeypatch.setattr(evolution, "STENCIL_MIN_N", stencil_min_n)
+        config = WalkConfig(n=4, gamma=0.1)
+        grid = TimeGrid(t_end=1.0)
+        bad = np.eye(4, dtype=complex) / 4
+        bad[0, 1] = 0.1j
+        with pytest.raises(ValueError, match="^density-picture states are Hermitian matrices$"):
+            integrate(config, grid, model="rho", initial=bad, keep_states=keep_states)
+        bad[1, 0] = -0.1j  # now Hermitian
+        series = integrate(config, grid, model="rho", initial=bad, keep_states=keep_states)
+        np.testing.assert_allclose(series.dists[-1], exact_evolve(config, 1.0, "rho", bad)
+                                   .diagonal().real, rtol=0, atol=1e-9)
+        bad[1, 1] = np.nan  # a non-finite start is named at t = 0, as before
+        with pytest.raises(evolution.IntegrationError, match="^non-finite state at t=0; "):
+            integrate(config, grid, model="rho", initial=bad, keep_states=keep_states)
+
+    def test_exact_evolve_rejects_non_hermitian_initial_for_rho(self):
+        config = WalkConfig(n=4, gamma=0.1)
+        bad = np.eye(4, dtype=complex) / 4
+        bad[2, 2] += 1e-3j  # a diagonal entry off the real line
+        with pytest.raises(ValueError, match="^density-picture states are Hermitian matrices$"):
+            exact_evolve(config, 1.0, "rho", bad)
+        bad[2, 2] = 0.25
+        np.testing.assert_allclose(exact_evolve(config, 0.0, "rho", bad), bad, rtol=0, atol=0)
 
 
 def _both_routes(monkeypatch, config, grid, model, initial=None):
@@ -464,7 +523,7 @@ class TestHopChain:
     def test_rebuilt_states_equal_the_chain(self, count):
         rng = np.random.default_rng(count)
         hop = rk4_step_matrix(evolution.generator_blocks(WalkConfig(n=5, gamma=0.4), "rho"), 0.3)
-        start = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        start = evolution.to_blocks(random_hermitian(rng, 5, 5))
         chain = _hop_chain(hop, start, count)
         state = start
         for k in range(count):
@@ -481,7 +540,7 @@ class TestHopChain:
     ])
     def test_bad_names_the_first_non_finite_state(self, count, first):
         # H = 1e30 I: y_k ~ 1e30^k overflows first at k = 11.
-        hop = np.broadcast_to(1e30 * np.eye(4), (4, 4, 4))
+        hop = np.broadcast_to(1e30 * np.eye(4), (3, 4, 4))
         chain = _hop_chain(hop, evolution.to_blocks(np.eye(4) / 4), count)
         assert chain.bad == 11
         lag_finite = np.isfinite(chain.lag).all(axis=(1, 2))
@@ -549,7 +608,7 @@ class TestHopChain:
         # 105 steps sampled every 10: the rebuilt state of sample 10
         # (t = 1) starts the partial stride to t = 1.05.
         def poisoned(self, k):
-            return np.full((5, 5), np.nan, dtype=complex)
+            return np.full((3, 5), np.nan, dtype=complex)
 
         monkeypatch.setattr(evolution._HopChain, "state", poisoned)
         with pytest.raises(evolution.IntegrationError, match=r"^non-finite state at t=1; "):
@@ -561,24 +620,27 @@ class TestHopChain:
             raise AssertionError("a block was built")
 
         monkeypatch.setattr(evolution, "generator_blocks", refuse)
-        # 1000 steps sampled every step at n = 5: B = A = 32, so 2 n (B + A)
-        # rows of lag states and lead covectors and 4 A B of the one
-        # contraction chunk, 4736 rows of 5 doubles, above the 1001-row
-        # trajectory table and the step blocks.
+        # 1000 steps sampled every step at n = 5, on M = 3 blocks: B = A =
+        # 32, so 2 M (B + A) rows of lag states and lead covectors and
+        # 2 M A B / n, rounded up, of the one contraction chunk's complex
+        # product (its inverse transform is written into the trajectory
+        # table): 1613 rows of 5 doubles, above the 1001-row trajectory
+        # table and the step blocks.
         grid = TimeGrid(t_end=10.0, dt=0.01, sample_stride=1)
-        budget = (2 * 5 * (32 + 32) + 4 * 32 * 32) * 8 * 5
+        budget = (2 * 3 * (32 + 32) + -(-2 * 3 * 32 * 32 // 5)) * 8 * 5
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget - 1)
-        with pytest.raises(ValueError, match="^RK4 lead and lag tables of 4.74e"):
+        with pytest.raises(ValueError, match="^RK4 lead and lag tables of 1.61e"):
             integrate(WalkConfig(n=5, gamma=1.0), grid, model=model)
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget)
         with pytest.raises(AssertionError, match="a block was built"):
             integrate(WalkConfig(n=5, gamma=1.0), grid, model=model)
 
     def test_long_trajectory_chunks_its_contraction(self, monkeypatch):
-        # At most two lead rows of B = 32 per contraction: the chunk term
-        # of the chain tables shrinks to 4 x 2 x 32 rows, and they fit in
-        # a budget of just the 1001-row trajectory table.
-        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 2 * 5 * 32)
+        # At most two lead rows of B = 32 per contraction of M = 3 blocks:
+        # the chunk term of the chain tables shrinks to 2 x 3 x 2 x 32 / 5
+        # rows, and they fit in a budget of just the 1001-row trajectory
+        # table.
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 2 * 3 * 32)
         grid = TimeGrid(t_end=10.0, dt=0.01, sample_stride=1)
         reference = integrate(WalkConfig(n=5, gamma=1.0), grid, keep_states=True)
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", 1001 * 8 * 5)
@@ -1002,8 +1064,8 @@ class TestDenseSizeGuard:
             raise AssertionError("a block was built")
 
         monkeypatch.setattr(evolution, "generator_blocks", refuse)
-        # Six complex 68 x 68 x 68 tables, whatever the picture.
-        tables = 6 * 16 * 68**3
+        # Six complex 35 x 68 x 68 tables, whatever the picture.
+        tables = 6 * 16 * 35 * 68**2
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", tables - 1)
         with pytest.raises(ValueError, match="RK4 step blocks of"):
             integrate(WalkConfig(n=68, gamma=1.0), TimeGrid(t_end=2.0), model=model)

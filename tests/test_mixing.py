@@ -312,12 +312,13 @@ class TestDyadicLattice:
 
     @pytest.mark.parametrize("method", ["s-literal", "rho"])
     def test_level_cache_respects_the_table_budget(self, monkeypatch, method):
-        # Complex 6 x 6 x 6 tables: the generator blocks, the levels
-        # S^(2^j), j = 0..7, and H^B for B = 3; complex 6 x 6 tables: the
-        # three lag states and the two lead rows; two complex tables of
-        # 6 x 2 x 3 entries: the contraction's product and its inverse
-        # transform; and the five distributions.
-        budget = ((1 + 8 + 1) * 16 * 6**3 + (3 + 2) * 16 * 6**2 + 2 * 16 * 6 * 2 * 3
+        # Complex tables of the N//2 + 1 = 4 blocks: 4 x 6 x 6 for the
+        # generator blocks, the levels S^(2^j), j = 0..7, and H^B for
+        # B = 3, and 4 x 6 for the three lag states and the two lead rows;
+        # the contraction's complex product, 4 x 2 x 3 (its inverse
+        # transform is written into the distributions); and the five
+        # distributions.
+        budget = ((1 + 8 + 1) * 16 * 4 * 6**2 + (3 + 2) * 16 * 4 * 6 + 16 * 4 * 2 * 3
                   + 5 * 8 * 6)
         monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget)
         times = np.array([0.5, 1.0 + 3.25 / 128, 3.75])
