@@ -12,8 +12,9 @@ are computed three ways,
   summed block by block over times split as lead + lag.  A time costs
   O(N^2) exponentials and a uniform grid of T times O(N^2 sqrt(T)) (see
   ModeSum).  Its setup solves the about N/2 blocks as at most two
-  stacks of equal size, but still one O(N^3) eigenvalue problem per
-  block, so it grows close to N^4, not N^3.
+  stacks of equal size, each stacked across the gammas of a sweep
+  (secular_mode_sums), but still one O(N^3) eigenvalue problem per
+  block, so it grows close to N^4 per gamma, not N^3.
 
 Only the oracle builds the N^2 x N^2 generator (build_full_operator,
 also the tests' reference), and it is guarded to n <= MAX_DENSE_N, as
@@ -674,9 +675,11 @@ _CANCEL_TOL = 10.0
 # evaluation may hold: times, blocks and batched expm slices are split to
 # stay at or below it.
 _CHUNK_ENTRIES = 1 << 20
-# Complex (G, k, k + 1) tables _block_modes holds at once (the offsets,
-# lambda gaps, w and two terms of h).  The setup stacks G blocks so that
-# all of them fit in _CHUNK_ENTRIES entries: sized per table, G = 62
+# Complex (G, k, k + 1) tables _block_modes holds at once, counted with
+# room to spare (the merged blocks and pole distances, then the offsets,
+# w and the terms of h, formed in place).  The setup stacks G blocks, of
+# one gamma or of a slab of them, so that all of them fit in
+# _CHUNK_ENTRIES entries: sized per table, G = 62
 # blocks at n = 256 peaked at 96.5 MiB traced, against 16.4 MiB for
 # G = 10, in the same setup time (about 3.2 s, eigvals-bound).
 _SECULAR_TABLES = 6
@@ -891,38 +894,27 @@ class DiagonalPropagator:
     each with amplitude (N/gamma)^2 / sum_m c_m / (z + gamma - lambda_m)^2,
     so f_s(t) = sum_k amp_k exp(z_k t) over about N/2 roots per block.
     The merged blocks come in at most two sizes, split by the parity of
-    s, and the setup solves each size group as a stack (_block_modes), in
-    groups whose temporaries together hold at most _CHUNK_ENTRIES
-    entries: O(N^3) per block and close to O(N^4) in all (measured
-    0.02 / 2.9 s at n = 64 / 256, gamma = 3).  A block whose roots
-    cannot be trusted is evaluated instead with expm of its merged form,
-    and mode then reads "expm" rather than "eig"; at the same lead + lag
-    split as the modes, it takes about 2 sqrt(T) expm on a grid of T
-    times and one per other time.
+    s, and the setup solves each size class as a stack across a sweep's
+    gammas (secular_mode_sums; a propagator built alone is its one-gamma
+    case), in groups whose temporaries together hold at most
+    _CHUNK_ENTRIES entries: O(N^3) per block and close to O(N^4) per
+    gamma (measured 0.02 / 2.9 s at n = 64 / 256, gamma = 3).  A block
+    whose roots cannot be trusted is evaluated instead with expm of its
+    merged form, and mode then reads "expm" rather than "eig"; at the
+    same lead + lag split as the modes, it takes about 2 sqrt(T) expm on
+    a grid of T times and one per other time.
+
+    modes, if given, is config's mode sum as secular_mode_sums solved it
+    in a stack with other gammas; it is not solved again.
     """
 
-    def __init__(self, config: WalkConfig, model: str = "s-literal") -> None:
-        _check_modesum_size(config.n)
-        _check_model(model)
-        n = config.n
-        beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), model)
-        rates = np.zeros(beta.shape, dtype=complex)
-        amps = np.zeros(beta.shape, dtype=complex)
-        dense = []
-        sizes = np.count_nonzero(counts, axis=1)
-        for size in sorted(set(sizes.tolist())):
-            rows = np.flatnonzero(sizes == size)
-            step = max(1, _CHUNK_ENTRIES // (_SECULAR_TABLES * size * (size + 1)))
-            for lo in range(0, rows.size, step):
-                group = rows[lo:lo + step]
-                b, c = beta[group, :size], counts[group, :size]
-                for row, modes, bg, cg in zip(group, _block_modes(b, c, config.gamma, n), b, c):
-                    if modes is None:
-                        dense.append((row, _merged_block(bg, cg, config.gamma, n), np.sqrt(cg)))
-                    else:
-                        rates[row, :size], amps[row, :size] = modes
-        self._modes = ModeSum(n, rates, amps, dense)
-        self.mode = "expm" if self._modes.dense else "eig"
+    def __init__(self, config: WalkConfig, model: str = "s-literal",
+                 modes: ModeSum | None = None) -> None:
+        if modes is None:
+            modes = secular_mode_sums(config.n, [config.gamma], model)[0]
+        self.config = config
+        self._modes = modes
+        self.mode = "expm" if modes.dense else "eig"
 
     def distribution(self, t: float) -> np.ndarray:
         return self._modes.distributions(np.array([float(t)]))[0]
@@ -931,6 +923,67 @@ class DiagonalPropagator:
         """Distributions at many times, shape (len(times), n); with eps, the
         rows before the envelope's cut only (ModeSum.distributions)."""
         return self._modes.distributions(times, eps)
+
+
+def secular_mode_sums(n: int, gammas, model: str = "s-literal") -> list[ModeSum]:
+    """The exact mode sum of the index-sum blocks at each of gammas, solved as one stack.
+
+    The undamped rates of the blocks s = 1..N/2 and their size classes
+    do not depend on gamma (_size_classes) and are built once.  Each
+    class is stacked across all gammas, block s of gamma g in one row,
+    and solved by _block_modes in groups of at most _secular_group rows,
+    so each block gets the bits it would get alone.  A block whose
+    roots are untrusted is kept in merged form for expm
+    (ModeSum.dense).  The mode sums share one (gammas, S, K) rate and
+    amplitude table; secular_slab sizes a sweep's stacks.
+    """
+    _check_modesum_size(n)
+    _check_model(model)
+    gammas = np.asarray(gammas, dtype=float)
+    beta, counts, classes = _size_classes(n, model)
+    rates = np.zeros((gammas.size, *beta.shape), dtype=complex)
+    amps = np.zeros_like(rates)
+    dense: list[list] = [[] for _ in gammas]
+    for size, rows in classes.items():
+        which = np.repeat(np.arange(gammas.size), rows.size)  # the gamma of each stacked block
+        blocks = np.tile(rows, gammas.size)
+        step = _secular_group(size)
+        for lo in range(0, blocks.size, step):
+            g, s = which[lo:lo + step], blocks[lo:lo + step]
+            b, c = beta[s, :size], counts[s, :size]
+            z, amp, trusted = _block_modes(b, c, gammas[g], n)
+            rates[g[trusted], s[trusted], :size] = z[trusted]
+            amps[g[trusted], s[trusted], :size] = amp[trusted]
+            for i in np.flatnonzero(~trusted):
+                dense[g[i]].append((s[i], _merged_block(b[i], c[i], gammas[g[i]], n),
+                                    np.sqrt(c[i])))
+    return [ModeSum(n, r, a, d) for r, a, d in zip(rates, amps, dense)]
+
+
+def secular_slab(n: int, model: str = "s-literal") -> int:
+    """How many gammas secular_mode_sums stacks into one group per size class.
+
+    As many as keep every class's stack across them within one group of
+    _block_modes, _SECULAR_TABLES G k (k + 1) <= _CHUNK_ENTRIES, and at
+    least one: all 25 of the default grid up to n = 46, 9 at n = 64 and
+    one from n = 112 up, where a class about fills a group alone.
+    """
+    _, _, classes = _size_classes(n, model)
+    return max(1, min(_secular_group(size) // rows.size for size, rows in classes.items()))
+
+
+def _secular_group(size: int) -> int:
+    """Blocks of size k that _block_modes takes at once, the largest G with
+    _SECULAR_TABLES G k (k + 1) <= _CHUNK_ENTRIES (at least one)."""
+    return max(1, _CHUNK_ENTRIES // (_SECULAR_TABLES * size * (size + 1)))
+
+
+def _size_classes(n: int, model: str):
+    """(beta, counts, {size: rows}): _block_rates of s = 1..N/2 and the rows
+    (s - 1) of each merged size, in increasing size."""
+    beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), model)
+    sizes = np.count_nonzero(counts, axis=1)
+    return beta, counts, {int(size): np.flatnonzero(sizes == size) for size in np.unique(sizes)}
 
 
 def _block_rates(n: int, s, model: str):
@@ -963,31 +1016,33 @@ def _block_rates(n: int, s, model: str):
     return (beta, counts) if np.ndim(s) else (beta[0], counts[0])
 
 
-def _merged_block(beta: np.ndarray, counts: np.ndarray, gamma: float, n: int) -> np.ndarray:
+def _merged_block(beta: np.ndarray, counts: np.ndarray, gamma, n: int) -> np.ndarray:
     """B_s on the merged modes: f_s(t) = r^T exp(t B) r with r = sqrt(counts).
 
-    Stacks of rates (..., k) give stacks of blocks (..., k, k).
+    Stacks of rates (..., k) and of gammas (...) give stacks of blocks (..., k, k).
     """
+    gamma = np.asarray(gamma, dtype=float)[..., None]  # against each block's modes
     root = np.sqrt(counts)
-    block = ((gamma / n) * (root[..., :, None] * root[..., None, :])).astype(complex)
+    block = ((gamma[..., None] / n) * (root[..., :, None] * root[..., None, :])).astype(complex)
     diagonal = np.arange(beta.shape[-1])
     block[..., diagonal, diagonal] += 1j * beta - gamma
     return block
 
 
 def _block_modes(
-    beta: np.ndarray, counts: np.ndarray, gamma: float, n: int
-) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    beta: np.ndarray, counts: np.ndarray, gamma, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Secular roots and amplitudes of a stack of merged blocks of one size.
 
-    beta and counts are (G, k); the result holds, per block, its (roots,
-    amplitudes) or None if they are untrusted.  Every step acts on the
-    whole stack: one stacked eigvals gives the guesses, which take
-    _NEWTON_STEPS Newton steps on h, and each block is decided on its
-    own, in the bits it would get alone.  Each root is held as anchor +
-    delta, the anchor being the origin or the nearest pole
-    i*beta_k - gamma.  offset[i, m] = anchor_i - pole_m is exact for both
-    kinds of anchor, so z + gamma - lambda_m = delta + offset and
+    beta and counts are (G, k), gamma (G,), the rate of each block, or
+    one rate for all.  The result is (roots (G, k), amplitudes (G, k),
+    trusted (G,)), roots and amplitudes holding only where trusted.
+    Every step acts on the whole stack: one stacked eigvals gives the
+    guesses, which take _NEWTON_STEPS Newton steps on h, and each block
+    is decided on its own, in the bits it would get alone.  Each root is
+    held as anchor + delta, the anchor being the origin or the nearest
+    pole i*beta_k - gamma.  offset[i, m] = anchor_i - pole_m is exact for
+    both kinds of anchor, so z + gamma - lambda_m = delta + offset and
     lambda_m - z = (gamma - offset) - delta lose no digits to
     cancellation: neither the slow root near 0 at large gamma (fixed
     only to eps*gamma by the eigenvalue solver) nor the roots within
@@ -996,12 +1051,22 @@ def _block_modes(
     when the amplitudes add up to f_s(0) = N and cancel by at most
     _CANCEL_TOL.  A defective block (at an exceptional point) fails
     these, and so does gamma below about 1e-13, where the eigenvalues
-    cannot resolve the O(gamma) offsets.  It holds up to _SECULAR_TABLES
-    tables of G k (k + 1) entries at once; the caller sizes G.
+    cannot resolve the O(gamma) offsets.  A block at gamma = 0 is
+    undamped: its roots are the poles i*beta, with amplitudes counts.
+    It holds up to _SECULAR_TABLES tables of G k (k + 1) entries at
+    once; the caller sizes G.
     """
-    if gamma == 0.0:
-        return [(1j * b, c.astype(complex)) for b, c in zip(beta, counts)]
-    poles = 1j * beta - gamma
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), beta.shape[:1])
+    if not gamma.all():
+        z, amp = 1j * beta, counts.astype(complex)
+        trusted = np.ones(gamma.shape, dtype=bool)
+        live = gamma != 0
+        if live.any():
+            z[live], amp[live], trusted[live] = _block_modes(beta[live], counts[live],
+                                                             gamma[live], n)
+        return z, amp, trusted
+    rate = gamma[:, None]  # each block's gamma, against its modes
+    poles = 1j * beta - rate
     guess = np.linalg.eigvals(_merged_block(beta, counts, gamma, n))
     targets = np.concatenate((np.zeros((beta.shape[0], 1), dtype=complex), poles), axis=-1)
     nearest = np.abs(guess[..., :, None] - targets[..., None, :]).argmin(axis=-1)
@@ -1009,21 +1074,38 @@ def _block_modes(
     pole = np.maximum(nearest - 1, 0)
     anchor = np.where(at_origin, 0.0, np.take_along_axis(poles, pole, axis=-1))
     anchor_beta = np.where(at_origin, 0.0, np.take_along_axis(beta, pole, axis=-1))
-    offset = (np.where(at_origin, gamma, 0.0)[..., None]
-              + 1j * (anchor_beta[..., None] - beta[..., None, :]))
-    lam_gap = gamma - offset  # lambda_m - anchor_i
+    offset = 1j * (anchor_beta[..., None] - beta[..., None, :])
+    offset += np.where(at_origin, rate, 0.0)[..., None]
     counts = counts[..., None, :]
+    # The only (G, k, k) tables held through the Newton steps: offset, w
+    # and the terms, each formed in place (the same operations, so the
+    # same bits, as forming them afresh).
+    w, terms = np.empty_like(offset), np.empty_like(offset)
+
+    def secular_terms(delta: np.ndarray) -> None:
+        """w = z + gamma - lambda_m and terms = c_m (lambda_m - z) / w."""
+        np.add(delta[..., None], offset, out=w)
+        np.subtract(rate[..., None], offset, out=terms)  # lambda_m - anchor_i
+        np.subtract(terms, delta[..., None], out=terms)
+        np.multiply(terms, counts, out=terms)
+        np.divide(terms, w, out=terms)
+
     delta = guess - anchor
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            w = delta[..., None] + offset
-            h = (counts * (lam_gap - delta[..., None]) / w).sum(axis=-1)
-            slope = -gamma * (counts / w**2).sum(axis=-1)
+            secular_terms(delta)
+            h = terms.sum(axis=-1)
+            np.square(w, out=terms)
+            np.divide(counts, terms, out=terms)
+            slope = -rate * terms.sum(axis=-1)
             delta = delta - h / slope
-        w = delta[..., None] + offset
-        terms = counts * (lam_gap - delta[..., None]) / w
+        secular_terms(delta)
         residual = np.abs(terms.sum(axis=-1)) / np.abs(terms).sum(axis=-1)
-        amp = 1.0 / (counts * (gamma / (n * w)) ** 2).sum(axis=-1)
+        w *= n  # then gamma / (n w), squared, times c_m
+        np.divide(rate[..., None], w, out=w)
+        np.square(w, out=w)
+        w *= counts
+        amp = 1.0 / w.sum(axis=-1)
         z = anchor + delta
         trusted = (
             np.isfinite(z).all(axis=-1)
@@ -1032,4 +1114,4 @@ def _block_modes(
             & (np.abs(amp.sum(axis=-1) - n) <= _SECULAR_RESIDUAL_TOL * n)
             & (np.abs(amp).sum(axis=-1) <= _CANCEL_TOL * n)
         )
-    return [(z[g], amp[g]) if trusted[g] else None for g in range(beta.shape[0])]
+    return z, amp, trusted

@@ -16,8 +16,9 @@ Every method is one callable, times -> distributions of shape
 (len(times), n), used for the grid and for each bisection midpoint.
 The analytic methods are one evolution.ModeSum each, over the index
 sums s = 1..N/2: `exact` and `perturbative` hold the blocks of the
-literal-S generator, solved exactly (DiagonalPropagator) or at first
-order (spectral._PerturbativeKernel), and `large-gamma-closed-form`
+literal-S generator, solved exactly (DiagonalPropagator, which a sweep
+solves for a slab of gammas at once and hands in) or at first order
+(spectral._PerturbativeKernel), and `large-gamma-closed-form`
 (large_gamma.closed_form_a) one heat-kernel mode of the slow branch
 per block.  Every mode sum reads the grid as lead x lag: about
 2 sqrt(T) exponentials per mode for T times, and one per mode at a
@@ -231,14 +232,15 @@ def check_request(n: int, eps: float, method: str) -> None:
         check_table_size("closed-form mixing grid", GRID_INTERVALS + 1, 8 * n)
 
 
-def _route(config: WalkConfig, method: str, times: np.ndarray, dt: float):
+def _route(config: WalkConfig, method: str, times: np.ndarray, dt: float,
+           propagator: DiagonalPropagator | None):
     """(times, eps=None) -> vertex distributions, shape (rows, n), of one method.
 
     rows is len(times), or with eps on the grid of a mode sum, the rows
     before its envelope's cut (evolution.envelope_leads).
     """
     if method == "exact":
-        return DiagonalPropagator(config).distributions
+        return (propagator or DiagonalPropagator(config)).distributions
     if method in ("s-literal", "rho"):
         stepped = _SteppedDistributions(config, method, times, dt)
         return lambda ts, eps=None: stepped.distributions(ts)  # no envelope: every row
@@ -254,6 +256,7 @@ def mixing_time(
     mode: str = "sustained",
     horizon: float | None = None,
     dt: float = 0.01,
+    propagator: DiagonalPropagator | None = None,
 ) -> MixingResult:
     """Smallest time at which the walk is eps-close to uniform.
 
@@ -274,8 +277,14 @@ def mixing_time(
     non-finite (every rate decays and every amplitude is finite), so no
     IntegrationError is missed.  With no envelope (an expm block, gamma =
     0) and on the RK4 methods, every row is evaluated.
+
+    propagator, if given, is the exact method's DiagonalPropagator of
+    config, built beforehand (sweep_gamma solves a slab of them at once);
+    else the exact method builds its own.
     """
     check_request(config.n, eps, method)
+    if propagator is not None and (method != "exact" or propagator.config != config):
+        raise ValueError("a propagator is taken by the exact method only, built for its config")
     check_positive("dt", dt)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -284,7 +293,7 @@ def mixing_time(
     check_positive("horizon", horizon)
 
     times = np.linspace(0.0, float(horizon), GRID_INTERVALS + 1)
-    distributions = _route(config, method, times, dt)
+    distributions = _route(config, method, times, dt, propagator)
     uniform = uniform_distribution(config.n)
 
     def distance(ts: np.ndarray, cut: float | None = None) -> np.ndarray:

@@ -6,6 +6,13 @@ strong (the walk degrades into slow classical diffusion), so T_mix(gamma)
 is large in both tails with a unique interior optimum.  This module
 sweeps log-spaced gamma grids, locates and optionally refines that
 optimum, and fits the two tail slopes on a log-log scale.
+
+Every point is one mixing_time search.  On the exact method the
+propagators of a grid are solved beforehand in slabs, one stacked
+secular solve per slab (evolution.secular_mode_sums): the blocks of
+every gamma share their undamped rates and size classes, so a slab
+takes one eigenvalue call and one Newton polish per size class, not one
+per gamma, and each point gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -15,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import MAX_DENSE_N, IntegrationError
+from .evolution import (
+    MAX_DENSE_N,
+    DiagonalPropagator,
+    IntegrationError,
+    secular_mode_sums,
+    secular_slab,
+)
 from .mixing import check_request, mixing_time
 from .model import WalkConfig, check_positive
 
@@ -24,9 +37,9 @@ DEFAULT_GAMMA_MIN = 1e-3
 DEFAULT_GAMMA_MAX = 1e2
 DEFAULT_GAMMA_POINTS = 25
 # Largest N whose default sweep method is the Fourier-block `exact`
-# propagator (setup close to O(N^4) per gamma); larger N default to RK4
-# up to MAX_DENSE_N, where the RK4 methods stop, and to `exact` again
-# above it.
+# propagator (setup close to O(N^4) per gamma, solved in stacks across
+# the grid); larger N default to RK4 up to MAX_DENSE_N, where the RK4
+# methods stop, and to `exact` again above it.
 EXACT_METHOD_MAX_N = 20
 
 # Converged points per tail in the log-log slope fits of tail_slopes.
@@ -95,13 +108,30 @@ def default_method(n: int) -> str:
     return "s-literal" if EXACT_METHOD_MAX_N < n <= MAX_DENSE_N else "exact"
 
 
-def _evaluate_point(n: int, gamma: float, eps: float, method: str) -> SweepPoint:
+def _evaluate_point(n: int, gamma: float, eps: float, method: str,
+                    propagator: DiagonalPropagator | None = None) -> SweepPoint:
     try:
-        result = mixing_time(WalkConfig(n=n, gamma=gamma), eps, method=method)
+        result = mixing_time(WalkConfig(n=n, gamma=gamma), eps, method=method,
+                             propagator=propagator)
     except (ValueError, IntegrationError, np.linalg.LinAlgError) as exc:
         return SweepPoint(gamma=gamma, t_mix=float("nan"), converged=False,
                           reason=f"{type(exc).__name__}: {exc}")
     return SweepPoint(gamma=gamma, t_mix=result.t_mix, converged=result.converged)
+
+
+def _slab_propagators(n: int, gammas: np.ndarray) -> list[DiagonalPropagator | None]:
+    """The exact propagator of each gamma, from one stacked secular solve.
+
+    If that solve raises a ValueError or LinAlgError, every entry is
+    None: each point then solves alone in mixing_time, and only the
+    points that fail alone record a reason.
+    """
+    try:
+        modes = secular_mode_sums(n, gammas)
+    except (ValueError, np.linalg.LinAlgError):
+        return [None] * gammas.size
+    return [DiagonalPropagator(WalkConfig(n=n, gamma=float(g)), modes=m)
+            for g, m in zip(gammas, modes)]
 
 
 def sweep_gamma(
@@ -117,6 +147,11 @@ def sweep_gamma(
     error in its reason; any other exception propagates.  Input that
     would fail every point (see mixing.check_request) is refused before
     any point runs.
+
+    The exact method solves its propagators in slabs of
+    evolution.secular_slab gammas, one stacked solve per slab (all 25
+    of the default grid up to n = 46), and hands each point its own; a
+    slab whose solve fails has each of its points solve alone.
     """
     if gammas is None:
         gammas = default_gamma_grid()
@@ -130,7 +165,14 @@ def sweep_gamma(
     if method is None:
         method = default_method(n)
     check_request(n, eps, method)
-    points = tuple(_evaluate_point(int(n), float(g), float(eps), method) for g in gammas)
+    width = secular_slab(n) if method == "exact" else gammas.size
+    points = []
+    for lo in range(0, gammas.size, width):
+        slab = gammas[lo:lo + width]
+        built = _slab_propagators(n, slab) if method == "exact" else [None] * slab.size
+        points += [_evaluate_point(int(n), float(g), float(eps), method, propagator)
+                   for g, propagator in zip(slab, built)]
+    points = tuple(points)
 
     gamma_opt = t_opt = None
     converged = [p for p in points if p.converged and math.isfinite(p.t_mix)]

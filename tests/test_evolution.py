@@ -745,6 +745,12 @@ def _size_groups(n, model):
             for size, group in groups.items()}
 
 
+def _per_block(found):
+    """_block_modes' (roots, amplitudes, trusted) as (roots, amplitudes) or None per block."""
+    z, amp, trusted = found
+    return [(z[g], amp[g]) if ok else None for g, ok in enumerate(trusted)]
+
+
 def _mode_tables(prop):
     """The bytes of every table a propagator's mode sum holds."""
     modes = prop._modes
@@ -762,10 +768,11 @@ class TestStackedBlockModes:
         groups = _size_groups(n, model)
         assert len(groups) <= 2  # split by the parity of s
         for s_values, beta, counts in groups.values():
-            stacked = evolution._block_modes(beta, counts, gamma, n)
+            stacked = _per_block(evolution._block_modes(beta, counts, gamma, n))
             assert len(stacked) == len(s_values)
             for g, found in enumerate(stacked):
-                alone = evolution._block_modes(beta[g:g + 1], counts[g:g + 1], gamma, n)[0]
+                alone = _per_block(evolution._block_modes(beta[g:g + 1], counts[g:g + 1],
+                                                          gamma, n))[0]
                 assert (found is None) == (alone is None)
                 if found is not None:
                     assert [x.tobytes() for x in found] == [x.tobytes() for x in alone]
@@ -776,7 +783,7 @@ class TestStackedBlockModes:
         # shares its size with the other 15 even blocks.
         s_values, beta, counts = _size_groups(64, model)[33]
         assert 4 in s_values and len(s_values) == 16
-        found = evolution._block_modes(beta, counts, 0.1957, 64)
+        found = _per_block(evolution._block_modes(beta, counts, 0.1957, 64))
         assert [s for s, modes in zip(s_values, found) if modes is None] == [4]
         prop = DiagonalPropagator(WalkConfig(n=64, gamma=0.1957), model)
         assert [row + 1 for row, _, _ in prop._modes.dense] == [4]
@@ -803,6 +810,36 @@ class TestStackedBlockModes:
             assert set(calls) == {1}
         elif n == 64:
             assert max(calls) == 3
+
+    def test_gamma_stack_equals_each_gamma_alone(self):
+        # The default grid, plus the exceptional points n = 4 at gamma = 1
+        # and n = 64 at sin(4 pi / 64), where block s = 4 falls back (n = 64
+        # beside one grid point only, to keep the one-gamma solves short).
+        grid = sweep.default_gamma_grid()
+        sizes = [(n, grid) for n in (3, 4, 5, 6, 7, 8, 12, 16, 20, 21, 32)]
+        sizes[1] = (4, np.sort(np.append(grid, 1.0)))
+        sizes.append((64, np.array([np.sin(4 * np.pi / 64), grid[16]])))
+        cases = fallbacks = 0
+        for model in ("s-literal", "rho"):
+            for n, gammas in sizes:
+                stacked = evolution.secular_mode_sums(n, gammas, model)
+                assert len(stacked) == gammas.size
+                for gamma, modes in zip(gammas, stacked):
+                    alone = DiagonalPropagator(WalkConfig(n=n, gamma=float(gamma)), model)
+                    assert _mode_tables(alone) == _mode_tables(DiagonalPropagator(
+                        WalkConfig(n=n, gamma=float(gamma)), model, modes=modes))
+                    cases += 1
+                    fallbacks += len(modes.dense)
+        assert cases == 2 * (11 * 25 + 1 + 2)
+        assert fallbacks >= 4  # n = 4 at gamma = 1 and n = 64 at sin(4 pi / 64), both models
+
+    def test_undamped_rows_in_a_damped_stack(self):
+        # gamma = 0 rows keep their poles and counts beside damped rows.
+        stacked = evolution.secular_mode_sums(7, [0.0, 0.3, 0.0, 2.0])
+        for gamma, modes in zip((0.0, 0.3, 0.0, 2.0), stacked):
+            alone = evolution.secular_mode_sums(7, [gamma])[0]
+            assert modes._rates.tobytes() == alone._rates.tobytes()
+            assert modes._amps.tobytes() == alone._amps.tobytes()
 
 
 def _spy_lags(patch):

@@ -215,6 +215,14 @@ class TestMixingTime:
         with pytest.raises(ValueError):
             mixing_time(config, 0.1, horizon=-1.0)
 
+    def test_prebuilt_propagator(self):
+        config = WalkConfig(n=5, gamma=0.3)
+        prop = DiagonalPropagator(config)
+        assert mixing_time(config, 0.01, propagator=prop) == mixing_time(config, 0.01)
+        for other, method in ((WalkConfig(n=5, gamma=0.4), "exact"), (config, "perturbative")):
+            with pytest.raises(ValueError, match="propagator"):
+                mixing_time(other, 0.01, method=method, propagator=prop)
+
 
 def _stepped(n, model, gamma=1.0, cells=4, cell=1.0):
     times = np.linspace(0.0, cells * cell, cells + 1)

@@ -75,6 +75,52 @@ class TestSweepGamma:
         with pytest.raises(TypeError, match="unsupported operand"):
             sweep_gamma(5, gammas=np.array([0.1, 1.0]))
 
+    def test_failed_slab_solve_fails_only_its_own_point(self, monkeypatch):
+        # eigvals refuses every stack holding a block of one gamma: the
+        # slab's stacked solve fails, and each of its points solves alone.
+        want = sweep_gamma(5)
+        chosen = want.points[7].gamma
+        real = np.linalg.eigvals
+
+        def refuse_chosen(blocks):
+            # Each merged block of size k has trace real part gamma (1 - k).
+            k = blocks.shape[-1]
+            gammas = np.trace(blocks, axis1=-2, axis2=-1).real / (1 - k)
+            if np.isclose(gammas, chosen, rtol=1e-9, atol=0).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(blocks)
+
+        monkeypatch.setattr(evolution.np.linalg, "eigvals", refuse_chosen)
+        got = sweep_gamma(5)
+        failed = [p for p in got.points if not p.converged]
+        assert [p.gamma for p in failed] == [chosen]
+        assert failed[0].reason == "LinAlgError: Eigenvalues did not converge"
+        assert [p for p in got.points if p.gamma != chosen] == [
+            p for p in want.points if p.gamma != chosen]
+
+    def test_one_gamma_slabs_change_no_result(self, monkeypatch):
+        # At n = 48 a chunk of 2**16 entries leaves one gamma per slab and
+        # splits no mode-sum evaluation that the default chunk keeps whole.
+        gammas = default_gamma_grid(3, 0.03, 30.0)
+        stacks = []
+        real = evolution._block_modes
+
+        def spy(beta, counts, gamma, n):
+            stacks.append((*beta.shape, evolution._CHUNK_ENTRIES))
+            return real(beta, counts, gamma, n)
+
+        monkeypatch.setattr(evolution, "_block_modes", spy)
+        assert evolution.secular_slab(48) == 22
+        want = transition_report([48], gammas=gammas, method="exact")
+        assert len(stacks) == 2  # one stack per size class, across all three gammas
+        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 1 << 16)
+        assert evolution.secular_slab(48) == 1
+        assert sweep_gamma(48, gammas=gammas, method="exact") == want.entries[0].sweep
+        assert transition_report([48], gammas=gammas, method="exact") == want
+        assert len(stacks) == 2 + 2 * 3 * 2  # one stack per class and gamma
+        for rows, size, entries in stacks:
+            assert evolution._SECULAR_TABLES * rows * size * (size + 1) <= entries
+
     def test_grid_guards(self):
         with pytest.raises(ValueError):
             sweep_gamma(5, gammas=np.array([]))
