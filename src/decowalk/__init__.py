@@ -30,6 +30,7 @@ from .large_gamma import (
     mode_rates,
 )
 from .mixing import (
+    LockstepSearch,
     MixingResult,
     default_horizon,
     mixing_time,

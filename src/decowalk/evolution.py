@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -697,16 +696,19 @@ def _expm_flows(times: np.ndarray, block: np.ndarray, root: np.ndarray) -> np.nd
     return out
 
 
-def lead_lag(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def lead_lag(times: np.ndarray, uniform: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Split flat times as lead[a] + lag[b], time k in row k = a len(lag) + b.
 
     The grid np.linspace(0, t_end, T), T >= 3, splits as k = a B + b with
     B = ceil(sqrt(T)), lead = a B Delta and lag = b Delta, so a mode sum
     takes A + B exponentials per mode, not T, and accumulates no rounding
     along the grid.  Any other times are their own lead with lag = [0],
-    where exp(0) = 1 and expm(0) = I exactly.
+    where exp(0) = 1 and expm(0) = I exactly.  uniform says that times
+    is such a grid, built so by the caller, and skips comparing it with
+    a fresh one.
     """
-    if times.size >= 3 and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
+    if times.size >= 3 and (uniform or np.array_equal(times,
+                                                      np.linspace(0.0, times[-1], times.size))):
         inner, _ = _chain_split(times.size)
         return times[1] * np.arange(0, times.size, inner), times[1] * np.arange(inner)
     return times, np.zeros(1)
@@ -739,50 +741,78 @@ def envelope_leads(lead: np.ndarray, lag: np.ndarray, eps: float, n: int,
     give the envelope E(t) = sum_m weights_m exp(Re z_m t).  It bounds the
     distance sum_j |P_j - 1/N| of a mode sum and decreases in t, so once
     E(lead_a) <= eps - envelope_margin the computed distance stays at or
-    under eps at lead_a and at every later time of the split.  E is
-    evaluated once at the lead times, in chunks of at most _CHUNK_ENTRIES
-    entries, and the result is the first lead row where it does so, or
-    every row (lead.size) if none does or the leads do not ascend.
+    under eps at lead_a and at every later time of the split.  The
+    result is the first lead row where it does so, or every row
+    (lead.size) if none does or the leads do not ascend.  Since only the
+    first such row counts, E is evaluated at the lead times in chunks of
+    1, 1, 2, 4, ... rows (at most _CHUNK_ENTRIES entries each), up to
+    the first chunk that holds it.
     """
     if lead.size == 0 or np.any(lead[1:] < lead[:-1]):
         return lead.size
     reach = float(np.abs(rates).max()) * (lead[-1] + lag[-1])
     level = eps - envelope_margin(eps, reach, rates.size, n)
     decay = rates.real
-    envelope = np.empty(lead.size)
-    step = max(1, _CHUNK_ENTRIES // rates.size)
-    for lo in range(0, lead.size, step):
-        envelope[lo:lo + step] = np.exp(lead[lo:lo + step, None] * decay) @ weights
-    clear = np.flatnonzero(envelope <= level)
-    return int(clear[0]) if clear.size else lead.size
+    lo, rows, most = 0, 1, max(1, _CHUNK_ENTRIES // rates.size)
+    while lo < lead.size:
+        envelope = np.exp(lead[lo:lo + rows, None] * decay) @ weights
+        clear = np.flatnonzero(envelope <= level)
+        if clear.size:
+            return lo + int(clear[0])
+        lo, rows = lo + rows, min(lo + rows, most)
+    return lead.size
+
+
+def _mode_products(heads: np.ndarray, lag: np.ndarray, rates: np.ndarray,
+                   amps: np.ndarray) -> np.ndarray:
+    """f_s at head + lag_b as exp(z head) exp(z lag_b): (..., S, A, B) for heads
+    (..., A) and (..., S, K) rate and amplitude tables, in one batched product."""
+    # Exponentials in place: one table per factor, not two.
+    head = heads[..., None, :, None] * rates[..., :, None, :]
+    np.exp(head, out=head)
+    head *= amps[..., :, None, :]
+    tail = rates[..., :, :, None] * lag
+    np.exp(tail, out=tail)
+    return head @ tail
 
 
 class ModeSum:
-    """Vertex distribution from vertex 0 as a sum over the index-sum blocks.
+    """Vertex distributions from vertex 0 as sums over the index-sum blocks, for G members.
 
-    P_j(t) = 1/N + Re sum_s c_s omega^(s j) f_s(t) for s = 1..S, S = N//2,
-    with c_s = 2/N^2 (1/N^2 at s = N/2) folding in f_(N-s) = conj(f_s);
-    the s = 0 block is the stationary uniform term.  Row s - 1 of the
-    S x K tables rates and amps gives f_s(t) = sum_k amps_k exp(rates_k t),
-    a block of fewer modes being padded with zero amplitudes.  dense holds
-    the blocks evaluated instead as r^T expm(t B) r, as (row, B, r) with B
-    complex symmetric; their table rows are zero.  The combine is the
-    inverse real FFT: the half spectrum (1, f_1/N, ..., f_S/N) gives
-    P_j = np.fft.irfft(..., N)_j exactly as the sum above, at O(N log N)
-    per time.  Building a ModeSum costs at most a copy of its tables, so
-    a caller may build one per call (large_gamma.closed_form_a).
+    Member g (one gamma of a sweep, say) gives P_j(t) = 1/N + Re sum_s
+    c_s omega^(s j) f_s(t) for s = 1..S, S = N//2, with c_s = 2/N^2
+    (1/N^2 at s = N/2) folding in f_(N-s) = conj(f_s); the s = 0 block is
+    the stationary uniform term.  Row s - 1 of member g of the G x S x K
+    tables rates and amps gives f_s(t) = sum_k amps_k exp(rates_k t), a
+    block of fewer modes being padded with zero amplitudes.  dense[g]
+    holds member g's blocks evaluated instead as r^T expm(t B) r, as
+    (row, B, r) with B complex symmetric; their table rows are zero.  The
+    combine is the inverse real FFT: the half spectrum (1, f_1/N, ...,
+    f_S/N) gives P_j = np.fft.irfft(..., N)_j exactly as the sum above,
+    at O(N log N) per time.  Building a ModeSum costs at most a copy of
+    its tables; member(g) is member g alone, on views of them.
 
-    One kernel fills f at t = lead_a + lag_b, where exp(z t) =
-    exp(z lead_a) exp(z lag_b): f over all (a, b) is one batched
-    (S, A, K) @ (S, K, B) product of directly computed exponentials, and
-    an expm block takes expm(lead_a B) r and expm(lag_b B) r (B symmetric,
-    so the first is also r^T expm(lead_a B)), from A + B exponentials.
-    The grid np.linspace(0, t_end, T), T >= 3, splits as k = a B + b with
-    B = ceil(sqrt(T)) (lead_lag): O(S K sqrt(T)) exponentials, no
-    rounding accumulated along the grid.  Any other times (bisection
-    midpoints, a single time) take lead = times and lag = [0].  Every
-    temporary, the half spectra included, holds at most _CHUNK_ENTRIES
-    entries, split by lead rows and then by blocks.
+    distributions evaluates a ModeSum of one member at many times.  One
+    kernel (_mode_products) fills f at t = lead_a + lag_b, where
+    exp(z t) = exp(z lead_a) exp(z lag_b): f over all (a, b) is one
+    batched (S, A, K) @ (S, K, B) product of directly computed
+    exponentials, and an expm block takes expm(lead_a B) r and
+    expm(lag_b B) r (B symmetric, so the first is also r^T expm(lead_a
+    B)), from A + B exponentials.  The grid np.linspace(0, t_end, T),
+    T >= 3, splits as k = a B + b with B = ceil(sqrt(T)) (lead_lag):
+    O(S K sqrt(T)) exponentials, no rounding accumulated along the grid.
+    Any other times (a single time, say) take lead = times and lag = [0].
+    Every temporary, the half spectra included, holds at most
+    _CHUNK_ENTRIES entries, split by lead rows and then by blocks.
+
+    at evaluates every member at one time of its own, the bisection
+    midpoints of a sweep's searches in lockstep (mixing.LockstepSearch):
+    the same kernel on lead = that time and lag = [0], one stacked
+    (G, S, 1, K) @ (G, S, K, 1) product and one inverse real FFT of the
+    G half spectra, so row g is bitwise what member g alone gives at its
+    time.  Its (G, S, 1, K) temporaries stay within _CHUNK_ENTRIES
+    entries because a slab of LockstepSearch does (secular_slab,
+    stack_slab).
 
     The distance sum_j |P_j - 1/N| is at most the envelope
     E(t) = n sum_s c_s sum_k |amp_sk| exp(Re z_sk t), since each
@@ -798,55 +828,107 @@ class ModeSum:
     every row is evaluated.
     """
 
-    def __init__(self, n: int, rates: np.ndarray, amps: np.ndarray, dense=()) -> None:
+    def __init__(self, n: int, rates: np.ndarray, amps: np.ndarray, dense=None) -> None:
         self.n = n
         # Real tables (the heat kernel's) stay real: real exponentials.
         dtype = np.result_type(rates, amps, float)
         self._rates, self._amps = np.asarray(rates, dtype), np.asarray(amps, dtype)
-        self.dense = list(dense)
+        if self._rates.ndim != 3 or self._amps.shape != self._rates.shape:
+            raise ValueError(f"mode tables must be (G, S, K) alike, got {self._rates.shape} "
+                             f"and {self._amps.shape}")
+        self.dense = [list(d) for d in dense] if dense is not None else [[] for _ in self._rates]
 
-    @cached_property
+    def member(self, g: int) -> ModeSum:
+        """Member g alone: a ModeSum of one member, on views of these tables."""
+        return ModeSum(self.n, self._rates[g:g + 1], self._amps[g:g + 1], self.dense[g:g + 1])
+
+    @staticmethod
+    def stack(sums: list[ModeSum]) -> ModeSum:
+        """The members of sums, in order, as one ModeSum (copies of their tables)."""
+        return ModeSum(sums[0].n, np.concatenate([s._rates for s in sums]),
+                       np.concatenate([s._amps for s in sums]), [d for s in sums for d in s.dense])
+
+    @staticmethod
+    def failure(t: float) -> IntegrationError:
+        """The error of a distribution that is not finite at time t."""
+        return IntegrationError(f"mode sum is not finite at t={t:g}")
+
+    @property
     def _envelope(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The envelope's modes, (rates, weights n c_s |amp|) of nonzero
-        weight, or None if it has none; built at the first call with eps."""
-        n = self.n
-        s = np.arange(1, self._rates.shape[0] + 1)[:, None]
-        weights = n * (np.where(2 * s == n, 1.0, 2.0) / n**2) * np.abs(self._amps)
+        """The envelope's modes of a one-member ModeSum, (rates, weights
+        n c_s |amp|) of nonzero weight, or None if it has none; built at
+        each call with eps, so that a slab's members do not keep theirs."""
+        n, rates = self.n, self._rates[0]
+        s = np.arange(1, rates.shape[0] + 1)[:, None]
+        weights = n * (np.where(2 * s == n, 1.0, 2.0) / n**2) * np.abs(self._amps[0])
         live = weights > 0
-        if (not self.dense and np.isfinite(self._rates).all() and np.isfinite(weights).all()
-                and (self._rates.real[live] < 0).all()):
-            return self._rates[live], weights[live]
+        if (not self.dense[0] and np.isfinite(rates).all() and np.isfinite(weights).all()
+                and (rates.real[live] < 0).all()):
+            return rates[live], weights[live]
         return None
 
-    def distributions(self, times: np.ndarray, eps: float | None = None) -> np.ndarray:
-        """Distributions at many times, shape (len(times), n); IntegrationError if not finite.
+    def distributions(self, times: np.ndarray, eps: float | None = None,
+                      uniform: bool = False) -> np.ndarray:
+        """Distributions of the one member at many times, shape (len(times), n);
+        IntegrationError if not finite.
 
         With eps, the rows from the envelope's cut on (see the class
         docstring) are left out and the result holds the first rows only;
-        those it holds are bitwise the rows of the whole table.
+        those it holds are bitwise the rows of the whole table.  uniform
+        says that times is np.linspace(0, times[-1], times.size), as the
+        caller built it (lead_lag).
         """
+        if self._rates.shape[0] != 1:
+            raise ValueError(f"distributions takes a ModeSum of one member, not "
+                             f"{self._rates.shape[0]}; see member and at")
         times = check_times(times).ravel()
-        lead, lag = lead_lag(times)
+        lead, lag = lead_lag(times, uniform)
         size = times.size
-        if eps is not None and self._envelope is not None:
-            keep = envelope_leads(lead, lag, eps, self.n, *self._envelope)
+        envelope = None if eps is None else self._envelope
+        if envelope is not None:
+            keep = envelope_leads(lead, lag, eps, self.n, *envelope)
             lead, size = lead[:keep], min(size, keep * lag.size)
         out = np.empty((size, self.n))
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the time
             for lo, spectrum in self._sums(lead, lag, size):
-                blocks = spectrum[:, 1:].view(float)  # f_s / N, on the real view
-                blocks *= 1.0 / self.n
-                np.fft.irfft(spectrum, n=self.n, axis=-1, out=out[lo:lo + spectrum.shape[0]])
+                self._combine(spectrum, out[lo:lo + spectrum.shape[0]])
         finite = np.isfinite(out).all(axis=1)
         if not finite.all():
-            raise IntegrationError(f"mode sum is not finite at t={times[np.argmin(finite)]:g}")
+            raise self.failure(times[np.argmin(finite)])
         return out
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """Member g's distribution at times[g], for every member g: shape (G, n).
+
+        Rows are not checked: a row that is not finite is its member's
+        failure (failure(times[g])), and the other rows stand.
+        """
+        lag = np.zeros(1)
+        spectrum = np.empty((times.size, self._rates.shape[1] + 1), dtype=complex)
+        spectrum[:, 0] = 1.0
+        out = np.empty((times.size, self.n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum[:, 1:] = _mode_products(times[:, None], lag, self._rates,
+                                             self._amps)[..., 0, 0]
+            for g, dense in enumerate(self.dense):
+                for row, block, root in dense:
+                    head = _expm_flows(times[g:g + 1], block, root)
+                    spectrum[g, 1 + row] = (head @ _expm_flows(lag, block, root).T)[0, 0]
+            self._combine(spectrum, out)
+        return out
+
+    def _combine(self, spectrum: np.ndarray, out: np.ndarray) -> None:
+        """out = the distributions of half spectra (rows, S + 1), f_s in column s."""
+        blocks = spectrum[:, 1:].view(float)  # f_s / N, on the real view
+        blocks *= 1.0 / self.n
+        np.fft.irfft(spectrum, n=self.n, axis=-1, out=out)
 
     def _sums(self, lead: np.ndarray, lag: np.ndarray, size: int):
         """(offset, spectrum) per chunk, spectrum of shape (chunk, S + 1):
         1 in column 0 and f_s at lead[a] + lag[b] in column s of row
         a len(lag) + b, for the first size rows."""
-        count, width = self._rates.shape
+        rates, amps = self._rates[0], self._amps[0]
+        count, width = rates.shape
         inner = lag.size
         rows = max(1, _CHUNK_ENTRIES // (max(width, count + 1) * inner))  # a per chunk
         for a0 in range(0, lead.size, rows):
@@ -859,19 +941,20 @@ class ModeSum:
                                                  heads.size * inner))
             for first in range(0, count, group):
                 blocks = slice(first, first + group)
-                # Exponentials in place: one table per factor, not two.
-                head = heads[:, None] * self._rates[blocks, None, :]
-                np.exp(head, out=head)
-                head *= self._amps[blocks, None, :]
-                tail = self._rates[blocks, :, None] * lag
-                np.exp(tail, out=tail)
-                grid = (head @ tail).reshape(head.shape[0], -1)
+                grid = _mode_products(heads, lag, rates[blocks], amps[blocks])
+                grid = grid.reshape(grid.shape[0], -1)
                 spectrum[:, 1 + first:1 + first + group] = grid[:, :valid].T
-            for row, block, root in self.dense:
+            for row, block, root in self.dense[0]:
                 head = _expm_flows(heads, block, root)  # rows r^T expm(lead B)
                 tail = _expm_flows(lag, block, root)
                 spectrum[:, 1 + row] = (head @ tail.T).ravel()[:valid]
             yield lo, spectrum
+
+
+def stack_slab(entries: int) -> int:
+    """Members of entries table entries each that one ModeSum stacks for
+    ModeSum.at: its tables and temporaries within _CHUNK_ENTRIES entries."""
+    return max(1, _CHUNK_ENTRIES // entries)
 
 
 class DiagonalPropagator:
@@ -904,29 +987,30 @@ class DiagonalPropagator:
     same lead + lag split as the modes, it takes about 2 sqrt(T) expm on
     a grid of T times and one per other time.
 
-    modes, if given, is config's mode sum as secular_mode_sums solved it
-    in a stack with other gammas; it is not solved again.
+    modes, if given, is config's mode sum, a ModeSum of one member: a
+    member of the stack secular_mode_sums solved with other gammas.  It
+    is not solved again.
     """
 
     def __init__(self, config: WalkConfig, model: str = "s-literal",
                  modes: ModeSum | None = None) -> None:
         if modes is None:
-            modes = secular_mode_sums(config.n, [config.gamma], model)[0]
-        self.config = config
+            modes = secular_mode_sums(config.n, [config.gamma], model)
         self._modes = modes
-        self.mode = "expm" if modes.dense else "eig"
+        self.mode = "expm" if modes.dense[0] else "eig"
 
     def distribution(self, t: float) -> np.ndarray:
         return self._modes.distributions(np.array([float(t)]))[0]
 
-    def distributions(self, times: np.ndarray, eps: float | None = None) -> np.ndarray:
+    def distributions(self, times: np.ndarray, eps: float | None = None,
+                      uniform: bool = False) -> np.ndarray:
         """Distributions at many times, shape (len(times), n); with eps, the
         rows before the envelope's cut only (ModeSum.distributions)."""
-        return self._modes.distributions(times, eps)
+        return self._modes.distributions(times, eps, uniform)
 
 
-def secular_mode_sums(n: int, gammas, model: str = "s-literal") -> list[ModeSum]:
-    """The exact mode sum of the index-sum blocks at each of gammas, solved as one stack.
+def secular_mode_sums(n: int, gammas, model: str = "s-literal") -> ModeSum:
+    """The exact mode sums of the index-sum blocks at gammas, one member each, solved as one stack.
 
     The undamped rates of the blocks s = 1..N/2 and their size classes
     do not depend on gamma (_size_classes) and are built once.  Each
@@ -934,7 +1018,7 @@ def secular_mode_sums(n: int, gammas, model: str = "s-literal") -> list[ModeSum]
     and solved by _block_modes in groups of at most _secular_group rows,
     so each block gets the bits it would get alone.  A block whose
     roots are untrusted is kept in merged form for expm
-    (ModeSum.dense).  The mode sums share one (gammas, S, K) rate and
+    (ModeSum.dense).  The members share one (gammas, S, K) rate and
     amplitude table; secular_slab sizes a sweep's stacks.
     """
     _check_modesum_size(n)
@@ -957,7 +1041,7 @@ def secular_mode_sums(n: int, gammas, model: str = "s-literal") -> list[ModeSum]
             for i in np.flatnonzero(~trusted):
                 dense[g[i]].append((s[i], _merged_block(b[i], c[i], gammas[g[i]], n),
                                     np.sqrt(c[i])))
-    return [ModeSum(n, r, a, d) for r, a, d in zip(rates, amps, dense)]
+    return ModeSum(n, rates, amps, dense)
 
 
 def secular_slab(n: int, model: str = "s-literal") -> int:

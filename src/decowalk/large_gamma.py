@@ -118,10 +118,19 @@ def closed_form_a(config: WalkConfig, t: float | np.ndarray,
     check_positive("gamma", config.gamma)
     t = check_times(t)
     check_table_size("closed-form distribution table", t.size, 8 * config.n)
-    n = config.n
-    rates = -np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2 / (2.0 * config.gamma)
-    out = ModeSum(n, rates[:, None], np.full((rates.size, 1), float(n))).distributions(t, eps)
-    return out if eps is not None else out.reshape(t.shape + (n,))
+    out = heat_kernel_modes(config.n, [config.gamma]).distributions(t, eps)
+    return out if eps is not None else out.reshape(t.shape + (config.n,))
+
+
+def heat_kernel_modes(n: int, gammas) -> ModeSum:
+    """closed_form_a's mode sum at each of gammas, one ModeSum member each:
+    block s has one mode, of rate -sin^2(pi s / N) / (2 gamma) and
+    amplitude N, in one (G, S, 1) table."""
+    for g in gammas:
+        check_positive("gamma", g)
+    gamma = np.asarray(gammas, dtype=float)[:, None]
+    rates = -np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2 / (2.0 * gamma)
+    return ModeSum(n, rates[..., None], np.full(rates.shape + (1,), float(n)))
 
 
 def classical_heat_kernel(n: int, hop_rate: float, t: float) -> np.ndarray:

@@ -12,17 +12,25 @@ distance stays under eps).  The oscillatory small-gamma regime dips
 transiently below eps long before settling, so `sustained` is the
 default and is what the sweep module uses.
 
-Every method is one callable, times -> distributions of shape
-(len(times), n), used for the grid and for each bisection midpoint.
-The analytic methods are one evolution.ModeSum each, over the index
-sums s = 1..N/2: `exact` and `perturbative` hold the blocks of the
-literal-S generator, solved exactly (DiagonalPropagator, which a sweep
-solves for a slab of gammas at once and hands in) or at first order
-(spectral._PerturbativeKernel), and `large-gamma-closed-form`
-(large_gamma.closed_form_a) one heat-kernel mode of the slow branch
-per block.  Every mode sum reads the grid as lead x lag: about
-2 sqrt(T) exponentials per mode for T times, and one per mode at a
-midpoint.
+Every search is a LockstepSearch over a list of configs of one n;
+mixing_time is its one-config case, and sweep_gamma hands it a whole
+gamma grid.  The configs go in slabs.  A slab builds every config's
+route, scans each config's grid on its own, then bisects in lockstep:
+each level evaluates the midpoint of every bracket still open in one
+call, so that a slab of G gammas takes about 14 calls, not 14 G, and
+each config gets the bits it gets alone.
+The analytic methods are one evolution.ModeSum member per gamma, over
+the index sums s = 1..N/2, built for a slab at once: `exact` and
+`perturbative` hold the blocks of the literal-S generator, solved
+exactly (DiagonalPropagator, from one stacked secular solve,
+evolution.secular_mode_sums) or at first order
+(spectral.perturbative_modes), and `large-gamma-closed-form`
+(large_gamma.heat_kernel_modes, the mode sum of closed_form_a) one
+heat-kernel mode of the slow branch per block.  Every mode sum reads
+the grid as lead x lag: about 2 sqrt(T) exponentials per mode for T
+times.  A bisection level is one ModeSum.at over the slab: one stacked
+(G, S, 1, K) @ (G, S, K, 1) product of one exponential per mode, one
+inverse real FFT and one row sum.
 `s-literal` / `rho` step either master equation with RK4, guarded to
 n <= MAX_DENSE_N, on the half spectrum of the generator's
 diagonal-shift blocks, N//2 + 1 blocks of N x N
@@ -35,7 +43,8 @@ trajectories share), about sqrt(T) N^2 entries and
 O(N^2 T + N^4 log B) for T times, with no table of T block states.  Each
 bisection midpoint costs at most p + 1 batched products of O(N^3), and
 four more off the lattice, from the coarse state below it, rebuilt once
-per cell.
+per cell.  An RK4 slab holds one config, so one lattice is alive at a
+time.
 The distance of a grid is taken in place on the method's table, so a
 search holds one T x n table, not two.
 """
@@ -49,6 +58,7 @@ import numpy as np
 from .evolution import (
     DiagonalPropagator,
     IntegrationError,
+    ModeSum,
     apply_blocks,
     block_diagonal,
     build_full_operator,  # unused here; the benchmark tracer patches it by this name
@@ -56,15 +66,22 @@ from .evolution import (
     effective_step,
     generator_blocks,
     rk4_step_matrix,
+    secular_mode_sums,
+    secular_slab,
+    stack_slab,
     to_blocks,
     _HopChain,
     _as_state_vector,
     _check_dense_size,
     _check_modesum_size,
 )
-from .large_gamma import closed_form_a, large_gamma_bounds
+from .large_gamma import (
+    closed_form_a,  # unused here; the benchmark tracer patches it by this name
+    heat_kernel_modes,
+    large_gamma_bounds,
+)
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive
-from .spectral import _PerturbativeKernel, small_gamma_mixing_bound
+from .spectral import _PerturbativeKernel, perturbative_modes, small_gamma_mixing_bound
 
 METHODS = ("exact", "s-literal", "rho", "perturbative", "large-gamma-closed-form")
 MODES = ("first-crossing", "sustained")
@@ -232,21 +249,216 @@ def check_request(n: int, eps: float, method: str) -> None:
         check_table_size("closed-form mixing grid", GRID_INTERVALS + 1, 8 * n)
 
 
-def _route(config: WalkConfig, method: str, times: np.ndarray, dt: float,
-           propagator: DiagonalPropagator | None):
-    """(times, eps=None) -> vertex distributions, shape (rows, n), of one method.
+# The failures a search records as the outcome of its own config
+# (LockstepSearch) instead of raising; any other exception propagates.
+SEARCH_ERRORS = (ValueError, IntegrationError, np.linalg.LinAlgError)
 
-    rows is len(times), or with eps on the grid of a mode sum, the rows
-    before its envelope's cut (evolution.envelope_leads).
+
+def _slab(n: int, method: str) -> int:
+    """How many configs one lockstep search takes at once.
+
+    RK4 searches go one at a time, so one set of step blocks is alive at
+    once.  exact and perturbative hold the same (G, S, K) block tables,
+    which secular_slab sizes for the stacked secular solve; the closed
+    form holds one mode per block (stack_slab).
     """
-    if method == "exact":
-        return (propagator or DiagonalPropagator(config)).distributions
     if method in ("s-literal", "rho"):
-        stepped = _SteppedDistributions(config, method, times, dt)
-        return lambda ts, eps=None: stepped.distributions(ts)  # no envelope: every row
+        return 1
+    if method == "large-gamma-closed-form":
+        return stack_slab(n // 2)
+    return secular_slab(n)
+
+
+class _Member:
+    """One config of a lockstep search: its grid and route, then its
+    bracket, then its outcome (a MixingResult or the exception it failed with)."""
+
+    def __init__(self, config: WalkConfig) -> None:
+        self.config = config
+        self.horizon = self.grid = self.modes = self.stepped = self.outcome = None
+        self.lo = self.hi = 0.0
+
+    def times(self) -> np.ndarray:
+        """The coarse grid over the search horizon, made afresh, so a slab holds one at a time."""
+        return np.linspace(0.0, self.horizon, GRID_INTERVALS + 1)
+
+
+def _distance(table: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """sum_j |P_j - 1/N| per row, taken in place: every route returns a fresh table."""
+    table -= uniform
+    np.abs(table, out=table)
+    return table.sum(axis=1)
+
+
+def _mode_sum_route(method: str):
+    """(build, wrap) of a mode-sum method: build(n, gammas) gives the
+    ModeSum of a slab's gammas, one member each, and wrap(config, member)
+    the grid route of one config."""
+    if method == "exact":
+        return secular_mode_sums, lambda c, m: DiagonalPropagator(c, modes=m).distributions
     if method == "perturbative":
-        return _PerturbativeKernel(config).distributions
-    return lambda ts, eps=None: closed_form_a(config, ts, eps)
+        return perturbative_modes, lambda c, m: _PerturbativeKernel(c, m).distributions
+    return heat_kernel_modes, lambda c, m: m.distributions
+
+
+def _attach_routes(members: list[_Member], method: str, dt: float) -> None:
+    """Give each member its grid route: its RK4 lattice, or its member of
+    one mode sum stacked over the slab's gammas.  If the stacked build
+    raises, each member builds alone, and only a member whose own build
+    fails records it."""
+    if not members:
+        return
+    if method in ("s-literal", "rho"):
+        for m in members:
+            try:
+                m.stepped = _SteppedDistributions(m.config, method, m.times(), dt)
+            except SEARCH_ERRORS as exc:
+                m.outcome = exc
+                continue
+            m.grid = lambda ts, eps, uniform, stepped=m.stepped: stepped.distributions(ts)
+        return
+    build, wrap = _mode_sum_route(method)
+    try:
+        stack = build(members[0].config.n, [m.config.gamma for m in members])
+    except SEARCH_ERRORS:
+        for m in members:
+            try:
+                m.modes = build(m.config.n, [m.config.gamma])
+            except SEARCH_ERRORS as exc:
+                m.outcome = exc
+    else:
+        for g, m in enumerate(members):
+            m.modes = stack.member(g)
+    for m in members:
+        if m.modes is not None:
+            m.grid = wrap(m.config, m.modes)
+
+
+def _midpoints(members: list[_Member], mids: np.ndarray, uniform: np.ndarray):
+    """(distances, failures) of each member at its midpoint: one stacked
+    ModeSum.at for a slab of mode sums, failures None where there is none."""
+    if members[0].stepped is not None:  # an RK4 slab holds one config
+        try:
+            return _distance(members[0].stepped.distributions(mids), uniform), [None]
+        except SEARCH_ERRORS as exc:
+            return None, [exc]
+    table = ModeSum.stack([m.modes for m in members]).at(mids)
+    finite = np.isfinite(table).all(axis=1)
+    return _distance(table, uniform), [None if ok else ModeSum.failure(t)
+                                       for ok, t in zip(finite, mids)]
+
+
+def _search(members: list[_Member], eps: float, method: str, mode: str,
+            horizon: float | None, dt: float) -> None:
+    """Search one slab in lockstep, leaving each member's outcome."""
+
+    def result(m: _Member, t_mix: float, converged: bool, bracket: float) -> MixingResult:
+        return MixingResult(t_mix=t_mix, converged=converged, eps=eps, method=method,
+                            mode=mode, horizon=m.horizon, bracket=bracket)
+
+    for m in members:
+        try:
+            span = default_horizon(m.config, eps) if horizon is None else horizon
+            check_positive("horizon", span)
+        except SEARCH_ERRORS as exc:
+            m.outcome = exc
+            continue
+        m.horizon = float(span)
+    _attach_routes([m for m in members if m.outcome is None], method, dt)
+    uniform = uniform_distribution(members[0].config.n)
+    for m in members:
+        if m.outcome is not None:
+            continue
+        times = m.times()
+        try:  # a mode sum leaves out the rows past its envelope's cut: they are under eps
+            near = _distance(m.grid(times, eps, True), uniform)
+        except SEARCH_ERRORS as exc:
+            m.outcome = exc
+            continue
+        below = np.ones(times.size, dtype=bool)
+        below[:near.size] = near <= eps
+        if mode == "sustained":
+            below = np.logical_and.accumulate(below[::-1])[::-1]
+        hits = np.flatnonzero(below)
+        if hits.size == 0:
+            m.outcome = result(m, m.horizon, False, 0.0)
+        elif hits[0] == 0:
+            m.outcome = result(m, 0.0, True, 0.0)
+        else:
+            m.lo, m.hi = float(times[hits[0] - 1]), float(times[hits[0]])
+    # Bisection in lockstep: each level is one midpoint per open member.
+    open_ = [m for m in members if m.outcome is None]
+    while open_ := [m for m in open_ if m.outcome is None
+                    and m.hi - m.lo > RELATIVE_BRACKET * m.hi]:
+        mids = np.array([0.5 * (m.lo + m.hi) for m in open_])
+        distances, failures = _midpoints(open_, mids, uniform)
+        for k, (m, mid, failure) in enumerate(zip(open_, mids, failures)):
+            if failure is not None:
+                m.outcome = failure
+            elif distances[k] <= eps:
+                m.hi = float(mid)
+            else:
+                m.lo = float(mid)
+    for m in members:
+        if m.outcome is None:
+            m.outcome = result(m, m.hi, True, m.hi - m.lo)
+        m.grid = m.modes = m.stepped = None  # a searched slab keeps its outcomes only
+
+
+class LockstepSearch:
+    """The mixing-time searches of configs of one n, run slab by slab in lockstep.
+
+    A slab (_slab) holds one config on the RK4 methods, secular_slab(n)
+    gammas on exact and perturbative (all 25 of the default grid up to
+    n = 46) and stack_slab(N/2) on the closed form.  It is searched at
+    the first outcome asked of any of its configs: it builds its routes,
+    the exact method in one stacked secular solve
+    (evolution.secular_mode_sums) and the other mode sums in one table
+    build, then scans each config's grid on its own, and then bisects
+    in lockstep: each level takes the midpoint of every bracket still
+    open in one stacked call (ModeSum.at), whose rows are bitwise the
+    single-time evaluations of each config alone, so a slab of G gammas
+    takes about 14 calls, not 14 G.
+
+    outcome(k) is config k's MixingResult, or the ValueError,
+    IntegrationError or LinAlgError its own search failed with (any
+    other exception propagates): every outcome, result or failure, is
+    the one mixing_time gives for that config alone, and a config whose
+    midpoint is not finite fails alone.  A bad eps, method, mode, dt or
+    horizon, common to all, is refused here.  sweep_gamma asks for each
+    point through mixing_time(..., search=).
+    """
+
+    def __init__(
+        self,
+        configs: list[WalkConfig],
+        eps: float,
+        method: str = "exact",
+        mode: str = "sustained",
+        horizon: float | None = None,
+        dt: float = 0.01,
+    ) -> None:
+        configs = list(configs)
+        if not configs or any(c.n != configs[0].n for c in configs):
+            raise ValueError("a lockstep search takes one or more configs, all of one n")
+        n = configs[0].n
+        check_request(n, eps, method)
+        check_positive("dt", dt)
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if horizon is not None:
+            check_positive("horizon", horizon)
+        self.request = (eps, method, mode, horizon, dt)
+        self.index = {c: k for k, c in enumerate(configs)}
+        self._members = [_Member(c) for c in configs]
+        self._width = _slab(n, method)
+
+    def outcome(self, k: int) -> MixingResult | Exception:
+        """Config k's result or failure, searching its slab first if it has not been."""
+        if self._members[k].outcome is None:
+            lo = k - k % self._width
+            _search(self._members[lo:lo + self._width], *self.request)
+        return self._members[k].outcome
 
 
 def mixing_time(
@@ -256,7 +468,7 @@ def mixing_time(
     mode: str = "sustained",
     horizon: float | None = None,
     dt: float = 0.01,
-    propagator: DiagonalPropagator | None = None,
+    search: LockstepSearch | None = None,
 ) -> MixingResult:
     """Smallest time at which the walk is eps-close to uniform.
 
@@ -267,68 +479,27 @@ def mixing_time(
 
     The mode-sum methods bound the distance by an envelope
     E(t) = sum_k |w_k| exp(Re z_k t) that decreases in t (ModeSum).  E
-    is evaluated at the grid's lead times
-    (evolution.lead_lag, every 46th time), and the grid rows from the
-    first lead time with E <= eps - envelope_margin on are not evaluated:
-    the margin covers the rounding of both the envelope and the
-    distance, so every row left out would have read <= eps.  The rows
-    before the cut are bitwise those of the whole grid, so both modes
-    give what the whole grid gives.  A row left out cannot be
-    non-finite (every rate decays and every amplitude is finite), so no
-    IntegrationError is missed.  With no envelope (an expm block, gamma =
-    0) and on the RK4 methods, every row is evaluated.
+    is evaluated at the grid's lead times (every 46th time) up to the
+    first one with E <= eps - envelope_margin, and the grid rows from
+    there on are not evaluated: the margin covers the rounding of both
+    the envelope and the distance, so every row left out would have
+    read <= eps.  The rows before the cut are bitwise those of the whole
+    grid, so both modes give what the whole grid gives.  A row left out
+    cannot be non-finite (every rate decays and every amplitude is
+    finite), so no IntegrationError is missed.  With no envelope (an
+    expm block, gamma = 0) and on the RK4 methods, every row is
+    evaluated.
 
-    propagator, if given, is the exact method's DiagonalPropagator of
-    config, built beforehand (sweep_gamma solves a slab of them at once);
-    else the exact method builds its own.
+    This is the one-config case of LockstepSearch, and raises the
+    failure it reports.  search, if given, is a LockstepSearch holding
+    config, built for the same eps, method, mode, horizon and dt, which
+    answers instead (sweep_gamma searches its grid so).
     """
-    check_request(config.n, eps, method)
-    if propagator is not None and (method != "exact" or propagator.config != config):
-        raise ValueError("a propagator is taken by the exact method only, built for its config")
-    check_positive("dt", dt)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if horizon is None:
-        horizon = default_horizon(config, eps)
-    check_positive("horizon", horizon)
-
-    times = np.linspace(0.0, float(horizon), GRID_INTERVALS + 1)
-    distributions = _route(config, method, times, dt, propagator)
-    uniform = uniform_distribution(config.n)
-
-    def distance(ts: np.ndarray, cut: float | None = None) -> np.ndarray:
-        table = distributions(ts, cut)  # every method returns a fresh table: reduce it in place
-        table -= uniform
-        np.abs(table, out=table)
-        return table.sum(axis=1)
-
-    # A mode sum leaves out the rows past its envelope's cut: they are under eps.
-    below = np.ones(times.size, dtype=bool)
-    near = distance(times, eps)
-    below[:near.size] = near <= eps
-    if mode == "sustained":
-        below = np.logical_and.accumulate(below[::-1])[::-1]
-
-    hits = np.flatnonzero(below)
-    if hits.size == 0:
-        return MixingResult(
-            t_mix=float(horizon), converged=False, eps=eps, method=method,
-            mode=mode, horizon=float(horizon), bracket=0.0,
-        )
-    first = int(hits[0])
-    if first == 0:
-        return MixingResult(
-            t_mix=0.0, converged=True, eps=eps, method=method,
-            mode=mode, horizon=float(horizon), bracket=0.0,
-        )
-    lo, hi = float(times[first - 1]), float(times[first])
-    while hi - lo > RELATIVE_BRACKET * hi:
-        mid = 0.5 * (lo + hi)
-        if distance(np.array([mid]))[0] <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return MixingResult(
-        t_mix=hi, converged=True, eps=eps, method=method,
-        mode=mode, horizon=float(horizon), bracket=hi - lo,
-    )
+    if search is None:
+        search = LockstepSearch([config], eps, method, mode, horizon, dt)
+    elif search.request != (eps, method, mode, horizon, dt) or config not in search.index:
+        raise ValueError("a lockstep search answers for its own configs and request only")
+    outcome = search.outcome(search.index[config])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -121,8 +121,8 @@ def _check_mode(m: int, n: int, size: int) -> None:
         raise ValueError(f"mode indices must lie in [0, {size}), got ({m}, {n})")
 
 
-class _PerturbativeKernel:
-    """First-order shifted modes as a ModeSum over the index-sum blocks.
+def perturbative_modes(n: int, gammas) -> ModeSum:
+    """First-order shifted modes of each of gammas, one ModeSum member each.
 
     Block s of the literal-S generator is diag(lambda_m) - gamma I plus
     the rank-one term (gamma/N) 1 1^T.  At first order only the diagonal
@@ -130,19 +130,29 @@ class _PerturbativeKernel:
     m = s-m, 2 for a swap pair) keeps amplitude c and its undamped rate
     shifted by -gamma + gamma c / N: -gamma (N-1)/N for c = 1 and
     -gamma (N-2)/N for c = 2.  Both tables are _block_rates' (beta,
-    counts) tables taken entrywise, so a padding entry keeps amplitude 0.
+    counts) tables taken entrywise, built once for all gammas, so a
+    padding entry keeps amplitude 0.
     """
+    _check_modesum_size(n)
+    gamma = np.asarray(gammas, dtype=float)[:, None, None]
+    beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), "s-literal")
+    return ModeSum(n, 1j * beta - gamma + gamma * counts / n,
+                   np.broadcast_to(counts, gamma.shape[:1] + counts.shape))
 
-    def __init__(self, config: WalkConfig) -> None:
-        _check_modesum_size(config.n)
-        n, gamma = config.n, config.gamma
-        beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), "s-literal")
-        self._modes = ModeSum(n, 1j * beta - gamma + gamma * counts / n, counts)
 
-    def distributions(self, times: np.ndarray, eps: float | None = None) -> np.ndarray:
+class _PerturbativeKernel:
+    """First-order shifted modes of one config as a ModeSum over the index-sum
+    blocks (perturbative_modes); modes, if given, is its member of a stack
+    built with other gammas."""
+
+    def __init__(self, config: WalkConfig, modes: ModeSum | None = None) -> None:
+        self._modes = perturbative_modes(config.n, [config.gamma]) if modes is None else modes
+
+    def distributions(self, times: np.ndarray, eps: float | None = None,
+                      uniform: bool = False) -> np.ndarray:
         """Distributions at many times; with eps, the rows before the
         envelope's cut only (evolution.ModeSum.distributions)."""
-        return self._modes.distributions(times, eps)
+        return self._modes.distributions(times, eps, uniform)
 
 
 def perturbative_distribution(config: WalkConfig, t: float) -> np.ndarray:

@@ -7,12 +7,17 @@ is large in both tails with a unique interior optimum.  This module
 sweeps log-spaced gamma grids, locates and optionally refines that
 optimum, and fits the two tail slopes on a log-log scale.
 
-Every point is one mixing_time search.  On the exact method the
-propagators of a grid are solved beforehand in slabs, one stacked
-secular solve per slab (evolution.secular_mode_sums): the blocks of
-every gamma share their undamped rates and size classes, so a slab
-takes one eigenvalue call and one Newton polish per size class, not one
-per gamma, and each point gets the bits it would get alone.
+Every point is one mixing_time search, answered by one
+mixing.LockstepSearch over the whole grid.  It searches the grid in
+slabs of gammas (all 25 of the default grid up to n = 46 on exact and
+perturbative, one at a time on RK4).  A slab builds its mode sums at once: on
+the exact method one stacked secular solve (evolution.secular_mode_sums),
+in which the blocks of every gamma share their undamped rates and size
+classes, so a slab takes one eigenvalue call and one Newton polish per
+size class, not one per gamma.  Each gamma's grid is then scanned on
+its own, and the bisections run in lockstep, one stacked call per level
+for the whole slab.  Each point gets the bits it would get alone, and a
+point that fails records the reason it gives alone.
 """
 
 from __future__ import annotations
@@ -22,14 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (
-    MAX_DENSE_N,
-    DiagonalPropagator,
-    IntegrationError,
-    secular_mode_sums,
-    secular_slab,
-)
-from .mixing import check_request, mixing_time
+from .evolution import MAX_DENSE_N
+from .mixing import SEARCH_ERRORS, LockstepSearch, check_request, mixing_time
 from .model import WalkConfig, check_positive
 
 DEFAULT_EPS = 0.01
@@ -108,30 +107,14 @@ def default_method(n: int) -> str:
     return "s-literal" if EXACT_METHOD_MAX_N < n <= MAX_DENSE_N else "exact"
 
 
-def _evaluate_point(n: int, gamma: float, eps: float, method: str,
-                    propagator: DiagonalPropagator | None = None) -> SweepPoint:
+def _evaluate_point(config: WalkConfig, eps: float, method: str,
+                    search: LockstepSearch | None = None) -> SweepPoint:
     try:
-        result = mixing_time(WalkConfig(n=n, gamma=gamma), eps, method=method,
-                             propagator=propagator)
-    except (ValueError, IntegrationError, np.linalg.LinAlgError) as exc:
-        return SweepPoint(gamma=gamma, t_mix=float("nan"), converged=False,
+        result = mixing_time(config, eps, method=method, search=search)
+    except SEARCH_ERRORS as exc:
+        return SweepPoint(gamma=config.gamma, t_mix=float("nan"), converged=False,
                           reason=f"{type(exc).__name__}: {exc}")
-    return SweepPoint(gamma=gamma, t_mix=result.t_mix, converged=result.converged)
-
-
-def _slab_propagators(n: int, gammas: np.ndarray) -> list[DiagonalPropagator | None]:
-    """The exact propagator of each gamma, from one stacked secular solve.
-
-    If that solve raises a ValueError or LinAlgError, every entry is
-    None: each point then solves alone in mixing_time, and only the
-    points that fail alone record a reason.
-    """
-    try:
-        modes = secular_mode_sums(n, gammas)
-    except (ValueError, np.linalg.LinAlgError):
-        return [None] * gammas.size
-    return [DiagonalPropagator(WalkConfig(n=n, gamma=float(g)), modes=m)
-            for g, m in zip(gammas, modes)]
+    return SweepPoint(gamma=config.gamma, t_mix=result.t_mix, converged=result.converged)
 
 
 def sweep_gamma(
@@ -148,10 +131,10 @@ def sweep_gamma(
     would fail every point (see mixing.check_request) is refused before
     any point runs.
 
-    The exact method solves its propagators in slabs of
-    evolution.secular_slab gammas, one stacked solve per slab (all 25
-    of the default grid up to n = 46), and hands each point its own; a
-    slab whose solve fails has each of its points solve alone.
+    The points are searched by one mixing.LockstepSearch, in slabs
+    searched in lockstep (one stacked secular solve per slab on the
+    exact method, all 25 of the default grid up to n = 46); a slab whose
+    stacked solve fails has each of its points solve alone.
     """
     if gammas is None:
         gammas = default_gamma_grid()
@@ -165,14 +148,9 @@ def sweep_gamma(
     if method is None:
         method = default_method(n)
     check_request(n, eps, method)
-    width = secular_slab(n) if method == "exact" else gammas.size
-    points = []
-    for lo in range(0, gammas.size, width):
-        slab = gammas[lo:lo + width]
-        built = _slab_propagators(n, slab) if method == "exact" else [None] * slab.size
-        points += [_evaluate_point(int(n), float(g), float(eps), method, propagator)
-                   for g, propagator in zip(slab, built)]
-    points = tuple(points)
+    configs = [WalkConfig(n=int(n), gamma=float(g)) for g in gammas]
+    search = LockstepSearch(configs, float(eps), method)
+    points = tuple(_evaluate_point(c, float(eps), method, search) for c in configs)
 
     gamma_opt = t_opt = None
     converged = [p for p in points if p.converged and math.isfinite(p.t_mix)]
@@ -208,7 +186,7 @@ def optimal_gamma(result: SweepResult, refine: bool = True) -> tuple[float, floa
         return best_gamma, best_t
 
     def measure(gamma: float) -> float:
-        point = _evaluate_point(result.n, gamma, result.eps, result.method)
+        point = _evaluate_point(WalkConfig(n=result.n, gamma=gamma), result.eps, result.method)
         return point.t_mix if point.converged and math.isfinite(point.t_mix) else math.inf
 
     lo, hi = converged[arg - 1].gamma, converged[arg + 1].gamma

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decowalk import evolution, mixing, spectral, sweep
+from decowalk import evolution, large_gamma, mixing, spectral, sweep
 from decowalk.cli import main
 from decowalk.evolution import (
     DiagonalPropagator,
@@ -717,7 +717,7 @@ class TestDiagonalPropagator:
         # Every block falls back to expm, whose exponential overflows long
         # before the distribution mixes; the distance must not read NaN.
         prop = DiagonalPropagator(WalkConfig(n=5, gamma=gamma))
-        assert len(prop._modes.dense) == 2
+        assert len(prop._modes.dense[0]) == 2
         with pytest.raises(evolution.IntegrationError,
                            match=r"^mode sum is not finite at t=4\.88281e\+28$"):
             prop.distributions(np.linspace(0.0, 1e32, 2049))
@@ -728,7 +728,7 @@ class TestDiagonalPropagator:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mode_block_raises(self):
         # The rates-and-amplitudes blocks of the perturbative route share the check.
-        modes = evolution.ModeSum(4, np.ones((2, 1)), np.ones((2, 1)))
+        modes = evolution.ModeSum(4, np.ones((1, 2, 1)), np.ones((1, 2, 1)))
         with pytest.raises(evolution.IntegrationError,
                            match=r"^mode sum is not finite at t=1000$"):
             modes.distributions(np.array([0.0, 1.0, 1000.0]))
@@ -755,7 +755,7 @@ def _mode_tables(prop):
     """The bytes of every table a propagator's mode sum holds."""
     modes = prop._modes
     return (modes._rates.tobytes(), modes._amps.tobytes(),
-            [(row, block.tobytes(), root.tobytes()) for row, block, root in modes.dense])
+            [(row, block.tobytes(), root.tobytes()) for row, block, root in modes.dense[0]])
 
 
 class TestStackedBlockModes:
@@ -786,7 +786,7 @@ class TestStackedBlockModes:
         found = _per_block(evolution._block_modes(beta, counts, 0.1957, 64))
         assert [s for s, modes in zip(s_values, found) if modes is None] == [4]
         prop = DiagonalPropagator(WalkConfig(n=64, gamma=0.1957), model)
-        assert [row + 1 for row, _, _ in prop._modes.dense] == [4]
+        assert [row + 1 for row, _, _ in prop._modes.dense[0]] == [4]
 
     @pytest.mark.parametrize("entries", [1, evolution._SECULAR_TABLES * 3 * 33 * 34 + 1])
     @pytest.mark.parametrize("n, gamma, model", [(20, 0.3, "rho"), (64, 0.1957, "s-literal"),
@@ -823,21 +823,22 @@ class TestStackedBlockModes:
         for model in ("s-literal", "rho"):
             for n, gammas in sizes:
                 stacked = evolution.secular_mode_sums(n, gammas, model)
-                assert len(stacked) == gammas.size
-                for gamma, modes in zip(gammas, stacked):
+                assert stacked._rates.shape[0] == gammas.size
+                for g, gamma in enumerate(gammas):
+                    modes = stacked.member(g)
                     alone = DiagonalPropagator(WalkConfig(n=n, gamma=float(gamma)), model)
                     assert _mode_tables(alone) == _mode_tables(DiagonalPropagator(
                         WalkConfig(n=n, gamma=float(gamma)), model, modes=modes))
                     cases += 1
-                    fallbacks += len(modes.dense)
+                    fallbacks += len(modes.dense[0])
         assert cases == 2 * (11 * 25 + 1 + 2)
         assert fallbacks >= 4  # n = 4 at gamma = 1 and n = 64 at sin(4 pi / 64), both models
 
     def test_undamped_rows_in_a_damped_stack(self):
         # gamma = 0 rows keep their poles and counts beside damped rows.
         stacked = evolution.secular_mode_sums(7, [0.0, 0.3, 0.0, 2.0])
-        for gamma, modes in zip((0.0, 0.3, 0.0, 2.0), stacked):
-            alone = evolution.secular_mode_sums(7, [gamma])[0]
+        for g, gamma in enumerate((0.0, 0.3, 0.0, 2.0)):
+            modes, alone = stacked.member(g), evolution.secular_mode_sums(7, [gamma])
             assert modes._rates.tobytes() == alone._rates.tobytes()
             assert modes._amps.tobytes() == alone._amps.tobytes()
 
@@ -954,6 +955,50 @@ class TestModeSumGrid:
         assert peak - out.nbytes <= 1 << 20
 
 
+class TestModeSumAt:
+    """ModeSum.at, one time per member in one stacked call, against each member alone."""
+
+    def test_rows_equal_each_member_alone(self):
+        # Block s = 4 of n = 64 falls back to expm at gamma = 0.1957.
+        rng = np.random.default_rng(7)
+        stacks = [
+            evolution.secular_mode_sums(20, sweep.default_gamma_grid()),
+            evolution.secular_mode_sums(64, [0.1, 0.1957, 1.0], "rho"),
+            spectral.perturbative_modes(64, np.geomspace(1e-5, 1e-3, 7)),
+            large_gamma.heat_kernel_modes(256, np.geomspace(3.0, 100.0, 13)),
+        ]
+        rows = dense = 0
+        for stack in stacks:
+            members = stack._rates.shape[0]
+            times = rng.uniform(0.0, 300.0, members)
+            got = stack.at(times)
+            assert got.shape == (members, stack.n)
+            for g in range(members):
+                alone = stack.member(g).distributions(times[g:g + 1])[0]
+                assert got[g].tobytes() == alone.tobytes()
+                dense += len(stack.dense[g])
+                rows += 1
+        assert rows == 25 + 3 + 7 + 13 and dense >= 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_row_that_is_not_finite_leaves_the_others(self):
+        rates, amps = _random_tables(8, seed=2)
+        stacked = np.stack([amps, amps, amps])
+        stacked[1, 0, 0] = np.inf
+        times = np.array([1.0, 2.0, 3.0])
+        got = evolution.ModeSum(8, np.stack([rates] * 3), stacked).at(times)
+        assert not np.isfinite(got[1]).all()
+        alone = evolution.ModeSum(8, rates[None], amps[None])
+        for g in (0, 2):
+            assert got[g].tobytes() == alone.distributions(times[g:g + 1])[0].tobytes()
+
+    def test_one_member_distributions_only(self):
+        stack = spectral.perturbative_modes(8, [0.1, 0.2])
+        with pytest.raises(ValueError, match="one member"):
+            stack.distributions(np.array([1.0]))
+        assert stack.member(1).distributions(np.array([1.0])).shape == (1, 8)
+
+
 def _phase_table_sum(n, rates, amps, dense, times):
     """1/N + Re sum_s c_s omega^(s j) f_s(t), c_s = 2/N^2 (1/N^2 at s = N/2),
     summed term by term through the n x S phase table: the reference combine."""
@@ -996,7 +1041,7 @@ class TestModeSumCombine:
         # Even n puts the s = N/2 row, of weight 1/N^2, last.
         rates, amps = _random_tables(n, seed=n, rows=rows)
         ts = _COMBINE_TIMES[times]
-        got = evolution.ModeSum(n, rates, amps).distributions(ts)
+        got = evolution.ModeSum(n, rates[None], amps[None]).distributions(ts)
         want = _phase_table_sum(n, rates, amps, [], ts)
         assert np.abs(got - want).max() <= 1e-14
         if rows == "last":
@@ -1008,11 +1053,11 @@ class TestModeSumCombine:
         # One lead row and one block per chunk, or a few of each.
         rates, amps = _random_tables(10, seed=3)
         ts = _COMBINE_TIMES[times]
-        whole = evolution.ModeSum(10, rates, amps).distributions(ts)
+        whole = evolution.ModeSum(10, rates[None], amps[None]).distributions(ts)
         monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", entries)
         with monkeypatch.context() as patch:
             lags = _spy_lags(patch)
-            got = evolution.ModeSum(10, rates, amps).distributions(ts)
+            got = evolution.ModeSum(10, rates[None], amps[None]).distributions(ts)
         assert (lags[0] > 1) == (times == "grid")
         assert np.abs(got - whole).max() <= 1e-15
         assert np.abs(got - _phase_table_sum(10, rates, amps, [], ts)).max() <= 1e-14
@@ -1028,7 +1073,7 @@ class TestModeSumCombine:
         block = random_symmetric(rng, 3).astype(complex) - 3.0 * np.eye(3)
         block += 1j * np.diag(rng.uniform(-1.0, 1.0, 3))
         root = np.sqrt(np.array([1.0, 2.0, 2.0]))
-        modes = evolution.ModeSum(n, rates, amps, [(row, block, root)])
+        modes = evolution.ModeSum(n, rates[None], amps[None], [[(row, block, root)]])
         assert modes._envelope is None
         ts = _COMBINE_TIMES[times]
         want = _phase_table_sum(n, rates, amps, [(row, block, root)], ts)
@@ -1038,7 +1083,7 @@ class TestModeSumCombine:
     def test_uniform_term_is_exact(self, n):
         # Column 0 of the half spectrum is 1 exactly, also where
         # n * (1/n) rounds below 1 (n = 49, 98, 103).
-        zeros = np.zeros((n // 2, 2))
+        zeros = np.zeros((1, n // 2, 2))
         got = evolution.ModeSum(n, zeros, zeros).distributions(np.array([0.0, 5.0]))
         assert np.array_equal(got, np.full((2, n), 1.0 / n))
 

@@ -190,8 +190,8 @@ class TestClosedFormA:
         lags = []
         real = evolution.lead_lag
 
-        def spy(ts):
-            split = real(ts)
+        def spy(ts, *args):
+            split = real(ts, *args)
             lags.append(split[1].size)
             return split
 

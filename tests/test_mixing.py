@@ -1,5 +1,7 @@
 """Total-variation distance and mixing-time search."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,9 @@ from decowalk.evolution import (
 )
 from decowalk.large_gamma import closed_form_a, large_gamma_bounds
 from decowalk.mixing import (
+    MODES,
+    LockstepSearch,
+    MixingResult,
     default_horizon,
     mixing_time,
     total_variation,
@@ -101,20 +106,32 @@ class TestMixingTime:
         assert at_mix <= 0.01 + 1e-9
         assert before > 0.01
 
-    def test_closed_form_is_called_once_per_search_step(self, monkeypatch):
-        # One call for the whole grid, then one per bisection midpoint.
-        calls = []
+    def test_closed_form_builds_its_mode_sum_once_per_search(self, monkeypatch):
+        # One table build serves the grid and every bisection midpoint, each
+        # midpoint one single-time ModeSum.at call; closed_form_a, which
+        # builds its own, is not called.
+        builds, midpoints = [], []
+        real_build, real_at = mixing.heat_kernel_modes, evolution.ModeSum.at
 
-        def counted(config, t, eps=None):
-            calls.append(np.shape(t))
-            return closed_form_a(config, t, eps)
+        def build(n, gammas):
+            builds.append(len(gammas))
+            return real_build(n, gammas)
 
-        monkeypatch.setattr(mixing, "closed_form_a", counted)
+        def at(self, times):
+            midpoints.append(times.shape)
+            return real_at(self, times)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed_form_a was called")
+
+        monkeypatch.setattr(mixing, "heat_kernel_modes", build)
+        monkeypatch.setattr(evolution.ModeSum, "at", at)
+        monkeypatch.setattr(mixing, "closed_form_a", refuse)
         result = mixing_time(WalkConfig(n=30, gamma=5.0), 0.01, method="large-gamma-closed-form")
-        assert result.converged
-        assert calls[0] == (mixing.GRID_INTERVALS + 1,)
-        assert calls[1:] and all(shape == (1,) for shape in calls[1:])
-        assert len(calls) <= 1 + 20
+        assert result.converged and result.bracket > 0
+        assert builds == [1]
+        assert midpoints and all(shape == (1,) for shape in midpoints)
+        assert len(midpoints) <= 20
 
     def test_closed_form_grid_over_budget_is_refused_before_any_work(self, monkeypatch):
         # Room for the 2049-row grid of n = 5 doubles, not of n = 6.
@@ -125,7 +142,7 @@ class TestMixingTime:
         def refuse(*args, **kwargs):
             raise AssertionError("the closed form was evaluated")
 
-        monkeypatch.setattr(mixing, "closed_form_a", refuse)
+        monkeypatch.setattr(mixing, "heat_kernel_modes", refuse)
         with pytest.raises(ValueError, match="exceeds"):
             mixing_time(WalkConfig(n=6, gamma=5.0), 0.01, method="large-gamma-closed-form")
 
@@ -215,13 +232,150 @@ class TestMixingTime:
         with pytest.raises(ValueError):
             mixing_time(config, 0.1, horizon=-1.0)
 
-    def test_prebuilt_propagator(self):
-        config = WalkConfig(n=5, gamma=0.3)
-        prop = DiagonalPropagator(config)
-        assert mixing_time(config, 0.01, propagator=prop) == mixing_time(config, 0.01)
-        for other, method in ((WalkConfig(n=5, gamma=0.4), "exact"), (config, "perturbative")):
-            with pytest.raises(ValueError, match="propagator"):
-                mixing_time(other, 0.01, method=method, propagator=prop)
+
+def _bits(outcome):
+    """A search outcome by its bits: a result's fields, floats in hex, or a
+    failure's type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(outcome))
+
+
+# (n, gammas, method) of the lockstep cases: the default transition size
+# n = 20, an expm fallback (block s = 4 of n = 64 at gamma = 0.1957), and
+# the perturbative and large-gamma sweeps of the benchmark.
+_LOCKSTEP_CASES = {
+    "exact": (20, default_gamma_grid(), "exact"),
+    "exact with expm": (64, np.array([0.1, 0.1957, 1.0]), "exact"),
+    "perturbative": (64, np.geomspace(1e-5, 1e-3, 7), "perturbative"),
+    "closed form": (256, np.geomspace(3.0, 100.0, 13), "large-gamma-closed-form"),
+}
+
+
+def mixing_times(configs, *args, **kwargs):
+    """Every outcome of a LockstepSearch of configs."""
+    search = LockstepSearch(configs, *args, **kwargs)
+    return [search.outcome(k) for k in range(len(configs))]
+
+
+def _search_alone(config, eps, method, mode, horizon=None):
+    """The reference search of one config: its grid, then one single-time
+    distributions call per bisection midpoint."""
+    horizon = default_horizon(config, eps) if horizon is None else horizon
+    times = np.linspace(0.0, horizon, mixing.GRID_INTERVALS + 1)
+    route = {"exact": DiagonalPropagator, "perturbative": spectral._PerturbativeKernel}.get(method)
+    route = route(config).distributions if route else lambda ts, cut: closed_form_a(config, ts, cut)
+
+    def distance(ts, cut=None):
+        return np.abs(route(ts, cut) - 1.0 / config.n).sum(axis=1)
+
+    def result(t_mix, converged, bracket):
+        return MixingResult(t_mix=t_mix, converged=converged, eps=eps, method=method,
+                            mode=mode, horizon=float(horizon), bracket=bracket)
+
+    below = np.ones(times.size, dtype=bool)
+    near = distance(times, eps)
+    below[:near.size] = near <= eps
+    if mode == "sustained":
+        below = np.logical_and.accumulate(below[::-1])[::-1]
+    hits = np.flatnonzero(below)
+    if hits.size == 0:
+        return result(float(horizon), False, 0.0)
+    if hits[0] == 0:
+        return result(0.0, True, 0.0)
+    lo, hi = float(times[hits[0] - 1]), float(times[hits[0]])
+    while hi - lo > mixing.RELATIVE_BRACKET * hi:
+        mid = 0.5 * (lo + hi)
+        if distance(np.array([mid]))[0] <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return result(hi, True, hi - lo)
+
+
+class TestLockstepSearch:
+    """LockstepSearch against the search of each config alone, bit for bit."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", sorted(_LOCKSTEP_CASES))
+    def test_every_field_equals_the_search_alone(self, case, mode):
+        n, gammas, method = _LOCKSTEP_CASES[case]
+        configs = [WalkConfig(n=n, gamma=float(g)) for g in gammas]
+        alone = [_search_alone(c, 0.01, method, mode) for c in configs]
+        got = mixing_times(configs, 0.01, method, mode)
+        assert [_bits(o) for o in got] == [_bits(r) for r in alone]
+        assert all(r.converged and r.bracket > 0 for r in alone)
+        if case == "exact with expm":
+            # Every expm evaluation is slow: the other settings run without it.
+            assert DiagonalPropagator(configs[1]).mode == "expm"
+            return
+        # A horizon between the fastest and slowest crossing leaves some
+        # configs unconverged; eps = 2 is met at t = 0.
+        short = float(np.median([r.t_mix for r in alone]))
+        for eps, horizon in ((0.01, short), (2.0, None)):
+            want = [_search_alone(c, eps, method, mode, horizon) for c in configs]
+            got = mixing_times(configs, eps, method, mode, horizon)
+            assert [_bits(o) for o in got] == [_bits(r) for r in want]
+            if horizon is not None:
+                assert {r.converged for r in want} == {True, False}
+        assert all(r.t_mix == 0.0 for r in want)
+
+    def test_a_member_that_is_not_finite_fails_alone(self, monkeypatch):
+        # Block s = 1 of n = 4 is defective at gamma = 1 and falls back to
+        # expm; its flow reads NaN at every midpoint.
+        configs = [WalkConfig(n=4, gamma=g) for g in (0.5, 1.0, 2.0)]
+        want = [mixing_time(c, 0.01) for c in configs]
+        assert [DiagonalPropagator(c).mode for c in configs] == ["eig", "expm", "eig"]
+        real = evolution._expm_flows
+
+        def poisoned(times, block, root):
+            flows = real(times, block, root)
+            if times.size == 1 and times[0] > 0:
+                flows[:] = np.nan
+            return flows
+
+        monkeypatch.setattr(evolution, "_expm_flows", poisoned)
+        with pytest.raises(IntegrationError, match="^mode sum is not finite at t=") as alone:
+            mixing_time(configs[1], 0.01)
+        got = mixing_times(configs, 0.01)
+        assert _bits(got[1]) == ("IntegrationError", str(alone.value))
+        assert [_bits(got[0]), _bits(got[2])] == [_bits(want[0]), _bits(want[2])]
+
+    def test_rk4_configs_search_one_at_a_time(self, monkeypatch):
+        # One set of step blocks is alive at a time: each config's lattice
+        # is built after the previous config's last evaluation.
+        events = []
+        stepped = mixing._SteppedDistributions
+        real_init, real_distributions = stepped.__init__, stepped.distributions
+
+        def init(self, *args):
+            events.append("b")
+            real_init(self, *args)
+
+        def distributions(self, times):
+            events.append("e")
+            return real_distributions(self, times)
+
+        configs = [WalkConfig(n=6, gamma=g) for g in (0.5, 2.0)]
+        want = [mixing_time(c, 0.01, "s-literal") for c in configs]
+        monkeypatch.setattr(stepped, "__init__", init)
+        monkeypatch.setattr(stepped, "distributions", distributions)
+        got = mixing_times(configs, 0.01, "s-literal")
+        assert [_bits(o) for o in got] == [_bits(r) for r in want]
+        assert re.fullmatch("be+be+", "".join(events))
+
+    def test_input_guards(self):
+        config = WalkConfig(n=5, gamma=1.0)
+        for configs in ([], [config, WalkConfig(n=6, gamma=1.0)]):
+            with pytest.raises(ValueError, match="one n"):
+                LockstepSearch(configs, 0.01)
+        search = LockstepSearch([config], 0.01)
+        for other in ({"config": WalkConfig(n=5, gamma=2.0)}, {"eps": 0.1},
+                      {"method": "perturbative"}, {"horizon": 50.0}):
+            args = {"config": config, "eps": 0.01, **other}
+            with pytest.raises(ValueError, match="its own configs and request"):
+                mixing_time(search=search, **args)
+        assert mixing_time(config, 0.01, search=search) == search.outcome(0)
 
 
 def _stepped(n, model, gamma=1.0, cells=4, cell=1.0):
@@ -375,7 +529,7 @@ class TestEnvelopeCut:
             route = DiagonalPropagator(config) if method == "exact" else (
                 spectral._PerturbativeKernel(config))
             if route._modes._envelope is None:
-                assert route._modes.dense  # n = 64, gamma = 1: expm blocks, no envelope
+                assert route._modes.dense[0]  # n = 64, gamma = 1: expm blocks, no envelope
                 continue
             rates, weights = route._modes._envelope
             times = _grid(config)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from decowalk import evolution, sweep
+from decowalk import evolution, mixing, sweep
+from decowalk.model import WalkConfig
 from decowalk.sweep import (
+    DEFAULT_EPS,
     DEFAULT_GAMMA_POINTS,
     EXACT_METHOD_MAX_N,
     SweepPoint,
@@ -120,6 +122,44 @@ class TestSweepGamma:
         assert len(stacks) == 2 + 2 * 3 * 2  # one stack per class and gamma
         for rows, size, entries in stacks:
             assert evolution._SECULAR_TABLES * rows * size * (size + 1) <= entries
+
+    def test_a_point_that_is_not_finite_records_its_reason_alone(self, monkeypatch):
+        # Block s = 1 of n = 4 is defective at gamma = 1 and falls back to
+        # expm; its flow reads NaN at every bisection midpoint.
+        gammas = np.array([0.5, 1.0, 2.0])
+        want = sweep_gamma(4, gammas=gammas)
+        real = evolution._expm_flows
+
+        def poisoned(times, block, root):
+            flows = real(times, block, root)
+            if times.size == 1 and times[0] > 0:
+                flows[:] = np.nan
+            return flows
+
+        monkeypatch.setattr(evolution, "_expm_flows", poisoned)
+        with pytest.raises(evolution.IntegrationError) as alone:
+            mixing.mixing_time(WalkConfig(n=4, gamma=1.0), DEFAULT_EPS)
+        got = sweep_gamma(4, gammas=gammas)
+        assert got.points[1].reason == f"IntegrationError: {alone.value}"
+        assert not got.points[1].converged and np.isnan(got.points[1].t_mix)
+        assert got.points[::2] == want.points[::2]
+
+    def test_default_slab_bisects_in_at_most_eight_calls(self, monkeypatch):
+        # All 25 points of the default grid at n = 20 form one slab; each
+        # bisection level is one stacked call over the brackets still open.
+        calls = []
+        real = evolution.ModeSum.at
+
+        def counted(self, times):
+            calls.append(times.size)
+            return real(self, times)
+
+        monkeypatch.setattr(evolution.ModeSum, "at", counted)
+        assert evolution.secular_slab(20) >= DEFAULT_GAMMA_POINTS
+        result = sweep_gamma(20)
+        assert all(p.converged for p in result.points)
+        assert calls[0] == DEFAULT_GAMMA_POINTS
+        assert len(calls) <= 8
 
     def test_grid_guards(self):
         with pytest.raises(ValueError):
