@@ -1,7 +1,8 @@
 """Cross-validation suite tying the analytic routes to the integrators.
 
 Every closed form in this package has an independent numerical route:
-stencils against assembled generators, RK4 against dense exponentials,
+stencils against assembled generators, RK4 against dense exponentials
+and exact mixing times against RK4 trajectories,
 Fourier-mode eigenpairs against the generator they diagonalise, the
 strong-dephasing diffusion against a classical heat kernel, and so on.
 run_checks executes all of them and returns PASS/FAIL outcomes plus
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import TimeGrid, build_full_operator, exact_evolve, integrate
+from .evolution import TimeGrid, build_full_operator, effective_step, exact_evolve, integrate
 from .large_gamma import (
     classical_heat_kernel,
     closed_form_a,
@@ -27,7 +28,13 @@ from .large_gamma import (
     large_gamma_bounds,
     mode_rates,
 )
-from .mixing import GRID_INTERVALS, default_horizon, mixing_time
+from .mixing import (
+    GRID_INTERVALS,
+    default_horizon,
+    mixing_time,
+    total_variation,
+    uniform_distribution,
+)
 from .model import (
     WalkConfig,
     initial_state,
@@ -379,6 +386,43 @@ def exact_mixing_below_small_gamma_bound() -> list[CheckOutcome]:
                      f"t_mix / bound from {min(ratios):.4f} to {max(ratios):.4f}")]
 
 
+def _rk4_distance(config: WalkConfig, model: str, t: float, dt: float) -> float:
+    """Distance to uniform of the RK4 trajectory of the picture at t, in one stride."""
+    _, steps = effective_step(t, dt, config.gamma)
+    series = integrate(config, TimeGrid(t_end=t, dt=dt, sample_stride=steps), model)
+    return total_variation(series.dists[-1], uniform_distribution(config.n))
+
+
+def exact_mixing_bracketed_by_rk4() -> list[CheckOutcome]:
+    """RK4 trajectories cross eps inside each exact search's final bracket.
+
+    mixing_time on the exact mode sum of either picture (`exact` for
+    literal-S, `rho` for the density picture) gives t_mix and its
+    bracket.  integrate, which reads its generator blocks off the
+    right-hand sides and shares no rate, root or mode with the mode sum,
+    then steps the same picture at dt = 1e-3 to t_mix and to
+    t_mix - bracket.  A case passes when the RK4 distance is at most eps
+    at t_mix and above eps at t_mix - bracket, each within 1e-9; a
+    result that did not converge to a bracket fails it.
+    """
+    eps, dt, atol = 0.01, 1e-3, 1e-9
+    cases = passed = 0
+    for model, method in (("s-literal", "exact"), ("rho", "rho")):
+        for n in (5, 6, 8, 12):
+            for gamma in (0.01, 0.3, 3.0):
+                config = WalkConfig(n=n, gamma=gamma)
+                result = mixing_time(config, eps, method=method)
+                cases += 1
+                passed += (result.converged and result.bracket > 0
+                           and _rk4_distance(config, model, result.t_mix, dt) <= eps + atol
+                           and _rk4_distance(config, model, result.t_mix - result.bracket,
+                                             dt) > eps - atol)
+    return [_outcome("exact-mixing-bracketed-by-rk4", cases, passed == cases,
+                     f"RK4 distance crosses eps inside the exact bracket in {passed} of "
+                     f"{cases} cases, n in {{5, 6, 8, 12}} x gamma in {{0.01, 0.3, 3}} x "
+                     f"both pictures, eps={eps:g}, dt={dt:g} (tol {atol:g})")]
+
+
 def truncation_residual_report() -> list[CheckOutcome]:
     """Stencil residual of the tri-diagonal strong-dephasing state.
 
@@ -432,6 +476,7 @@ def run_checks() -> list[CheckOutcome]:
     outcomes += diffusive_crossing_in_bracket()
     outcomes += exact_mixing_in_large_gamma_bracket()
     outcomes += exact_mixing_below_small_gamma_bound()
+    outcomes += exact_mixing_bracketed_by_rk4()
     outcomes += truncation_residual_report()
     return outcomes
 

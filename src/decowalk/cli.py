@@ -124,9 +124,8 @@ def _cmd_mixing(parser, args) -> int:
     with _guard(parser):
         config = WalkConfig(n=args.n, gamma=args.gamma)
         check_eps(args.eps)
-        check_positive("dt", args.dt)
     result = mixing_time(config, args.eps, method=args.method, mode=args.mode,
-                         horizon=args.horizon, dt=args.dt)
+                         horizon=args.horizon)
     _write_json(args.output, {
         "command": "mixing",
         "n": args.n,
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="exact")
     p.add_argument("--mode", choices=MODES, default="sustained")
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--dt", type=float, default=0.01)
     _add_output(p)
 
     p = subs.add_parser("bounds", help="analytic mixing-time bounds for (n, gamma, eps)")
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-min", type=float, default=DEFAULT_GAMMA_MIN)
     p.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     p.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
-    p.add_argument("--method", choices=METHODS, default=None)
+    p.add_argument("--method", choices=METHODS, default="exact")
     _add_output(p)
 
     p = subs.add_parser("transition", help="sweeps for several cycle sizes plus tail slopes")
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-min", type=float, default=DEFAULT_GAMMA_MIN)
     p.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     p.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
-    p.add_argument("--method", choices=METHODS, default=None)
+    p.add_argument("--method", choices=METHODS, default="exact")
     _add_output(p)
 
     p = subs.add_parser("compare", help="exact vs approximate distributions at one time")

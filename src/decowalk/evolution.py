@@ -17,10 +17,10 @@ are computed three ways,
   block, so it grows close to N^4 per gamma, not N^3.
 
 Only the oracle builds the N^2 x N^2 generator (build_full_operator,
-also the tests' reference), and it is guarded to n <= MAX_DENSE_N, as
-are the RK4 mixing methods.  The block propagator never forms the
-generator and is guarded to n <= MAX_MODESUM_N.  Its mode sum, ModeSum,
-is the one evaluator behind every analytic distribution, combining its
+also the tests' reference), and it is guarded to n <= MAX_DENSE_N.  The
+block propagator never forms the generator and is guarded to
+n <= MAX_MODESUM_N.  Its mode sum, ModeSum, is the one evaluator behind
+every mixing time and every analytic distribution, combining its
 blocks through one inverse real FFT per time: the perturbative route
 (spectral) fills the same blocks with first-order rates, and the
 strong-dephasing closed form (large_gamma) with one heat-kernel mode
@@ -32,27 +32,25 @@ degree-4 Taylor polynomial of the step map,
 
     v  ->  (I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24) v,
 
-and RK4 applies it in one of two ways.  Both generators commute with the
-diagonal shift (j, k) -> (j+1, k+1), so a Fourier transform along the
-diagonals splits G into N blocks of N x N.  The states are real
+and RK4 (integrate, for trajectories) applies it in one of two ways.
+Both generators commute with the diagonal shift (j, k) -> (j+1, k+1),
+so a Fourier transform along the diagonals splits G into N blocks of
+N x N.  The states are real
 (literal-S) or Hermitian (density), so the blocks past N/2 mirror the
 others (to_blocks) and only the half spectrum, N//2 + 1 blocks, is
 built (generator_blocks, read off the right-hand sides in
 O(N^3 log N)); so is the step polynomial (rk4_step_matrix on the
 stack): O(N^4) to build or to square, 8 N^3 bytes each, and O(N^3) per
 step of a state in block coordinates (to_blocks / from_blocks).
-integrate uses them below STENCIL_MIN_N, and the RK4 mixing methods
-always do.  Both read a chain of hops H^k y0 as lead x lag (_HopChain):
-row 0 of (H^B)^a against H^b y0, at O(N^2) per sample plus
-O(N^4 log B) and with no table of states, H being the stride power of
-the step for integrate and the coarse-grid hop for the 2049-time grid
-of mixing._SteppedDistributions.  Only integrate's keep_states takes
-one batched product per sample.  From STENCIL_MIN_N up integrate holds
-no N^3 table: stencil_step evaluates the same polynomial in Horner form
-on the N x N state, with G(X) = L X - X L - gamma M o X (L the
-circulant neighbour coupling, M the off-diagonal mask), at O(N^3) per
-step.  Every working set is
-refused above MAX_TABLE_BYTES before any work starts.
+integrate uses them below STENCIL_MIN_N and reads its chain of hops
+H^k y0, H the stride power of the step, as lead x lag (_HopChain): row 0
+of (H^B)^a against H^b y0, at O(N^2) per sample plus O(N^4 log B) and
+with no table of states.  Only keep_states takes one batched product
+per sample.  From STENCIL_MIN_N up integrate holds no N^3 table:
+stencil_step evaluates the same polynomial in Horner form on the N x N
+state, with G(X) = L X - X L - gamma M o X (L the circulant neighbour
+coupling, M the off-diagonal mask), at O(N^3) per step.  Every working
+set is refused above MAX_TABLE_BYTES before any work starts.
 """
 
 from __future__ import annotations
@@ -76,8 +74,7 @@ from .model import (
 MODELS = ("s-literal", "rho")
 
 # The expm oracle builds the dense N^2 x N^2 generator and refuses larger
-# N (at n = 200 it would take 12.8 GB); the RK4 mixing methods, the
-# oracle's cross-check of T_mix, keep the same limit.
+# N (at n = 200 it would take 12.8 GB).  Nothing else is held to this limit.
 MAX_DENSE_N = 64
 # Mode sums hold S x K rate and amplitude tables (about N^2/4 entries
 # each) and evaluate in temporaries of at most _CHUNK_ENTRIES entries.
@@ -88,9 +85,9 @@ MAX_DENSE_N = 64
 MAX_MODESUM_N = 512
 # A trajectory table is held whole in memory before it is written out,
 # and is refused above this budget before any work starts, by
-# check_table_size; so are the RK4 step blocks, their levels, the lead
-# and lag tables of their chains and the stencil working set.  A mode sum needs far less even at MAX_MODESUM_N
-# (70 MiB, above).
+# check_table_size; so are the RK4 step blocks, the lead and lag tables
+# of their chains and the stencil working set.  A mode sum needs far
+# less even at MAX_MODESUM_N (70 MiB, above).
 MAX_TABLE_BYTES = 5 << 28  # 1.25 GiB
 # integrate steps the N x N state with stencil_step from this size up,
 # and uses the step blocks below it.  Over 5000 steps sampled every 10
@@ -162,10 +159,9 @@ def _check_model(model: str) -> None:
 
 
 def _check_dense_size(n: int) -> None:
-    """Refuse n > MAX_DENSE_N before the oracle or an RK4 mixing search starts."""
+    """Refuse n > MAX_DENSE_N before the oracle builds its generator."""
     if n > MAX_DENSE_N:
-        raise ValueError(
-            f"the expm oracle and RK4 mixing are guarded to n <= {MAX_DENSE_N}, got {n}")
+        raise ValueError(f"the expm oracle is guarded to n <= {MAX_DENSE_N}, got {n}")
 
 
 def _check_modesum_size(n: int) -> None:
@@ -379,8 +375,9 @@ def _chain_chunk(blocks: int, inner: int) -> int:
 class _HopChain:
     """Vertex distributions of the block states y_k = H^k y0, k < T, read as lead x lag.
 
-    H is a stack of M = N//2 + 1 hop blocks (M, N, N) and y0 a block
-    state (M, N) (to_blocks).  As in ModeSum, k splits as a B + b with
+    integrate's samples on the stride lattice: H is the stride power of
+    the RK4 step blocks, a stack of M = N//2 + 1 hop blocks (M, N, N),
+    and y0 the start as a block state (M, N) (to_blocks).  As in ModeSum, k splits as a B + b with
     B = ceil(sqrt(T)) (_chain_split), and only the entry block_diagonal
     reads is formed: Y^_k[q, 0] = e0^T (H_q^B)^a H_q^b y0_q.  The lag
     states H^b y0 (B - 1 batched products), the lead covectors, row 0 of
@@ -391,7 +388,8 @@ class _HopChain:
     give every distribution: O(N^2 T + N^4 log B), against O(N^3 T) for
     T sequential hops, and about sqrt(T) N^2 entries, not T N^2.  The
     lag states and H^B are kept, so state(k) rebuilds any y_k as (H^B)^a
-    applied to lag state b.
+    applied to lag state b: the last lattice state, where a partial
+    stride starts.
 
     dists (T, N) is written into out.  bad is the first k whose lag
     state, lead covector or distribution is not finite (T if none): the
@@ -1067,7 +1065,9 @@ def _size_classes(n: int, model: str):
     (s - 1) of each merged size, in increasing size."""
     beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), model)
     sizes = np.count_nonzero(counts, axis=1)
-    return beta, counts, {int(size): np.flatnonzero(sizes == size) for size in np.unique(sizes)}
+    # At most two sizes; np.unique would import numpy.ma on its first call.
+    return beta, counts, {size: np.flatnonzero(sizes == size)
+                          for size in sorted(set(sizes.tolist()))}
 
 
 def _block_rates(n: int, s, model: str):

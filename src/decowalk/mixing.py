@@ -3,8 +3,8 @@
 The distance is total variation ||P - U|| = sum_j |P_j - 1/N|, range
 [0, 2].  mixing_time scans a coarse grid of 2048 intervals over the
 search horizon, then bisects the bracketing interval with fresh distance
-evaluations down to relative width 1e-4.  A mode-sum method evaluates
-only the grid rows before its envelope's cut: past it the distance is
+evaluations down to relative width 1e-4.  A search evaluates only the
+grid rows before its mode sum's envelope's cut: past it the distance is
 known to stay under eps (see mixing_time).  Two crossing notions are
 supported: `first-crossing` (the literal first time the distance dips
 under eps) and `sustained` (the first time after which every sampled
@@ -19,32 +19,18 @@ route, scans each config's grid on its own, then bisects in lockstep:
 each level evaluates the midpoint of every bracket still open in one
 call, so that a slab of G gammas takes about 14 calls, not 14 G, and
 each config gets the bits it gets alone.
-The analytic methods are one evolution.ModeSum member per gamma, over
-the index sums s = 1..N/2, built for a slab at once: `exact` and
-`perturbative` hold the blocks of the literal-S generator, solved
-exactly (DiagonalPropagator, from one stacked secular solve,
-evolution.secular_mode_sums) or at first order
-(spectral.perturbative_modes), and `large-gamma-closed-form`
-(large_gamma.heat_kernel_modes, the mode sum of closed_form_a) one
-heat-kernel mode of the slow branch per block.  Every mode sum reads
-the grid as lead x lag: about 2 sqrt(T) exponentials per mode for T
-times.  A bisection level is one ModeSum.at over the slab: one stacked
-(G, S, 1, K) @ (G, S, K, 1) product of one exponential per mode, one
-inverse real FFT and one row sum.
-`s-literal` / `rho` step either master equation with RK4, guarded to
-n <= MAX_DENSE_N, on the half spectrum of the generator's
-diagonal-shift blocks, N//2 + 1 blocks of N x N
-(evolution.generator_blocks, O(N^3) to read off).  Their steps form a
-dyadic lattice (see _SteppedDistributions): one set of step blocks per
-search, squared up to the coarse-grid hop H at O(N^4) per squaring.  The
-grid is read as lead x lag, as ModeSum reads its own: row 0 of (H^B)^a
-against the lag states H^b y0 (evolution._HopChain, which integrate's
-trajectories share), about sqrt(T) N^2 entries and
-O(N^2 T + N^4 log B) for T times, with no table of T block states.  Each
-bisection midpoint costs at most p + 1 batched products of O(N^3), and
-four more off the lattice, from the coarse state below it, rebuilt once
-per cell.  An RK4 slab holds one config, so one lattice is alive at a
-time.
+Every method is one evolution.ModeSum member per gamma, over the index
+sums s = 1..N/2, built for a slab at once: `exact` (`s-literal` is its
+other name) and `rho` hold the exact blocks of the literal-S and of the
+density-matrix generator (DiagonalPropagator, one stacked secular solve
+per slab, evolution.secular_mode_sums), `perturbative` the literal-S
+blocks at first order (spectral.perturbative_modes), and
+`large-gamma-closed-form` one heat-kernel mode per block
+(large_gamma.heat_kernel_modes, the mode sum of closed_form_a).  Every
+mode sum reads the grid as lead x lag: about 2 sqrt(T) exponentials per
+mode for T times.  A bisection level is one ModeSum.at over the slab:
+one stacked (G, S, 1, K) @ (G, S, K, 1) product of one exponential per
+mode, one inverse real FFT and one row sum.
 The distance of a grid is taken in place on the method's table, so a
 search holds one T x n table, not two.
 """
@@ -59,20 +45,12 @@ from .evolution import (
     DiagonalPropagator,
     IntegrationError,
     ModeSum,
-    apply_blocks,
-    block_diagonal,
     build_full_operator,  # unused here; the benchmark tracer patches it by this name
     check_table_size,
-    effective_step,
-    generator_blocks,
-    rk4_step_matrix,
+    rk4_step_matrix,  # unused here; the benchmark tracer patches it by this name
     secular_mode_sums,
     secular_slab,
     stack_slab,
-    to_blocks,
-    _HopChain,
-    _as_state_vector,
-    _check_dense_size,
     _check_modesum_size,
 )
 from .large_gamma import (
@@ -137,116 +115,19 @@ def default_horizon(config: WalkConfig, eps: float) -> float:
     return 10.0 * max(small, large)
 
 
-class _SteppedDistributions:
-    """Vertex distributions of an RK4 trajectory on a dyadic lattice of one step.
-
-    The state is held in block coordinates (evolution.to_blocks), where
-    the generator is N//2 + 1 blocks of N x N (generator_blocks) and so
-    is the RK4 step S.  The step is dt = cell / 2^p, with 2^p the
-    smallest power of two at or above effective_step's count for one
-    coarse cell, and the levels S^(2^j), j = 0..p, are p batched
-    squarings, O(N^4) each.  H = S^(2^p) hops the coarse grid of T
-    times.  As in evolution.ModeSum,
-    grid index k splits as a B + b with B = ceil(sqrt(T)), and only the
-    entry the distribution reads is formed: Y^_k[q, 0] = e0^T (H_q^B)^a
-    H_q^b y0_q, from the lag states H^b y0, the lead covectors, row 0 of
-    (H^B)^a, and one batched contraction (evolution._HopChain, which
-    integrate shares): O(N^2 T + N^4 log B), against O(N^3 T) for T
-    sequential hops, and about sqrt(T) N^2 entries plus H^B, not
-    T N^2 / 2.  A later request at offset k dt from the grid point below
-    it (every bisection midpoint down to depth p) starts from that coarse
-    state, rebuilt as (H^B)^a H^b y0 and kept for the next request, and
-    takes one batched product with S^(2^j) per set bit j of k, O(N^3)
-    each.  A request off the lattice adds one RK4 step of the remaining
-    fraction of a step, in Horner form on the block vector.  The
-    generator blocks, the p + 1 levels, H^B, the lag and lead tables and
-    the distributions are refused above MAX_TABLE_BYTES before any is
-    built.  A non-finite lag state, lead covector, grid distribution or
-    rebuilt or advanced state raises IntegrationError naming its time:
-    on the grid, the first time whose distribution reads one.
-    """
-
-    def __init__(self, config: WalkConfig, model: str, times: np.ndarray, dt: float) -> None:
-        n = config.n
-        self._times = times
-        cell = float(times[1] - times[0])
-        _, per_cell = effective_step(cell, dt, config.gamma)
-        self._depth = (per_cell - 1).bit_length()
-        self._dt = cell / 2**self._depth
-        # Rows of n doubles: 2 (n//2 + 1) n per complex table of blocks (the
-        # generator, the depth + 1 levels and H^B), one per distribution,
-        # and the chain's lag, lead and contraction tables.
-        check_table_size("RK4 block levels and states",
-                         2 * (n // 2 + 1) * n * (self._depth + 3)
-                         + _HopChain.table_rows(n, times.size) + times.size, 8 * n)
-        self._blocks = generator_blocks(config, model)
-        hop = rk4_step_matrix(self._blocks, self._dt)
-        self._levels = [hop]
-        for _ in range(self._depth):
-            hop = hop @ hop
-            self._levels.append(hop)
-        start = to_blocks(_as_state_vector(config, model, None).reshape(n, n))
-        self._chain = _HopChain(hop, start, np.empty((times.size, n)))
-        if self._chain.bad < times.size:
-            raise IntegrationError(f"non-finite RK4 state at t={times[self._chain.bad]:g}")
-        self._coarse = (0, self._chain.lag[0])
-
-    def _coarse_state(self, k: int) -> np.ndarray:
-        """Block state at grid index k, rebuilt by the chain and kept for the next request."""
-        if self._coarse[0] != k:
-            state = self._chain.state(k)
-            if not np.isfinite(state).all():
-                raise IntegrationError(f"non-finite RK4 state at t={self._times[k]:g}")
-            self._coarse = (k, state)
-        return self._coarse[1]
-
-    def _advance(self, state: np.ndarray, delta: float, tol: float) -> np.ndarray:
-        """state advanced by delta: lattice steps, then one partial step if needed."""
-        steps = int(np.rint(delta / self._dt))
-        rest = delta - steps * self._dt
-        if abs(rest) <= tol:
-            rest = 0.0
-        elif rest < 0.0:
-            steps, rest = steps - 1, rest + self._dt
-        for j in reversed(range(steps.bit_length())):
-            if steps >> j & 1:
-                state = apply_blocks(self._levels[j], state)
-        if rest > 0.0:
-            # I + hG + ... + (hG)^4/24 applied in Horner form, as rk4_step_matrix.
-            start = state
-            for fraction in (rest / 4.0, rest / 3.0, rest / 2.0, rest):
-                state = start + fraction * apply_blocks(self._blocks, state)
-        return state
-
-    def distributions(self, times: np.ndarray) -> np.ndarray:
-        tol = 1e-12 * np.maximum(1.0, np.abs(times))
-        idx = np.searchsorted(self._times, times + tol, side="right") - 1
-        idx = np.clip(idx, 0, self._times.size - 1)
-        out = self._chain.dists[idx]
-        delta = times - self._times[idx]
-        for k in np.flatnonzero(np.abs(delta) > tol):
-            state = self._advance(self._coarse_state(int(idx[k])), float(delta[k]),
-                                  float(tol[k]))
-            if not np.isfinite(state).all():
-                raise IntegrationError(f"non-finite RK4 state at t={times[k]:g}")
-            out[k] = block_diagonal(state)
-        return out
-
-
 def check_request(n: int, eps: float, method: str) -> None:
     """Refuse a bad n, eps or method, or a size over the method's guard:
-    n <= MAX_DENSE_N for RK4, n <= MAX_MODESUM_N for a mode sum, and a
-    grid of n doubles per time within MAX_TABLE_BYTES for the closed form."""
+    n <= MAX_MODESUM_N for the exact blocks and the perturbative ones,
+    and a grid of n doubles per time within MAX_TABLE_BYTES for the
+    closed form."""
     check_cycle_size(n)
     check_eps(eps)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in ("s-literal", "rho"):
-        _check_dense_size(n)
-    elif method in ("exact", "perturbative"):
-        _check_modesum_size(n)
-    else:
+    if method == "large-gamma-closed-form":
         check_table_size("closed-form mixing grid", GRID_INTERVALS + 1, 8 * n)
+    else:
+        _check_modesum_size(n)
 
 
 # The failures a search records as the outcome of its own config
@@ -254,19 +135,21 @@ def check_request(n: int, eps: float, method: str) -> None:
 SEARCH_ERRORS = (ValueError, IntegrationError, np.linalg.LinAlgError)
 
 
+def _picture(method: str) -> str:
+    """The generator whose exact blocks the method sums: rho's own, else literal-S."""
+    return "rho" if method == "rho" else "s-literal"
+
+
 def _slab(n: int, method: str) -> int:
     """How many configs one lockstep search takes at once.
 
-    RK4 searches go one at a time, so one set of step blocks is alive at
-    once.  exact and perturbative hold the same (G, S, K) block tables,
-    which secular_slab sizes for the stacked secular solve; the closed
-    form holds one mode per block (stack_slab).
+    The exact methods and perturbative hold (G, S, K) block tables of
+    their picture, which secular_slab sizes for the stacked secular
+    solve; the closed form holds one mode per block (stack_slab).
     """
-    if method in ("s-literal", "rho"):
-        return 1
     if method == "large-gamma-closed-form":
         return stack_slab(n // 2)
-    return secular_slab(n)
+    return secular_slab(n, _picture(method))
 
 
 class _Member:
@@ -275,7 +158,7 @@ class _Member:
 
     def __init__(self, config: WalkConfig) -> None:
         self.config = config
-        self.horizon = self.grid = self.modes = self.stepped = self.outcome = None
+        self.horizon = self.grid = self.modes = self.outcome = None
         self.lo = self.hi = 0.0
 
     def times(self) -> np.ndarray:
@@ -291,31 +174,23 @@ def _distance(table: np.ndarray, uniform: np.ndarray) -> np.ndarray:
 
 
 def _mode_sum_route(method: str):
-    """(build, wrap) of a mode-sum method: build(n, gammas) gives the
-    ModeSum of a slab's gammas, one member each, and wrap(config, member)
-    the grid route of one config."""
-    if method == "exact":
-        return secular_mode_sums, lambda c, m: DiagonalPropagator(c, modes=m).distributions
+    """(build, wrap) of a method: build(n, gammas) gives the ModeSum of a
+    slab's gammas, one member each, and wrap(config, member) the grid
+    route of one config."""
     if method == "perturbative":
         return perturbative_modes, lambda c, m: _PerturbativeKernel(c, m).distributions
-    return heat_kernel_modes, lambda c, m: m.distributions
+    if method == "large-gamma-closed-form":
+        return heat_kernel_modes, lambda c, m: m.distributions
+    picture = _picture(method)
+    return (lambda n, gammas: secular_mode_sums(n, gammas, picture),
+            lambda c, m: DiagonalPropagator(c, picture, modes=m).distributions)
 
 
-def _attach_routes(members: list[_Member], method: str, dt: float) -> None:
-    """Give each member its grid route: its RK4 lattice, or its member of
-    one mode sum stacked over the slab's gammas.  If the stacked build
-    raises, each member builds alone, and only a member whose own build
-    fails records it."""
+def _attach_routes(members: list[_Member], method: str) -> None:
+    """Give each member its grid route, its member of one mode sum stacked
+    over the slab's gammas.  If the stacked build raises, each member
+    builds alone, and only a member whose own build fails records it."""
     if not members:
-        return
-    if method in ("s-literal", "rho"):
-        for m in members:
-            try:
-                m.stepped = _SteppedDistributions(m.config, method, m.times(), dt)
-            except SEARCH_ERRORS as exc:
-                m.outcome = exc
-                continue
-            m.grid = lambda ts, eps, uniform, stepped=m.stepped: stepped.distributions(ts)
         return
     build, wrap = _mode_sum_route(method)
     try:
@@ -335,13 +210,8 @@ def _attach_routes(members: list[_Member], method: str, dt: float) -> None:
 
 
 def _midpoints(members: list[_Member], mids: np.ndarray, uniform: np.ndarray):
-    """(distances, failures) of each member at its midpoint: one stacked
-    ModeSum.at for a slab of mode sums, failures None where there is none."""
-    if members[0].stepped is not None:  # an RK4 slab holds one config
-        try:
-            return _distance(members[0].stepped.distributions(mids), uniform), [None]
-        except SEARCH_ERRORS as exc:
-            return None, [exc]
+    """(distances, failures) of each member at its midpoint, by one stacked
+    ModeSum.at over the slab, failures None where there is none."""
     table = ModeSum.stack([m.modes for m in members]).at(mids)
     finite = np.isfinite(table).all(axis=1)
     return _distance(table, uniform), [None if ok else ModeSum.failure(t)
@@ -349,7 +219,7 @@ def _midpoints(members: list[_Member], mids: np.ndarray, uniform: np.ndarray):
 
 
 def _search(members: list[_Member], eps: float, method: str, mode: str,
-            horizon: float | None, dt: float) -> None:
+            horizon: float | None) -> None:
     """Search one slab in lockstep, leaving each member's outcome."""
 
     def result(m: _Member, t_mix: float, converged: bool, bracket: float) -> MixingResult:
@@ -364,13 +234,13 @@ def _search(members: list[_Member], eps: float, method: str, mode: str,
             m.outcome = exc
             continue
         m.horizon = float(span)
-    _attach_routes([m for m in members if m.outcome is None], method, dt)
+    _attach_routes([m for m in members if m.outcome is None], method)
     uniform = uniform_distribution(members[0].config.n)
     for m in members:
         if m.outcome is not None:
             continue
         times = m.times()
-        try:  # a mode sum leaves out the rows past its envelope's cut: they are under eps
+        try:  # the rows past the envelope's cut are left out: they are under eps
             near = _distance(m.grid(times, eps, True), uniform)
         except SEARCH_ERRORS as exc:
             m.outcome = exc
@@ -402,17 +272,17 @@ def _search(members: list[_Member], eps: float, method: str, mode: str,
     for m in members:
         if m.outcome is None:
             m.outcome = result(m, m.hi, True, m.hi - m.lo)
-        m.grid = m.modes = m.stepped = None  # a searched slab keeps its outcomes only
+        m.grid = m.modes = None  # a searched slab keeps its outcomes only
 
 
 class LockstepSearch:
     """The mixing-time searches of configs of one n, run slab by slab in lockstep.
 
-    A slab (_slab) holds one config on the RK4 methods, secular_slab(n)
-    gammas on exact and perturbative (all 25 of the default grid up to
-    n = 46) and stack_slab(N/2) on the closed form.  It is searched at
+    A slab (_slab) holds secular_slab(n) gammas on the exact methods and
+    perturbative (all 25 of the default grid up to n = 46 in the literal-S
+    picture) and stack_slab(N/2) on the closed form.  It is searched at
     the first outcome asked of any of its configs: it builds its routes,
-    the exact method in one stacked secular solve
+    the exact methods in one stacked secular solve
     (evolution.secular_mode_sums) and the other mode sums in one table
     build, then scans each config's grid on its own, and then bisects
     in lockstep: each level takes the midpoint of every bracket still
@@ -424,7 +294,7 @@ class LockstepSearch:
     IntegrationError or LinAlgError its own search failed with (any
     other exception propagates): every outcome, result or failure, is
     the one mixing_time gives for that config alone, and a config whose
-    midpoint is not finite fails alone.  A bad eps, method, mode, dt or
+    midpoint is not finite fails alone.  A bad eps, method, mode or
     horizon, common to all, is refused here.  sweep_gamma asks for each
     point through mixing_time(..., search=).
     """
@@ -436,19 +306,17 @@ class LockstepSearch:
         method: str = "exact",
         mode: str = "sustained",
         horizon: float | None = None,
-        dt: float = 0.01,
     ) -> None:
         configs = list(configs)
         if not configs or any(c.n != configs[0].n for c in configs):
             raise ValueError("a lockstep search takes one or more configs, all of one n")
         n = configs[0].n
         check_request(n, eps, method)
-        check_positive("dt", dt)
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if horizon is not None:
             check_positive("horizon", horizon)
-        self.request = (eps, method, mode, horizon, dt)
+        self.request = (eps, method, mode, horizon)
         self.index = {c: k for k, c in enumerate(configs)}
         self._members = [_Member(c) for c in configs]
         self._width = _slab(n, method)
@@ -467,7 +335,6 @@ def mixing_time(
     method: str = "exact",
     mode: str = "sustained",
     horizon: float | None = None,
-    dt: float = 0.01,
     search: LockstepSearch | None = None,
 ) -> MixingResult:
     """Smallest time at which the walk is eps-close to uniform.
@@ -477,7 +344,7 @@ def mixing_time(
     every later grid sample stays <= eps.  Reports converged=False with
     t_mix=horizon when the distance never qualifies.
 
-    The mode-sum methods bound the distance by an envelope
+    Every method's mode sum bounds the distance by an envelope
     E(t) = sum_k |w_k| exp(Re z_k t) that decreases in t (ModeSum).  E
     is evaluated at the grid's lead times (every 46th time) up to the
     first one with E <= eps - envelope_margin, and the grid rows from
@@ -487,17 +354,16 @@ def mixing_time(
     grid, so both modes give what the whole grid gives.  A row left out
     cannot be non-finite (every rate decays and every amplitude is
     finite), so no IntegrationError is missed.  With no envelope (an
-    expm block, gamma = 0) and on the RK4 methods, every row is
-    evaluated.
+    expm block, gamma = 0) every row is evaluated.
 
     This is the one-config case of LockstepSearch, and raises the
     failure it reports.  search, if given, is a LockstepSearch holding
-    config, built for the same eps, method, mode, horizon and dt, which
+    config, built for the same eps, method, mode and horizon, which
     answers instead (sweep_gamma searches its grid so).
     """
     if search is None:
-        search = LockstepSearch([config], eps, method, mode, horizon, dt)
-    elif search.request != (eps, method, mode, horizon, dt) or config not in search.index:
+        search = LockstepSearch([config], eps, method, mode, horizon)
+    elif search.request != (eps, method, mode, horizon) or config not in search.index:
         raise ValueError("a lockstep search answers for its own configs and request only")
     outcome = search.outcome(search.index[config])
     if isinstance(outcome, Exception):

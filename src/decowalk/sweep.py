@@ -10,8 +10,8 @@ optimum, and fits the two tail slopes on a log-log scale.
 Every point is one mixing_time search, answered by one
 mixing.LockstepSearch over the whole grid.  It searches the grid in
 slabs of gammas (all 25 of the default grid up to n = 46 on exact and
-perturbative, one at a time on RK4).  A slab builds its mode sums at once: on
-the exact method one stacked secular solve (evolution.secular_mode_sums),
+perturbative).  A slab builds its mode sums at once: on the exact
+methods one stacked secular solve (evolution.secular_mode_sums),
 in which the blocks of every gamma share their undamped rates and size
 classes, so a slab takes one eigenvalue call and one Newton polish per
 size class, not one per gamma.  Each gamma's grid is then scanned on
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import MAX_DENSE_N
 from .mixing import SEARCH_ERRORS, LockstepSearch, check_request, mixing_time
 from .model import WalkConfig, check_positive
 
@@ -35,11 +34,6 @@ DEFAULT_EPS = 0.01
 DEFAULT_GAMMA_MIN = 1e-3
 DEFAULT_GAMMA_MAX = 1e2
 DEFAULT_GAMMA_POINTS = 25
-# Largest N whose default sweep method is the Fourier-block `exact`
-# propagator (setup close to O(N^4) per gamma, solved in stacks across
-# the grid); larger N default to RK4 up to MAX_DENSE_N, where the RK4
-# methods stop, and to `exact` again above it.
-EXACT_METHOD_MAX_N = 20
 
 # Converged points per tail in the log-log slope fits of tail_slopes.
 _TAIL_POINTS = 5
@@ -103,10 +97,6 @@ def default_gamma_grid(
     return np.logspace(np.log10(lo), np.log10(hi), num)
 
 
-def default_method(n: int) -> str:
-    return "s-literal" if EXACT_METHOD_MAX_N < n <= MAX_DENSE_N else "exact"
-
-
 def _evaluate_point(config: WalkConfig, eps: float, method: str,
                     search: LockstepSearch | None = None) -> SweepPoint:
     try:
@@ -121,7 +111,7 @@ def sweep_gamma(
     n: int,
     eps: float = DEFAULT_EPS,
     gammas: np.ndarray | None = None,
-    method: str | None = None,
+    method: str = "exact",
 ) -> SweepResult:
     """Measure the sustained mixing time at every gamma of a sorted positive grid.
 
@@ -145,8 +135,6 @@ def sweep_gamma(
         raise ValueError("gamma grid must be strictly increasing")
     for gamma in gammas:
         check_positive("gamma", gamma)
-    if method is None:
-        method = default_method(n)
     check_request(n, eps, method)
     configs = [WalkConfig(n=int(n), gamma=float(g)) for g in gammas]
     search = LockstepSearch(configs, float(eps), method)
@@ -234,7 +222,7 @@ def transition_report(
     ns: list[int],
     eps: float = DEFAULT_EPS,
     gammas: np.ndarray | None = None,
-    method: str | None = None,
+    method: str = "exact",
 ) -> TransitionReport:
     """Sweep every requested cycle size and fit both tail exponents.
 
@@ -243,7 +231,7 @@ def transition_report(
     size is checked as sweep_gamma would check it before any is swept.
     """
     for n in ns:
-        check_request(n, eps, method or default_method(n))
+        check_request(n, eps, method)
     entries = []
     for n in ns:
         result = sweep_gamma(n, eps=eps, gammas=gammas, method=method)

@@ -469,9 +469,6 @@ REFUSED = [
     ("compare --n 5 --gamma 1 --t inf", "t"),
     ("bounds --n 10 --gamma nan", "gamma"),
     ("bounds --n 10 --gamma inf", "gamma"),
-    ("mixing --n 6 --gamma 1 --method s-literal --dt 0", "dt"),
-    ("mixing --n 6 --gamma 1 --method s-literal --dt -1", "dt"),
-    ("mixing --n 6 --gamma 1 --method s-literal --dt nan", "dt"),
     ("unitary --n 4 --t-max inf", "t_max"),
     ("unitary --n 3 --t-max 1 --dt 2", "dt"),
     ("evolve --n 4 --t-max inf", "t_max"),
@@ -517,12 +514,19 @@ class TestRefusedInputs:
 
     @pytest.mark.parametrize("argv", [
         "evolve --n 4 --t-max 1e300 --dt 1e-10",  # the step count overflows
-        "mixing --n 4 --gamma 1 --method s-literal --dt 1e-310",
     ])
     def test_overflowing_step_count_is_a_computation_error(self, argv):
         code, stdout, stderr = _run(argv.split())
         assert code == 1
         assert "overflows the step count" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("method", ["exact", "s-literal", "rho"])
+    def test_mixing_takes_no_step(self, method):
+        # Every mixing method is a mode sum: no step size to choose.
+        code, stdout, stderr = _run(f"mixing --n 6 --gamma 1 --method {method} --dt 0.01".split())
+        assert code == 2
+        assert "error: unrecognized arguments: --dt 0.01" in stderr
         assert stdout == ""
 
     @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Generator assembly, RK4 integration and the spectral propagator."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -1102,9 +1103,9 @@ class TestModeSumCombine:
 
 
 class TestDenseSizeGuard:
-    """RK4 mixing routes refuse n > MAX_DENSE_N before any work starts;
-    integrate runs above it, the default sweep method turns to `exact`
-    there, and no RK4 route builds an N^2 x N^2 array."""
+    """Only the expm oracle is held to n <= MAX_DENSE_N: integrate and
+    every mixing method run above it, and neither builds an N^2 x N^2
+    array."""
 
     @pytest.fixture(autouse=True)
     def refuse_dense_generator(self, monkeypatch):
@@ -1156,26 +1157,15 @@ class TestDenseSizeGuard:
             integrate(WalkConfig(n=68, gamma=1.0), TimeGrid(t_end=2.0), model=model)
 
     @pytest.mark.parametrize("method", ["s-literal", "rho"])
-    def test_stepped_mixing_time(self, method):
-        with pytest.raises(ValueError, match="n <= 64"):
-            mixing.mixing_time(WalkConfig(n=65, gamma=1.0), 0.01, method=method)
-
-    @pytest.mark.parametrize("method", ["s-literal", "rho"])
-    def test_sweep_is_refused_before_any_point(self, method):
-        with pytest.raises(ValueError, match="n <= 64"):
-            sweep.sweep_gamma(65, gammas=np.array([0.1, 1.0]), method=method)
-
-    def test_transition_checks_every_size_first(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a point was measured")
-
-        monkeypatch.setattr(sweep, "mixing_time", refuse)
-        with pytest.raises(ValueError, match="n <= 64"):
-            sweep.transition_report([5, 65], gammas=np.array([0.1, 1.0]), method="s-literal")
+    def test_mixing_time_runs_above_the_guard(self, method):
+        config = WalkConfig(n=evolution.MAX_DENSE_N + 1, gamma=3.0)
+        result = mixing.mixing_time(config, 0.01, method=method)
+        assert result.converged and result.method == method
+        if method == "s-literal":
+            exact = mixing.mixing_time(config, 0.01, method="exact")
+            assert dataclasses.replace(exact, method=method) == result
 
     def test_default_method_above_the_guard_is_exact(self):
-        assert sweep.default_method(evolution.MAX_DENSE_N) == "s-literal"
-        assert sweep.default_method(evolution.MAX_DENSE_N + 1) == "exact"
         result = sweep.sweep_gamma(65, gammas=np.array([0.1, 1.0]))
         assert result.method == "exact"
         assert all(point.converged for point in result.points)
@@ -1189,19 +1179,14 @@ class TestDenseSizeGuard:
         assert [row.split(",")[0] for row in rows] == ["0.001", "100"]
         assert all(row.endswith(",true") for row in rows)
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--n", "65", "--points", "3", "--method", "s-literal"],
-        ["transition", "--ns", "5,65", "--points", "3", "--method", "rho"],
-    ])
-    def test_cli_exits_with_the_reason(self, monkeypatch, capsys, argv):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a point was measured")
-
-        monkeypatch.setattr(sweep, "mixing_time", refuse)
-        assert main(argv) == 1
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
+    def test_cli_picture_sweep_runs_above_the_guard(self, capsys, method):
+        assert main(["sweep", "--n", "65", "--points", "2", "--method", method]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "n <= 64" in captured.err
+        assert captured.err == ""
+        assert f"# n=65 eps=0.01 method={method} " in captured.out
+        rows = captured.out.split("gamma,t_mix,converged\n")[1].splitlines()
+        assert len(rows) == 2 and all(row.endswith(",true") for row in rows)
 
 
 class TestModeSumSizeGuard:
@@ -1225,19 +1210,22 @@ class TestModeSumSizeGuard:
         with pytest.raises(ValueError, match="n <= 512"):
             spectral._PerturbativeKernel(WalkConfig(n=513, gamma=1e-3))
 
-    @pytest.mark.parametrize("method", ["exact", "perturbative"])
+    @pytest.mark.parametrize("method", ["exact", "s-literal", "rho", "perturbative"])
     def test_sweep_is_refused_before_any_point(self, method):
         with pytest.raises(ValueError, match="n <= 512"):
             sweep.sweep_gamma(513, gammas=np.array([0.1, 1.0]), method=method)
 
-    def test_transition_checks_every_size_first(self):
+    @pytest.mark.parametrize("method", ["exact", "s-literal", "rho"])
+    def test_transition_checks_every_size_first(self, method):
         with pytest.raises(ValueError, match="n <= 512"):
-            sweep.transition_report([5, 513], gammas=np.array([0.1, 1.0]), method="exact")
+            sweep.transition_report([5, 513], gammas=np.array([0.1, 1.0]), method=method)
 
     @pytest.mark.parametrize("argv", [
         ["mixing", "--n", "513", "--gamma", "1"],
         ["mixing", "--n", "513", "--gamma", "1e-3", "--method", "perturbative"],
         ["sweep", "--n", "513", "--method", "exact", "--points", "3"],
+        ["sweep", "--n", "513", "--points", "3", "--method", "s-literal"],
+        ["transition", "--ns", "5,513", "--points", "3", "--method", "rho"],
     ])
     def test_cli_exits_with_the_reason(self, capsys, argv):
         assert main(argv) == 1

@@ -79,7 +79,7 @@ REFUSALS = {
     "bounds-nan-gamma": lambda: large_gamma_bounds(10, NAN, 0.01),
     "sweep-inf-gamma": lambda: sweep_gamma(5, gammas=[1.0, INF]),
     "sweep-nan-gamma": lambda: sweep_gamma(5, gammas=[NAN]),
-    "mixing-zero-dt": lambda: mixing_time(CONFIG, 0.1, dt=0),
+    "mixing-zero-horizon": lambda: mixing_time(CONFIG, 0.1, horizon=0.0),
 }
 
 

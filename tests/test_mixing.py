@@ -1,23 +1,13 @@
 """Total-variation distance and mixing-time search."""
 
 import dataclasses
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from decowalk import evolution, mixing, spectral
-from decowalk.evolution import (
-    DiagonalPropagator,
-    IntegrationError,
-    apply_blocks,
-    block_diagonal,
-    build_full_operator,
-    envelope_margin,
-    rk4_step_matrix,
-    to_blocks,
-)
+from decowalk.evolution import DiagonalPropagator, IntegrationError, envelope_margin
 from decowalk.large_gamma import closed_form_a, large_gamma_bounds
 from decowalk.mixing import (
     MODES,
@@ -28,7 +18,7 @@ from decowalk.mixing import (
     total_variation,
     uniform_distribution,
 )
-from decowalk.model import WalkConfig, initial_density, initial_state
+from decowalk.model import WalkConfig
 from decowalk.spectral import small_gamma_mixing_bound
 from decowalk.sweep import default_gamma_grid
 
@@ -165,39 +155,32 @@ class TestMixingTime:
         search = peak(lambda: mixing_time(config, 0.01, method="large-gamma-closed-form"))
         assert search <= alone + (1 << 20)
 
-    def test_stepped_methods_match_spectral(self):
-        # s-literal shares its generator with the exact method at any N;
-        # the density route agrees when N is divisible by 4.
-        exact6 = mixing_time(WalkConfig(n=6, gamma=1.0), 0.05, method="exact")
-        literal6 = mixing_time(WalkConfig(n=6, gamma=1.0), 0.05, method="s-literal")
-        assert literal6.t_mix == pytest.approx(exact6.t_mix, rel=5e-4)
-        exact8 = mixing_time(WalkConfig(n=8, gamma=1.0), 0.05, method="exact")
-        rho8 = mixing_time(WalkConfig(n=8, gamma=1.0), 0.05, method="rho")
-        assert rho8.t_mix == pytest.approx(exact8.t_mix, rel=5e-4)
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_pictures_reproduce_their_rk4_results(self, n, method):
+        # The results the former RK4 search (dt = 0.01 on a dyadic lattice)
+        # gave, fields in hex: the mode sum of each picture repeats every
+        # bit of them.
+        cases = [row for row in _RK4_GOLDEN if row[:2] == (method, n)]
+        assert len(cases) == 6
+        for _, _, gamma, mode, *fields in cases:
+            result = mixing_time(WalkConfig(n=n, gamma=gamma), 0.01, method=method, mode=mode)
+            assert _bits(result) == (fields[0], fields[1], (0.01).hex(), method, mode,
+                                     fields[2], fields[3])
 
-    @pytest.mark.parametrize("poisoned_call", [0, 1])
-    def test_non_finite_rk4_state_raises(self, monkeypatch, poisoned_call):
-        # 0 poisons the one step matrix, so the coarse grid; 1 poisons the
-        # cached level S^(2^(p-1)) after the coarse grid is stored, a level
-        # only bisection midpoints use.  A NaN in either must not read as
-        # "not converged".
-        def poisoned_step(generator, dt):
-            step = rk4_step_matrix(generator, dt)
-            step[0, 0] = np.nan
-            return step
+    def test_s_literal_is_exact_under_its_own_name(self):
+        config = WalkConfig(n=7, gamma=0.3)
+        exact = mixing_time(config, 0.01, method="exact")
+        literal = mixing_time(config, 0.01, method="s-literal")
+        assert literal == dataclasses.replace(exact, method="s-literal")
 
-        real_init = mixing._SteppedDistributions.__init__
-
-        def poisoned_init(self, *args):
-            real_init(self, *args)
-            self._levels[self._depth - 1][0, 0] = np.nan
-
-        if poisoned_call == 0:
-            monkeypatch.setattr(mixing, "rk4_step_matrix", poisoned_step)
-        else:
-            monkeypatch.setattr(mixing._SteppedDistributions, "__init__", poisoned_init)
-        with pytest.raises(IntegrationError, match="non-finite RK4 state at t="):
-            mixing_time(WalkConfig(n=6, gamma=1.0), 0.01, method="s-literal")
+    def test_rho_sums_the_density_picture(self):
+        # The pictures agree when 4 divides N and differ otherwise.
+        for n, same in ((8, True), (5, False), (6, False)):
+            config = WalkConfig(n=n, gamma=1.0)
+            rho = mixing_time(config, 0.01, method="rho")
+            exact = mixing_time(config, 0.01, method="exact")
+            assert (rho.t_mix == exact.t_mix) == same
 
     def test_perturbative_stays_under_small_dephasing_bound(self):
         config = WalkConfig(n=8, gamma=0.01)
@@ -239,6 +222,84 @@ def _bits(outcome):
     if isinstance(outcome, Exception):
         return type(outcome).__name__, str(outcome)
     return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(outcome))
+
+
+# (method, n, gamma, mode, t_mix, converged, horizon, bracket) of the
+# former RK4 search at eps = 0.01, floats in hex.
+_RK4_GOLDEN = [
+    ("s-literal", 5, 0.05, "first-crossing", "0x1.13855fd478a16p+7", True,
+     "0x1.02f1272e462b4p+11", "0x1.02f1272e48000p-7"),
+    ("s-literal", 5, 0.05, "sustained", "0x1.3611dcb6bd2e0p+7", True,
+     "0x1.02f1272e462b4p+11", "0x1.02f1272e44000p-7"),
+    ("s-literal", 5, 1.0, "first-crossing", "0x1.a8317453facd2p+4", True,
+     "0x1.4b74e0e745e05p+9", "0x1.4b74e0e746000p-9"),
+    ("s-literal", 5, 1.0, "sustained", "0x1.a8317453facd2p+4", True,
+     "0x1.4b74e0e745e05p+9", "0x1.4b74e0e746000p-9"),
+    ("s-literal", 5, 10.0, "first-crossing", "0x1.19618988f536cp+8", True,
+     "0x1.9e52192117585p+12", "0x1.9e52192118000p-6"),
+    ("s-literal", 5, 10.0, "sustained", "0x1.19618988f536cp+8", True,
+     "0x1.9e52192117585p+12", "0x1.9e52192118000p-6"),
+    ("s-literal", 6, 0.05, "first-crossing", "0x1.e1bb4eed6950fp+6", True,
+     "0x1.dfc50ca42d716p+10", "0x1.dfc50ca42c000p-8"),
+    ("s-literal", 6, 0.05, "sustained", "0x1.24c14744b652ap+7", True,
+     "0x1.dfc50ca42d716p+10", "0x1.dfc50ca430000p-8"),
+    ("s-literal", 6, 1.0, "first-crossing", "0x1.2e6b22f85f298p+5", True,
+     "0x1.dd4c252412b3ap+9", "0x1.dd4c252414000p-9"),
+    ("s-literal", 6, 1.0, "sustained", "0x1.2e6b22f85f298p+5", True,
+     "0x1.dd4c252412b3ap+9", "0x1.dd4c252414000p-9"),
+    ("s-literal", 6, 10.0, "first-crossing", "0x1.8750878b3d1d2p+8", True,
+     "0x1.2a4f97368bb04p+13", "0x1.2a4f97368c000p-5"),
+    ("s-literal", 6, 10.0, "sustained", "0x1.8750878b3d1d2p+8", True,
+     "0x1.2a4f97368bb04p+13", "0x1.2a4f97368c000p-5"),
+    ("s-literal", 8, 0.05, "first-crossing", "0x1.b064fe0932b34p+6", True,
+     "0x1.bda40a476a1ecp+10", "0x1.bda40a4768000p-8"),
+    ("s-literal", 8, 0.05, "sustained", "0x1.00a4ae636c9f4p+7", True,
+     "0x1.bda40a476a1ecp+10", "0x1.bda40a4770000p-8"),
+    ("s-literal", 8, 1.0, "first-crossing", "0x1.000988baa63a0p+6", True,
+     "0x1.a843af3c8266cp+10", "0x1.a843af3c80000p-9"),
+    ("s-literal", 8, 1.0, "sustained", "0x1.000988baa63a0p+6", True,
+     "0x1.a843af3c8266cp+10", "0x1.a843af3c80000p-9"),
+    ("s-literal", 8, 10.0, "first-crossing", "0x1.473fa50c563d4p+9", True,
+     "0x1.092a4d85d1804p+14", "0x1.092a4d85d2000p-4"),
+    ("s-literal", 8, 10.0, "sustained", "0x1.473fa50c563d4p+9", True,
+     "0x1.092a4d85d1804p+14", "0x1.092a4d85d2000p-4"),
+    ("rho", 5, 0.05, "first-crossing", "0x1.0533ba01d1900p+6", True,
+     "0x1.02f1272e462b4p+11", "0x1.02f1272e44000p-8"),
+    ("rho", 5, 0.05, "sustained", "0x1.c4f57759a21e8p+6", True,
+     "0x1.02f1272e462b4p+11", "0x1.02f1272e46000p-7"),
+    ("rho", 5, 1.0, "first-crossing", "0x1.a93ec34ab6b60p+4", True,
+     "0x1.4b74e0e745e05p+9", "0x1.4b74e0e746000p-9"),
+    ("rho", 5, 1.0, "sustained", "0x1.a93ec34ab6b60p+4", True,
+     "0x1.4b74e0e745e05p+9", "0x1.4b74e0e746000p-9"),
+    ("rho", 5, 10.0, "first-crossing", "0x1.19618988f536cp+8", True,
+     "0x1.9e52192117585p+12", "0x1.9e52192118000p-6"),
+    ("rho", 5, 10.0, "sustained", "0x1.19618988f536cp+8", True,
+     "0x1.9e52192117585p+12", "0x1.9e52192118000p-6"),
+    ("rho", 6, 0.05, "first-crossing", "0x1.df0224970abeep+6", True,
+     "0x1.dfc50ca42d716p+10", "0x1.dfc50ca42c000p-8"),
+    ("rho", 6, 0.05, "sustained", "0x1.1ec8032c6b01ep+7", True,
+     "0x1.dfc50ca42d716p+10", "0x1.dfc50ca430000p-8"),
+    ("rho", 6, 1.0, "first-crossing", "0x1.2b206886cb787p+5", True,
+     "0x1.dd4c252412b3ap+9", "0x1.dd4c252414000p-9"),
+    ("rho", 6, 1.0, "sustained", "0x1.2b206886cb787p+5", True,
+     "0x1.dd4c252412b3ap+9", "0x1.dd4c252414000p-9"),
+    ("rho", 6, 10.0, "first-crossing", "0x1.8750878b3d1d2p+8", True,
+     "0x1.2a4f97368bb04p+13", "0x1.2a4f97368c000p-5"),
+    ("rho", 6, 10.0, "sustained", "0x1.8750878b3d1d2p+8", True,
+     "0x1.2a4f97368bb04p+13", "0x1.2a4f97368c000p-5"),
+    ("rho", 8, 0.05, "first-crossing", "0x1.b064fe0932b34p+6", True,
+     "0x1.bda40a476a1ecp+10", "0x1.bda40a4768000p-8"),
+    ("rho", 8, 0.05, "sustained", "0x1.00a4ae636c9f4p+7", True,
+     "0x1.bda40a476a1ecp+10", "0x1.bda40a4770000p-8"),
+    ("rho", 8, 1.0, "first-crossing", "0x1.000988baa63a0p+6", True,
+     "0x1.a843af3c8266cp+10", "0x1.a843af3c80000p-9"),
+    ("rho", 8, 1.0, "sustained", "0x1.000988baa63a0p+6", True,
+     "0x1.a843af3c8266cp+10", "0x1.a843af3c80000p-9"),
+    ("rho", 8, 10.0, "first-crossing", "0x1.473fa50c563d4p+9", True,
+     "0x1.092a4d85d1804p+14", "0x1.092a4d85d2000p-4"),
+    ("rho", 8, 10.0, "sustained", "0x1.473fa50c563d4p+9", True,
+     "0x1.092a4d85d1804p+14", "0x1.092a4d85d2000p-4"),
+]
 
 
 # (n, gammas, method) of the lockstep cases: the default transition size
@@ -341,29 +402,6 @@ class TestLockstepSearch:
         assert _bits(got[1]) == ("IntegrationError", str(alone.value))
         assert [_bits(got[0]), _bits(got[2])] == [_bits(want[0]), _bits(want[2])]
 
-    def test_rk4_configs_search_one_at_a_time(self, monkeypatch):
-        # One set of step blocks is alive at a time: each config's lattice
-        # is built after the previous config's last evaluation.
-        events = []
-        stepped = mixing._SteppedDistributions
-        real_init, real_distributions = stepped.__init__, stepped.distributions
-
-        def init(self, *args):
-            events.append("b")
-            real_init(self, *args)
-
-        def distributions(self, times):
-            events.append("e")
-            return real_distributions(self, times)
-
-        configs = [WalkConfig(n=6, gamma=g) for g in (0.5, 2.0)]
-        want = [mixing_time(c, 0.01, "s-literal") for c in configs]
-        monkeypatch.setattr(stepped, "__init__", init)
-        monkeypatch.setattr(stepped, "distributions", distributions)
-        got = mixing_times(configs, 0.01, "s-literal")
-        assert [_bits(o) for o in got] == [_bits(r) for r in want]
-        assert re.fullmatch("be+be+", "".join(events))
-
     def test_input_guards(self):
         config = WalkConfig(n=5, gamma=1.0)
         for configs in ([], [config, WalkConfig(n=6, gamma=1.0)]):
@@ -376,132 +414,6 @@ class TestLockstepSearch:
             with pytest.raises(ValueError, match="its own configs and request"):
                 mixing_time(search=search, **args)
         assert mixing_time(config, 0.01, search=search) == search.outcome(0)
-
-
-def _stepped(n, model, gamma=1.0, cells=4, cell=1.0):
-    times = np.linspace(0.0, cells * cell, cells + 1)
-    return mixing._SteppedDistributions(WalkConfig(n=n, gamma=gamma), model, times, 0.01)
-
-
-def _start(n, model):
-    start = initial_state(WalkConfig(n=n)) if model == "s-literal" else initial_density(
-        WalkConfig(n=n))
-    return start.ravel()
-
-
-class TestDyadicLattice:
-    """A cell of 1 at dt = 0.01 takes 100 steps, so the lattice step is
-    1/128: every distribution must equal the diagonal of a power of the
-    dense RK4 step matrix of that step, applied to the vertex-0 start."""
-
-    @pytest.mark.parametrize("model", ["s-literal", "rho"])
-    @pytest.mark.parametrize("n", range(5, 13))
-    def test_midpoints_equal_powers_of_the_step(self, n, model):
-        stepped = _stepped(n, model)
-        step = rk4_step_matrix(build_full_operator(WalkConfig(n=n, gamma=1.0), model), 1.0 / 128)
-        diag = np.arange(n) * (n + 1)
-        # Stored coarse-grid states (k = 0) and midpoints of every depth.
-        for cell, k in ((2, 0), (4, 0), (0, 64), (1, 37), (2, 127), (3, 96)):
-            expected = np.linalg.matrix_power(step, 128 * cell + k) @ _start(n, model)
-            t = cell + k / 128
-            np.testing.assert_allclose(stepped.distributions(np.array([t]))[0],
-                                       np.real(expected[diag]), rtol=0, atol=1e-12)
-
-    def test_one_step_matrix_per_search(self, monkeypatch):
-        calls = []
-
-        def counted(generator, dt):
-            calls.append(dt)
-            return rk4_step_matrix(generator, dt)
-
-        monkeypatch.setattr(mixing, "rk4_step_matrix", counted)
-        result = mixing_time(WalkConfig(n=6, gamma=1.0), 0.01, method="s-literal")
-        assert result.converged and result.bracket > 0
-        assert len(calls) == 1
-
-    def test_off_lattice_time_takes_a_partial_step(self):
-        # A quarter of a lattice step past a lattice point: one RK4 step of
-        # dt / 4 finishes the advance.
-        stepped = _stepped(6, "s-literal")
-        generator = build_full_operator(WalkConfig(n=6, gamma=1.0))
-        step = rk4_step_matrix(generator, 1.0 / 128)
-        partial = rk4_step_matrix(generator, 1.0 / 512)
-        t = 1.0 + 3.25 / 128
-        expected = partial @ np.linalg.matrix_power(step, 128 + 3) @ _start(6, "s-literal")
-        np.testing.assert_allclose(stepped.distributions(np.array([t]))[0],
-                                   expected[np.arange(6) * 7], rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("points", [5, 2049])
-    @pytest.mark.parametrize("model", ["s-literal", "rho"])
-    @pytest.mark.parametrize("n", range(5, 13))
-    def test_grid_equals_the_chain_of_hops(self, n, model, points):
-        # The grid is read as lead a times lag b; B = 3 and 46 leave the
-        # last lead row ragged at T = 5 and 2049 (6 and 2070 entries).
-        stepped = _stepped(n, model, cells=points - 1)
-        hop = stepped._levels[stepped._depth]
-        state = to_blocks(_start(n, model).reshape(n, n))
-        chain = np.empty((points, n))
-        for k in range(points):
-            chain[k] = block_diagonal(state)
-            state = apply_blocks(hop, state)
-        np.testing.assert_allclose(stepped.distributions(stepped._times), chain,
-                                   rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("model", ["s-literal", "rho"])
-    def test_rebuilt_coarse_state_equals_the_chain(self, model):
-        stepped = _stepped(7, model, cells=2048)
-        hop = stepped._levels[stepped._depth]
-        wanted = {0, 1, 45, 46, 47, 1000, 2023, 2024, 2048}
-        state = to_blocks(_start(7, model).reshape(7, 7))
-        for k in range(2049):
-            if k in wanted:
-                np.testing.assert_allclose(stepped._coarse_state(k), state, rtol=0, atol=1e-12)
-            state = apply_blocks(hop, state)
-
-    def test_search_holds_no_table_of_grid_states(self):
-        # The old layout stored every coarse block state: 2049 x 24 x 24
-        # complex entries, 18.9 MB at n = 24.
-        config = WalkConfig(n=24, gamma=1.0)
-        mixing_time(config, 0.01, method="s-literal")  # FFT plans are cached outside the trace
-        tracemalloc.start()
-        try:
-            result = mixing_time(config, 0.01, method="s-literal")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.converged
-        assert peak < (mixing.GRID_INTERVALS + 1) * 24**2 * 16
-
-    @pytest.mark.parametrize("method", ["s-literal", "rho"])
-    def test_level_cache_respects_the_table_budget(self, monkeypatch, method):
-        # Complex tables of the N//2 + 1 = 4 blocks: 4 x 6 x 6 for the
-        # generator blocks, the levels S^(2^j), j = 0..7, and H^B for
-        # B = 3, and 4 x 6 for the three lag states and the two lead rows;
-        # the contraction's complex product, 4 x 2 x 3 (its inverse
-        # transform is written into the distributions); and the five
-        # distributions.
-        budget = ((1 + 8 + 1) * 16 * 4 * 6**2 + (3 + 2) * 16 * 4 * 6 + 16 * 4 * 2 * 3
-                  + 5 * 8 * 6)
-        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget)
-        times = np.array([0.5, 1.0 + 3.25 / 128, 3.75])
-        full = _stepped(6, method).distributions(times)
-        tracemalloc.start()
-        try:
-            stepped = _stepped(6, method)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        # The tables above, less the lead rows freed after the grid, plus bookkeeping.
-        assert held <= budget + 4096
-        assert np.array_equal(stepped.distributions(times), full)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a block was built")
-
-        monkeypatch.setattr(evolution, "MAX_TABLE_BYTES", budget - 1)
-        monkeypatch.setattr(mixing, "generator_blocks", refuse)
-        with pytest.raises(ValueError, match="RK4 block levels and states of"):
-            _stepped(6, method)
 
 
 def _grid(config, eps=0.01):
@@ -614,8 +526,3 @@ class TestEnvelopeCut:
         config = WalkConfig(n=4, gamma=1.0)
         assert DiagonalPropagator(config).mode == "expm"
         assert self._grid_rows(monkeypatch, DiagonalPropagator, config, "exact") == 2049
-
-    @pytest.mark.parametrize("method", ["s-literal", "rho"])
-    def test_rk4_evaluates_the_whole_grid(self, monkeypatch, method):
-        config = WalkConfig(n=6, gamma=1.0)
-        assert self._grid_rows(monkeypatch, mixing._SteppedDistributions, config, method) == 2049

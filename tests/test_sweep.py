@@ -1,5 +1,10 @@
 """Gamma sweeps, optimum location and tail-exponent fits."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,11 +13,9 @@ from decowalk.model import WalkConfig
 from decowalk.sweep import (
     DEFAULT_EPS,
     DEFAULT_GAMMA_POINTS,
-    EXACT_METHOD_MAX_N,
     SweepPoint,
     SweepResult,
     default_gamma_grid,
-    default_method,
     optimal_gamma,
     sweep_gamma,
     tail_slopes,
@@ -37,9 +40,25 @@ class TestDefaults:
         with pytest.raises(ValueError):
             default_gamma_grid(lo=1.0, hi=0.5)
 
-    def test_method_switchover(self):
-        assert default_method(EXACT_METHOD_MAX_N) == "exact"
-        assert default_method(EXACT_METHOD_MAX_N + 1) == "s-literal"
+    @pytest.mark.parametrize("n", [20, 21, 64])
+    def test_default_method_is_exact_at_every_size(self, n):
+        gammas = np.array([0.3, 3.0])
+        assert sweep_gamma(n, gammas=gammas).method == "exact"
+        assert transition_report([n], gammas=gammas).entries[0].sweep.method == "exact"
+
+    def test_a_sweep_leaves_numpy_ma_unloaded(self):
+        # numpy.ma adds about 2 MB of resident memory, and np.unique imports
+        # it on its first call (numpy 2.4); the size classes do without it.
+        src = pathlib.Path(sweep.__file__).resolve().parents[1]
+        probe = ("import sys, numpy as np; from decowalk.sweep import sweep_gamma; "
+                 "grid = np.geomspace(1e-3, 1e2, 7); "
+                 "points = sweep_gamma(24, gammas=grid, method='exact').points; "
+                 "print(all(p.converged for p in points), 'numpy.ma' in sys.modules)")
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "True False\n"
 
 
 class TestSweepGamma:
