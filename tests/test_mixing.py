@@ -5,9 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from decowalk import evolution, mixing, spectral
-from decowalk.evolution import DiagonalPropagator, IntegrationError, envelope_margin
+from decowalk.evolution import (
+    DiagonalPropagator,
+    IntegrationError,
+    ModeSum,
+    TimeGrid,
+    build_full_operator,
+    effective_step,
+    envelope_margin,
+    exact_evolve,
+    integrate,
+)
 from decowalk.large_gamma import closed_form_a, large_gamma_bounds
 from decowalk.mixing import (
     MODES,
@@ -18,7 +29,7 @@ from decowalk.mixing import (
     total_variation,
     uniform_distribution,
 )
-from decowalk.model import WalkConfig
+from decowalk.model import WalkConfig, initial_density, initial_state
 from decowalk.spectral import small_gamma_mixing_bound
 from decowalk.sweep import default_gamma_grid
 
@@ -303,10 +314,13 @@ _RK4_GOLDEN = [
 
 
 # (n, gammas, method) of the lockstep cases: the default transition size
-# n = 20, an expm fallback (block s = 4 of n = 64 at gamma = 0.1957), and
-# the perturbative and large-gamma sweeps of the benchmark.
+# n = 20 in each picture, an expm fallback (block s = 4 of n = 64 at
+# gamma = 0.1957), and the perturbative and large-gamma sweeps of the
+# benchmark.
 _LOCKSTEP_CASES = {
     "exact": (20, default_gamma_grid(), "exact"),
+    "s-literal": (20, default_gamma_grid(), "s-literal"),
+    "rho": (20, default_gamma_grid(), "rho"),
     "exact with expm": (64, np.array([0.1, 0.1957, 1.0]), "exact"),
     "perturbative": (64, np.geomspace(1e-5, 1e-3, 7), "perturbative"),
     "closed form": (256, np.geomspace(3.0, 100.0, 13), "large-gamma-closed-form"),
@@ -324,7 +338,9 @@ def _search_alone(config, eps, method, mode, horizon=None):
     distributions call per bisection midpoint."""
     horizon = default_horizon(config, eps) if horizon is None else horizon
     times = np.linspace(0.0, horizon, mixing.GRID_INTERVALS + 1)
-    route = {"exact": DiagonalPropagator, "perturbative": spectral._PerturbativeKernel}.get(method)
+    route = {"exact": DiagonalPropagator, "s-literal": DiagonalPropagator,
+             "rho": lambda c: DiagonalPropagator(c, "rho"),
+             "perturbative": spectral._PerturbativeKernel}.get(method)
     route = route(config).distributions if route else lambda ts, cut: closed_form_a(config, ts, cut)
 
     def distance(ts, cut=None):
@@ -414,6 +430,71 @@ class TestLockstepSearch:
             with pytest.raises(ValueError, match="its own configs and request"):
                 mixing_time(search=search, **args)
         assert mixing_time(config, 0.01, search=search) == search.outcome(0)
+
+
+def _dense_start(config, picture):
+    """The vertex-0 start of a picture as a state vector of its dense generator."""
+    start = initial_state(config) if picture == "s-literal" else initial_density(config)
+    return start.ravel().astype(complex)
+
+
+def _rk4_distance(config, picture, t, dt=1e-3):
+    """Distance to uniform at t of the RK4 trajectory of the picture, in one stride."""
+    _, steps = effective_step(t, dt, config.gamma)
+    series = integrate(config, TimeGrid(t_end=t, dt=dt, sample_stride=steps), picture)
+    return total_variation(series.dists[-1], uniform_distribution(config.n))
+
+
+class TestPictureRoutes:
+    """The s-literal and rho searches read the exact mode sum of their
+    picture: on the coarse grid through the propagator, and at bisection
+    midpoints through ModeSum.at.  Each must equal the dense exponential
+    of that picture's generator, applied to the vertex-0 start."""
+
+    @pytest.mark.parametrize("points", [5, 2049])
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_grid_equals_the_chain_of_hops(self, n, method, points):
+        # One hop is the exponential of the grid spacing; the chain of
+        # hops from the start gives every grid row.  Each method is named
+        # after its picture.
+        config = WalkConfig(n=n, gamma=1.0)
+        build, wrap = mixing._mode_sum_route(method)
+        times = np.linspace(0.0, default_horizon(config, 0.01), points)
+        hop = scipy.linalg.expm(build_full_operator(config, method) * times[1])
+        state = _dense_start(config, method)
+        diag = np.arange(n) * (n + 1)
+        chain = np.empty((points, n))
+        for k in range(points):
+            chain[k] = state[diag].real
+            state = hop @ state
+        grid = wrap(config, build(n, [config.gamma]).member(0))(times, None, True)
+        np.testing.assert_allclose(grid, chain, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_midpoints_equal_the_dense_exponential(self, n, method):
+        # Off-grid times, one per stacked member, as a bisection level
+        # evaluates them.
+        config = WalkConfig(n=n, gamma=1.0)
+        build, _ = mixing._mode_sum_route(method)
+        span = default_horizon(config, 0.01) / mixing.GRID_INTERVALS
+        mids = span * np.array([0.5, 37.25, 614.4, 1000.5, 2047.75])
+        modes = build(n, [config.gamma]).member(0)
+        got = ModeSum.stack([modes] * mids.size).at(mids)
+        want = [exact_evolve(config, t, method).diagonal().real for t in mids]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("method", ["s-literal", "rho"])
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_rk4_crosses_eps_inside_the_final_bracket(self, n, method, mode):
+        # integrate shares no rate, root or mode with the mode sum.
+        config = WalkConfig(n=n, gamma=0.3)
+        result = mixing_time(config, 0.01, method=method, mode=mode)
+        assert result.converged and result.bracket > 0
+        assert _rk4_distance(config, method, result.t_mix) <= 0.01 + 1e-9
+        assert _rk4_distance(config, method, result.t_mix - result.bracket) > 0.01 - 1e-9
 
 
 def _grid(config, eps=0.01):
