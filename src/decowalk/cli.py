@@ -7,9 +7,12 @@ JSON), sweep (gamma sweep CSV), transition (multi-N sweep CSV), compare
 report).  Outputs are deterministic: identical invocations produce
 byte-identical files.  Numbers are serialized with 17 significant
 digits, so doubles round-trip exactly; CSV metadata lines are prefixed
-with '#' and always record the package defaults.  Exit codes: 0 success,
-2 usage error (any flag value outside its domain, checked by the
-validators of decowalk.model), 1 computation failure.
+with '#' and always record the package defaults.  Trajectory tables
+(evolve, unitary) are printed by one vectorised kernel, _csv_rows, whose
+every cell is byte-identical to format(x, ".17g"); they are written in row
+chunks of at most _CHUNK_CELLS cells, so their text is never held whole.
+Exit codes: 0 success, 2 usage error (any flag value outside its domain,
+checked by the validators of decowalk.model), 1 computation failure.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,12 +59,212 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_text(path: str | None, text: str) -> None:
+# Trajectory tables print in row chunks of at most this many cells (at
+# least one row), so their text is never held whole.
+_CHUNK_CELLS = 1 << 16
+
+# _csv_rows lays each cell out in _CELL bytes: a sign column, up to 24
+# characters of _fmt ("-1.2345678901234567e-308") and a separator.
+_CELL = 26
+# Decimal exponents e of the power-of-ten table 10**(16 - e).  Cells with
+# 1e-280 <= |x| <= 1e280 have -281 <= e <= 280, and every product stays normal.
+_EXP_MIN, _EXP_MAX = -282, 282
+# The scaled value |x| * 10**(16 - e) is known to within 5e-15, so a cell
+# within _TIE_MARGIN of a rounding tie is printed by _fmt instead.  So is a
+# cell whose high part lies within _EDGE of 10**16 or 10**17, where e may be
+# off by one; the low part is below 20 in size.
+_TIE_MARGIN = 2.0 ** -20
+_EDGE = 64.0
+# Row layouts: fixed notation for -4 <= e < 17 as e + 4, then these two.
+_SCIENTIFIC, _BY_FMT = 21, 22
+_SUFFIX = 19  # first column of a scientific cell's exponent, "e+XX" or "e-XXX"
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = high + low, each half of a's 53 bits."""
+    t = 134217729.0 * a  # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+class _CsvTables(NamedTuple):
+    """Lookup tables of _csv_rows.
+
+    - pow10: per exponent e, 10**(16 - e) as the double-double P + p, with P
+      also split in halves.  Both are rounded from exact Python integers.
+    - quads: the four ASCII digits of 0..9999, each as one uint32.
+    - zeros: the number of trailing zeros of each of those four digits.
+    - masks: per (cut, suffix) the columns a cell keeps: [0, cut), plus the
+      exponent suffix and its separator for scientific cells.
+    """
+
+    pow10: np.ndarray
+    quads: np.ndarray
+    zeros: np.ndarray
+    masks: np.ndarray
+
+
+@functools.cache
+def _csv_tables() -> _CsvTables:
+    """The lookup tables, built at the first call, not at import."""
+    rows = []
+    for e in range(_EXP_MIN, _EXP_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        high = num / den
+        h_num, h_den = high.as_integer_ratio()
+        rows.append((high, *_halves(high), (num * h_den - h_num * den) / (den * h_den)))
+    quad_digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    quads = (quad_digits + ord("0")).view(np.uint32).ravel()
+    zeros = np.cumprod(quad_digits[:, ::-1] == 0, axis=1).sum(axis=1).astype(np.int32)
+    col = np.arange(_CELL)
+    cut = np.arange(_CELL + 1)[:, None, None]
+    suffix = np.array([0, 5, 6])[:, None]  # none, "e-XX,", "e-XXX,"
+    masks = (col < cut) | ((col >= _SUFFIX) & (col < _SUFFIX + suffix))
+    return _CsvTables(np.array(rows), quads, zeros, masks.reshape(-1, _CELL))
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, e, exact) per cell: |x| = D * 10**(e - 16) to 17 significant digits.
+
+    D = round(|x| * 10**(16 - e)) with e = floor(log10 |x|).  Dekker's
+    error-free product against the double-double power of ten gives the
+    scaled value to within 5e-15.  exact is False where that cannot settle
+    D or e: a scaled value near a half-integer or near 10**16 or 10**17, and
+    0, subnormals, |x| outside [1e-280, 1e280], NaN and infinities.
+    """
+    a = np.abs(x)
+    exact = (a >= 1e-280) & (a <= 1e280)
+    a[~exact] = 1.5  # keeps the arithmetic below finite
+    e = np.floor(np.log10(a)).astype(np.int32)
+    high, low = _two_product(a, _csv_tables().pow10.take(e - _EXP_MIN, axis=0))
+    step = np.rint(low)
+    exact &= (high >= 1e16 + _EDGE) & (high <= 1e17 - _EDGE)
+    low -= step
+    exact &= np.abs(np.abs(low) - 0.5) >= _TIE_MARGIN
+    d = high.astype(np.int64)
+    d += step.astype(np.int64)
+    d[~exact] = 10 ** 16
+    return d, e, exact
+
+
+def _two_product(a: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """high + low = a * (P + p), from rows (P, P_high, P_low, p), up to one rounding of low.
+
+    Dekker's product: high is a * P rounded, and low starts as its exact error.
+    """
+    big, big_high, big_low, small = power.T
+    high = a * big
+    a_high, a_low = _halves(a)
+    low = ((a_high * big_high - high) + a_high * big_low + a_low * big_high) + a_low * big_low
+    low += a * small
+    return high, low
+
+
+def _digits(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each D, and how many are significant."""
+    tables = _csv_tables()
+    top, bottom = (part.astype(np.int32) for part in np.divmod(d, 10 ** 8))
+    groups = np.empty((d.size, 5), np.int32)  # 1 + 4 + 4 + 4 + 4 digits
+    groups[:, 0], groups[:, 1] = np.divmod(top // 10 ** 4, 10 ** 4)
+    groups[:, 2] = top % 10 ** 4
+    groups[:, 3], groups[:, 4] = np.divmod(bottom, 10 ** 4)
+    trailing = tables.zeros.take(groups[:, 1])
+    for group in groups[:, 2:].T:
+        trailing = tables.zeros.take(group) + (group == 0) * trailing
+    return tables.quads.take(groups).view(np.uint8)[:, 3:], 17 - trailing
+
+
+def _csv_rows(table: np.ndarray) -> str:
+    """The rows of a float64 table as CSV text, each cell exactly what _fmt prints.
+
+    Cells are joined by "," and rows ended by "\\n".  The whole table is
+    printed at once: cells are sorted by row layout, _cells lays them out,
+    and the rows go back to table order.  A mask then keeps the sign column
+    of negative cells and drops trailing zeros, and one decode turns the
+    kept bytes into text.
+    """
+    rows, cols = table.shape
+    x = table.ravel()
+    d, e, exact = _decimal(x)
+    layout = np.where((e >= -4) & (e < 17), e + 4, _SCIENTIFIC).astype(np.uint8)
+    layout[~exact] = _BY_FMT
+    order = np.argsort(layout, kind="stable")
+    bounds = np.cumsum(np.bincount(layout, minlength=_BY_FMT + 1))
+    cells = _cells(d.take(order), e.take(order), bounds, x.take(order[bounds[-2]:]))
+    back = np.empty_like(order)
+    back[order] = np.arange(x.size)
+    m, cut, suffix = (part.take(back, axis=0) for part in cells)
+    del cells
+    separators = np.full((rows, cols), ord(","), np.uint8)
+    separators[:, -1] = ord("\n")
+    at = np.where(suffix > 0, _SUFFIX + 3 + suffix, cut)
+    m.ravel()[np.arange(0, m.size, _CELL) + at] = separators.ravel()
+    cut += suffix == 0
+    keep = _csv_tables().masks.take(cut * 3 + suffix, axis=0)
+    keep[:, 0] = np.signbit(x) & exact
+    return str(m[keep].data, "ascii")
+
+
+def _cells(d: np.ndarray, e: np.ndarray, bounds: np.ndarray, slow: np.ndarray):
+    """Lay out cells sorted by row layout, each layout ending at its bound.
+
+    Returns the (cells, _CELL) bytes with column 0 set to "-", the end of
+    each cell's kept columns before any exponent suffix, and the suffix kind
+    (0 none, 1 two exponent digits, 2 three).  The last layout's cells are
+    slow, printed by _fmt.
+    """
+    digits, kept = _digits(d)
+    m = np.empty((d.size, _CELL), np.uint8)
+    m[:, 0] = ord("-")
+    cut = np.empty(d.size, np.int32)
+    suffix = np.zeros(d.size, np.int32)
+    for kind, (s, t) in enumerate(zip(np.concatenate(([0], bounds[:-1])), bounds)):
+        if s == t:
+            continue
+        block, dig, nd = m[s:t], digits[s:t], kept[s:t]
+        if 4 <= kind < _SCIENTIFIC:  # d.ddd with the point after e + 1 digits
+            p = kind - 3
+            block[:, 1:p + 1] = dig[:, :p]
+            block[:, p + 1] = ord(".")
+            block[:, p + 2:19] = dig[:, p:]
+            cut[s:t] = np.where(nd > p, nd + 2, p + 1)
+        elif kind < _SCIENTIFIC:  # 0.000ddd
+            lead = 4 - kind
+            block[:, 1:lead + 2] = np.frombuffer(b"0.000", np.uint8)[:lead + 1]
+            block[:, lead + 2:lead + 19] = dig
+            cut[s:t] = lead + 2 + nd
+        elif kind == _SCIENTIFIC:
+            block[:, 1] = dig[:, 0]
+            block[:, 2] = ord(".")
+            block[:, 3:19] = dig[:, 1:]
+            cut[s:t] = np.where(nd > 1, nd + 2, 2)
+            size = np.abs(e[s:t])
+            hundreds, tens, units = (size // [[100], [10], [1]]) % 10 + ord("0")
+            three = size >= 100
+            block[:, _SUFFIX] = ord("e")
+            block[:, _SUFFIX + 1] = np.where(e[s:t] < 0, ord("-"), ord("+"))
+            block[:, _SUFFIX + 2] = np.where(three, hundreds, tens)
+            block[:, _SUFFIX + 3] = np.where(three, tens, units)
+            block[:, _SUFFIX + 4] = units
+            suffix[s:t] = 1 + three
+        else:
+            texts = [_fmt(v) for v in slow.tolist()]
+            padded = "".join([f"{text:<24}" for text in texts]).encode("ascii")
+            block[:, 1:25] = np.frombuffer(padded, np.uint8).reshape(-1, 24)
+            cut[s:t] = 1 + np.array([len(text) for text in texts])
+    return m, cut, suffix
+
+
+def _write_text(path: str | None, text: str, chunks: Iterable[str] = ()) -> None:
+    """Write text, then each of chunks, to path, or to stdout for None or '-'."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        target = open(path, "w", encoding="utf-8", newline="")
+    with target as handle:
+        handle.write(text)
+        for chunk in chunks:
+            handle.write(chunk)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -70,13 +275,21 @@ def _write_json(path: str | None, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _trajectory_header(meta: list[str], n: int) -> str:
+    return "\n".join([*meta, _DEFAULTS_LINE, "time," + ",".join(f"p_{j}" for j in range(n))]) + "\n"
+
+
+def _trajectory_rows(times: np.ndarray, dists: np.ndarray) -> Iterator[str]:
+    """The rows "time,p_0,...", in chunks of at most _CHUNK_CELLS cells or one row."""
+    step = max(1, _CHUNK_CELLS // (dists.shape[1] + 1))
+    for start in range(0, len(times), step):
+        rows = slice(start, start + step)
+        yield _csv_rows(np.column_stack((times[rows], dists[rows])))
+
+
 def _trajectory_csv(meta: list[str], times, dists) -> str:
-    n = dists.shape[1]
-    lines = meta + [_DEFAULTS_LINE]
-    lines.append("time," + ",".join(f"p_{j}" for j in range(n)))
-    row = ",".join(["%.17g"] * (n + 1))  # as _fmt, once per row
-    lines.extend(row % (t, *p) for t, p in zip(times.tolist(), dists.tolist()))
-    return "\n".join(lines) + "\n"
+    """The whole trajectory CSV as one string: what evolve and unitary write chunk by chunk."""
+    return _trajectory_header(meta, dists.shape[1]) + "".join(_trajectory_rows(times, dists))
 
 
 @contextlib.contextmanager
@@ -99,7 +312,8 @@ def _cmd_evolve(parser, args) -> int:
         f"# n={args.n} gamma={_fmt(args.gamma)} t_max={_fmt(args.t_max)} "
         f"dt={_fmt(args.dt)} stride={args.stride} model={args.model}",
     ]
-    _write_text(args.output, _trajectory_csv(meta, series.times, series.dists))
+    header = _trajectory_header(meta, args.n)
+    _write_text(args.output, header, _trajectory_rows(series.times, series.dists))
     return 0
 
 
@@ -116,7 +330,7 @@ def _cmd_unitary(parser, args) -> int:
         "# decowalk unitary",
         f"# n={args.n} t_max={_fmt(args.t_max)} dt={_fmt(args.dt)} generator=bare-adjacency",
     ]
-    _write_text(args.output, _trajectory_csv(meta, times, dists))
+    _write_text(args.output, _trajectory_header(meta, args.n), _trajectory_rows(times, dists))
     return 0
 
 

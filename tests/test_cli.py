@@ -576,3 +576,17 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout == "[]\n"
+
+
+def test_evolve_leaves_fractions_and_decimal_unloaded():
+    # The table kernel builds its exact powers of ten from Python integers.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    probe = ("import contextlib, io, sys, decowalk.cli as c; "
+             "contextlib.redirect_stdout(io.StringIO()).__enter__(); "
+             "code = c.main(['evolve', '--n', '5', '--gamma', '0.3', '--t-max', '2']); "
+             "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules, file=sys.stderr)")
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stderr == "0 False False\n"
