@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import TimeGrid, build_full_operator, effective_step, exact_evolve, integrate
+from .evolution import (
+    TimeGrid,
+    _block_rates,
+    _closed_form_roots,
+    _merged_block,
+    build_full_operator,
+    effective_step,
+    exact_evolve,
+    integrate,
+)
 from .large_gamma import (
     classical_heat_kernel,
     closed_form_a,
@@ -237,6 +246,74 @@ def degenerate_zero_coupling() -> list[CheckOutcome]:
     return [_outcome("degenerate-zero-coupling", entries, worst <= 1e-14,
                      f"max |entry| {worst:.3e} across index-sum classes over {entries} "
                      "entries, both models, gamma=1.3, n = 3..12 (tol 1e-14)")]
+
+
+def closed_form_secular_roots() -> list[CheckOutcome]:
+    """The closed-form roots of every secular block against eigvals of its merged form.
+
+    Each root comes from its own scalar equation (evolution._closed_form_roots),
+    before any polish: it must leave the secular equation h a relative
+    residual |h| / sum_m |term_m| under 1e-8 (the closed form stops at 1e-10
+    of its own terms; two digits are left for the rewriting of the sum), and
+    the roots must match the eigenvalues of the merged block one to one,
+    within 1e-9 (sigma + gamma).
+    """
+    worst_residual = worst_gap = 0.0
+    cases = solved_blocks = 0
+    gammas = np.array([1e-3, 0.05, 0.3, 3.0, 100.0])
+    for model in ("s-literal", "rho"):
+        for n in (*range(3, 17), 32, 64):
+            sums = np.arange(1, n // 2 + 1)
+            beta, counts, angles = _block_rates(n, sums, model)
+            sigma = np.sin(np.pi * sums / n)
+            delta, slow, solved = _closed_form_roots(n, model, angles, counts > 0, sigma, gammas)
+            for g, gamma in enumerate(gammas):
+                for s in range(sums.size):
+                    cases += 1
+                    if not solved[g, s]:
+                        continue
+                    solved_blocks += 1
+                    k = np.count_nonzero(counts[s])
+                    poles = 1j * beta[s, :k] - gamma
+                    z = np.where(slow[g, s, :k], 0.0, poles) + delta[g, s, :k]
+                    w = z[:, None] + gamma - 1j * beta[s, :k]
+                    terms = counts[s, :k] * (1j * beta[s, :k] - z[:, None]) / w
+                    residual = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+                    worst_residual = max(worst_residual, float(residual.max()))
+                    eig = np.linalg.eigvals(_merged_block(beta[s, :k], counts[s, :k], gamma, n))
+                    gap = np.abs(z[:, None] - eig[None, :])
+                    one_to_one = sorted(gap.argmin(axis=1)) == list(range(k))
+                    worst_gap = max(worst_gap, float(gap.min(axis=1).max() / (sigma[s] + gamma)),
+                                    0.0 if one_to_one else np.inf)
+    ok = solved_blocks == cases and worst_residual <= 1e-8 and worst_gap <= 1e-9
+    return [_outcome("closed-form-secular-roots", cases, ok,
+                     f"{solved_blocks} of {cases} (n, s, gamma, picture) cases solved, max "
+                     f"relative residual of h {worst_residual:.3e} (tol 1e-8), max gap to "
+                     f"eigvals of the merged block {worst_gap:.3e} (sigma + gamma) (tol 1e-9), "
+                     f"n = 3..16, 32, 64, gamma in {{1e-3, 0.05, 0.3, 3, 100}}, both pictures")]
+
+
+def pictures_coincide_at_n_mod_4() -> list[CheckOutcome]:
+    """The density grid is the literal-S one turned by N pi/2: at N divisible
+    by 4 every block has the same grid angles with the same multiplicities
+    in both pictures, and at every other N some block differs."""
+    same = differ = cases = 0
+    for n in range(3, 65):
+        sums = np.arange(1, n // 2 + 1)
+        literal, density = (_block_rates(n, sums, model) for model in ("s-literal", "rho"))
+        equal = [sorted(zip(literal[2][s].tolist(), literal[1][s].tolist()))
+                 == sorted(zip(density[2][s].tolist(), density[1][s].tolist()))
+                 for s in range(sums.size)]
+        cases += len(equal)
+        if n % 4 == 0:
+            same += all(equal)
+        else:
+            differ += not all(equal)
+    ok = same == 16 and differ == 62 - 16
+    return [_outcome("pictures-coincide-n-mod-4", cases, ok,
+                     f"blocks equal in both pictures at {same} of 16 n divisible by 4, and "
+                     f"some block differs at {differ} of 46 other n, over {cases} (n, s) cases, "
+                     "n = 3..64")]
 
 
 def heat_kernel_identity() -> list[CheckOutcome]:
@@ -470,6 +547,8 @@ def run_checks() -> list[CheckOutcome]:
     outcomes += torus_eigen_equation()
     outcomes += similarity_brute_force()
     outcomes += degenerate_zero_coupling()
+    outcomes += closed_form_secular_roots()
+    outcomes += pictures_coincide_at_n_mod_4()
     outcomes += heat_kernel_identity()
     outcomes += zero_dephasing_agreement()
     outcomes += mode_rate_identities()

@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import checks
 from .evolution import IntegrationError, TimeGrid, check_table_size, exact_evolve, integrate
 from .large_gamma import closed_form_a, large_gamma_bounds
 from .mixing import METHODS, MODES, mixing_time
@@ -325,7 +324,10 @@ def _cmd_unitary(parser, args) -> int:
     count = np.floor(args.t_max / args.dt + 1e-9) + 1
     check_table_size("trajectory table", count, 8 * args.n)
     times = np.arange(int(count)) * args.dt
-    dists = np.array([unitary_distribution(args.n, float(t)) for t in times])
+    dists = np.empty((times.size, args.n))
+    rows = max(1, _CHUNK_CELLS // args.n)  # phase and transform tables of at most a chunk
+    for lo in range(0, times.size, rows):
+        dists[lo:lo + rows] = unitary_distribution(args.n, times[lo:lo + rows])
     meta = [
         "# decowalk unitary",
         f"# n={args.n} t_max={_fmt(args.t_max)} dt={_fmt(args.dt)} generator=bare-adjacency",
@@ -473,6 +475,8 @@ def _cmd_compare(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    from . import checks  # only verify needs the suite: importing the CLI does not compile it
+
     outcomes = checks.run_checks()
     _write_text(args.output, checks.format_report(outcomes))
     return 1 if checks.has_failures(outcomes) else 0

@@ -11,10 +11,13 @@ are computed three ways,
   index sum, so the distribution is a sum of about N^2/4 decaying modes,
   summed block by block over times split as lead + lag.  A time costs
   O(N^2) exponentials and a uniform grid of T times O(N^2 sqrt(T)) (see
-  ModeSum).  Its setup solves the about N/2 blocks as at most two
-  stacks of equal size, each stacked across the gammas of a sweep
-  (secular_mode_sums), but still one O(N^3) eigenvalue problem per
-  block, so it grows close to N^4 per gamma, not N^3.
+  ModeSum).  Its setup solves each of the about N^2/4 secular roots
+  from a closed form, one scalar equation per root, across all the
+  gammas of a sweep, and polishes every root with Newton steps on its
+  block's secular equation, the blocks stacked in at most two sizes
+  (secular_mode_sums): O(N^2) and O(N^3) per gamma, with no eigenvalue
+  problem (1.3 s at n = 512, gamma = 3, against 22 s for one O(N^3)
+  eigvals per block).
 
 Only the oracle builds the N^2 x N^2 generator (build_full_operator,
 also the tests' reference), and it is guarded to n <= MAX_DENSE_N.  The
@@ -79,9 +82,11 @@ MAX_DENSE_N = 64
 # Mode sums hold S x K rate and amplitude tables (about N^2/4 entries
 # each) and evaluate in temporaries of at most _CHUNK_ENTRIES entries.
 # Setup plus one 2049-time grid at gamma = 3 peaked at 36 / 70 MiB of
-# traced allocations (45 / 71 MiB of resident growth) at n = 256 / 512,
-# and setup alone took 4.4 / 45 s there (BENCH_8.json): at this size the
-# O(N^4) setup, not memory, is the cost that grows.
+# traced allocations (45 / 71 MiB of resident growth) at n = 256 / 512
+# (BENCH_8.json).  Setup alone, the closed-form roots and their O(N^3)
+# polish, takes 0.18 / 1.3 s there, against 2.0 / 22 s with one eigvals
+# per block (BENCH_24.json); the bound is kept until a larger size is
+# measured.
 MAX_MODESUM_N = 512
 # A trajectory table is held whole in memory before it is written out,
 # and is refused above this budget before any work starts, by
@@ -657,8 +662,19 @@ def integrate(
     return TimeSeries(times=times, dists=dists, dt_used=dt_eff, states=states)
 
 
-# Newton steps that polish each secular root from its eigenvalue guess.
+# Newton steps that polish each secular root from its closed-form value
+# (or eigenvalue guess).
 _NEWTON_STEPS = 3
+# Most Newton steps on a root's closed-form equation (_closed_form_roots;
+# a root stops once converged): from its starts, 7 left no block unsolved
+# over N = 3..40 and 64, both pictures, every s and 161 values of c in
+# [1e-6, 1e4] (138782 blocks), 6 left 157 and 5 left 266.
+_CLOSED_FORM_STEPS = 8
+# Complex tables of G S K entries _closed_form_roots holds at once,
+# counted with room to spare (its traced peak was 19 to 24 of them at
+# n = 20..512): secular_mode_sums hands it at most _CHUNK_ENTRIES /
+# _CLOSED_FORM_TABLES roots at a time.
+_CLOSED_FORM_TABLES = 32
 # A block's roots are trusted when each leaves |h(z)| below this fraction
 # of sum_m |term_m| and the amplitudes add up to N within this fraction.
 _SECULAR_RESIDUAL_TOL = 1e-12
@@ -673,12 +689,12 @@ _CANCEL_TOL = 10.0
 # stay at or below it.
 _CHUNK_ENTRIES = 1 << 20
 # Complex (G, k, k + 1) tables _block_modes holds at once, counted with
-# room to spare (the merged blocks and pole distances, then the offsets,
-# w and the terms of h, formed in place).  The setup stacks G blocks, of
-# one gamma or of a slab of them, so that all of them fit in
-# _CHUNK_ENTRIES entries: sized per table, G = 62
-# blocks at n = 256 peaked at 96.5 MiB traced, against 16.4 MiB for
-# G = 10, in the same setup time (about 3.2 s, eigvals-bound).
+# room to spare (the offsets, lambda_m - anchor, w and the terms of h,
+# formed in place; the merged blocks and pole distances of a block left
+# to eigvals).  The setup stacks G blocks, of one gamma or of a slab of
+# them, so that all of them fit in _CHUNK_ENTRIES entries: sized per
+# table, G = 62 blocks at n = 256 peaked at 96.5 MiB traced, against
+# 16.4 MiB for G = 10, in the same setup time (eigvals-bound then).
 _SECULAR_TABLES = 6
 
 
@@ -828,9 +844,11 @@ class ModeSum:
 
     def __init__(self, n: int, rates: np.ndarray, amps: np.ndarray, dense=None) -> None:
         self.n = n
-        # Real tables (the heat kernel's) stay real: real exponentials.
-        dtype = np.result_type(rates, amps, float)
-        self._rates, self._amps = np.asarray(rates, dtype), np.asarray(amps, dtype)
+        # Real tables stay real: the heat kernel's rates (real exponentials)
+        # and the perturbative amplitudes (a broadcast view, not a copy);
+        # a real amplitude times a complex exponential is the same product.
+        self._rates = np.asarray(rates, np.result_type(rates, float))
+        self._amps = np.asarray(amps, np.result_type(amps, float))
         if self._rates.ndim != 3 or self._amps.shape != self._rates.shape:
             raise ValueError(f"mode tables must be (G, S, K) alike, got {self._rates.shape} "
                              f"and {self._amps.shape}")
@@ -845,6 +863,22 @@ class ModeSum:
         """The members of sums, in order, as one ModeSum (copies of their tables)."""
         return ModeSum(sums[0].n, np.concatenate([s._rates for s in sums]),
                        np.concatenate([s._amps for s in sums]), [d for s in sums for d in s.dense])
+
+    def reach(self, t_end: np.ndarray) -> np.ndarray:
+        """How far a grid to t_end[g] turns the phases of member g's modes,
+        one value per member: the largest |z| min(t_end, 1/|Re z|) over its
+        modes, and t_end times the largest row sum of a dense block (which
+        bounds its rates).  Past 1/|Re z| a mode's phase error |z| t u is
+        damped by its own exp(Re z t) at least as fast as it grows, so only
+        the modes that have not yet decayed count in full (envelope_margin's
+        reach).  A padding mode has rate 0 and adds nothing."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            limit = np.minimum(t_end[:, None, None], 1.0 / np.abs(self._rates.real))
+            out = (np.abs(self._rates) * limit).max(axis=(1, 2), initial=0.0)
+            for g, dense in enumerate(self.dense):
+                for _, block, _ in dense:
+                    out[g] = max(out[g], np.abs(block).sum(axis=1).max() * t_end[g])
+        return out
 
     @staticmethod
     def failure(t: float) -> IntegrationError:
@@ -962,28 +996,51 @@ class DiagonalPropagator:
     so in the torus Fourier basis they split exactly into N blocks, one
     per index sum s, over the modes (m, s-m):
 
-        B_s = diag(lambda_m) - gamma I + (gamma/N) 1 1^T
+        B_s = diag(lambda_m) - gamma I + (gamma/N) 1 1^T.
 
-    (rates from _block_rates).  The vertex-0 start has flat Fourier
-    coefficients, so P_j(t) = N^-2 sum_s omega^(s j) f_s(t) with
-    f_s(t) = 1^T exp(t B_s) 1, a ModeSum.  Modes with equal rates are
-    merged with summed weights c_m.  The rates that 1^T can see are the
-    roots z of the secular equation
+    The vertex-0 start has flat Fourier coefficients, so P_j(t) =
+    N^-2 sum_s omega^(s j) f_s(t) with f_s(t) = 1^T exp(t B_s) 1, a
+    ModeSum.  Modes with equal rates are merged with summed weights c_m.
+    The rates that 1^T can see are the roots z of the secular equation
 
         h(z) = sum_m c_m (lambda_m - z) / (z + gamma - lambda_m) = 0,
 
     each with amplitude (N/gamma)^2 / sum_m c_m / (z + gamma - lambda_m)^2,
     so f_s(t) = sum_k amp_k exp(z_k t) over about N/2 roots per block.
-    The merged blocks come in at most two sizes, split by the parity of
-    s, and the setup solves each size class as a stack across a sweep's
-    gammas (secular_mode_sums; a propagator built alone is its one-gamma
-    case), in groups whose temporaries together hold at most
-    _CHUNK_ENTRIES entries: O(N^3) per block and close to O(N^4) per
-    gamma (measured 0.02 / 2.9 s at n = 64 / 256, gamma = 3).  A block
-    whose roots cannot be trusted is evaluated instead with expm of its
-    merged form, and mode then reads "expm" rather than "eig"; at the
-    same lead + lag split as the modes, it takes about 2 sqrt(T) expm on
-    a grid of T times and one per other time.
+
+    The blocks are one family in three numbers (sigma, phi, c).  Block
+    s has lambda_m = i sigma cos(theta_m), sigma = sin(pi s/N), on the
+    grid theta_m = phi + 2 pi m/N with phi = -pi s/N in the literal-S
+    picture and phi = -pi s/N - pi/2 in the density picture
+    (_block_rates).  So B_s = sigma A(c) with c = gamma/sigma and
+    A(c) = i diag(cos theta) - c I + (c/N) 1 1^T, and with
+    x = cosh(eta) = -i (zeta + c) for a root zeta of A the secular sum
+    is a Chebyshev partial fraction in closed form (Mason & Handscomb,
+    Chebyshev Polynomials, CRC 2003):
+
+        (1/N) sum_m 1/(x - cos theta_m)
+            = sinh(N eta) / (sinh(eta) (cosh(N eta) - cos(N phi))) = i/c.
+
+    cos(N phi) is (-1)^s in the literal-S picture and (-1)^s cos(N pi/2)
+    in the density picture: the same when 4 | N, where the two pictures
+    have the same blocks, the other parity when N = 2 mod 4, and 0 at
+    odd N.  About pole j, eta = i theta_j + d, this is one scalar
+    equation per root with no cancellation,
+
+        sinh(i theta_j + d) tanh(L d) = -i c,
+
+    with L = N/2, or L = N in the density picture at odd N
+    (_closed_form_roots solves them all).  The setup solves every root
+    of the blocks s = 1..N/2 across a sweep's gammas so (secular_mode_sums;
+    a propagator built alone is its one-gamma case) and polishes them on
+    h in stacks of equal block size, in groups whose temporaries
+    together hold at most _CHUNK_ENTRIES entries: O(N^2) for the closed
+    form and O(N^3) for the polish per gamma (measured 0.004 / 0.18 /
+    1.3 s at n = 64 / 256 / 512, gamma = 3).  A block whose roots cannot
+    be trusted is evaluated instead with expm of its merged form, and
+    mode then reads "expm" rather than "eig"; at the same lead + lag
+    split as the modes, it takes about 2 sqrt(T) expm on a grid of T
+    times and one per other time.
 
     modes, if given, is config's mode sum, a ModeSum of one member: a
     member of the stack secular_mode_sums solved with other gammas.  It
@@ -1010,21 +1067,34 @@ class DiagonalPropagator:
 def secular_mode_sums(n: int, gammas, model: str = "s-literal") -> ModeSum:
     """The exact mode sums of the index-sum blocks at gammas, one member each, solved as one stack.
 
-    The undamped rates of the blocks s = 1..N/2 and their size classes
-    do not depend on gamma (_size_classes) and are built once.  Each
-    class is stacked across all gammas, block s of gamma g in one row,
-    and solved by _block_modes in groups of at most _secular_group rows,
-    so each block gets the bits it would get alone.  A block whose
-    roots are untrusted is kept in merged form for expm
-    (ModeSum.dense).  The members share one (gammas, S, K) rate and
+    The undamped rates of the blocks s = 1..N/2, their grid angles and
+    their size classes do not depend on gamma (_size_classes) and are
+    built once.  _closed_form_roots solves every root of every block at
+    every gamma, at most _CHUNK_ENTRIES / _CLOSED_FORM_TABLES roots at a
+    time.  Then each size class is stacked across all gammas, block s of
+    gamma g in one row, and polished by _block_modes in groups of at
+    most _secular_group rows, so each block gets the bits it would get
+    alone.  A block whose roots are untrusted is kept in merged form for
+    expm (ModeSum.dense).  The members share one (gammas, S, K) rate and
     amplitude table; secular_slab sizes a sweep's stacks.
     """
     _check_modesum_size(n)
     _check_model(model)
     gammas = np.asarray(gammas, dtype=float)
-    beta, counts, classes = _size_classes(n, model)
+    beta, counts, angles, classes = _size_classes(n, model)
     rates = np.zeros((gammas.size, *beta.shape), dtype=complex)
     amps = np.zeros_like(rates)
+    delta, slow = np.empty_like(rates), np.empty(rates.shape, dtype=bool)
+    solved = np.empty(rates.shape[:2], dtype=bool)
+    sigma, live = np.sin(np.pi * np.arange(1, n // 2 + 1) / n), counts > 0
+    rows = max(1, _CHUNK_ENTRIES // (_CLOSED_FORM_TABLES * beta.shape[1]))  # (gamma, s) per solve
+    width, depth = min(rows, sigma.size), max(1, rows // sigma.size)
+    for g in range(0, gammas.size, depth):
+        for s in range(0, sigma.size, width):
+            part = np.s_[g:g + depth, s:s + width]
+            delta[part], slow[part], solved[part] = _closed_form_roots(
+                n, model, angles[s:s + width], live[s:s + width], sigma[s:s + width],
+                gammas[g:g + depth])
     dense: list[list] = [[] for _ in gammas]
     for size, rows in classes.items():
         which = np.repeat(np.arange(gammas.size), rows.size)  # the gamma of each stacked block
@@ -1033,7 +1103,8 @@ def secular_mode_sums(n: int, gammas, model: str = "s-literal") -> ModeSum:
         for lo in range(0, blocks.size, step):
             g, s = which[lo:lo + step], blocks[lo:lo + step]
             b, c = beta[s, :size], counts[s, :size]
-            z, amp, trusted = _block_modes(b, c, gammas[g], n)
+            roots = delta[g, s, :size], slow[g, s, :size], solved[g, s]
+            z, amp, trusted = _block_modes(b, c, gammas[g], n, roots)
             rates[g[trusted], s[trusted], :size] = z[trusted]
             amps[g[trusted], s[trusted], :size] = amp[trusted]
             for i in np.flatnonzero(~trusted):
@@ -1050,7 +1121,7 @@ def secular_slab(n: int, model: str = "s-literal") -> int:
     least one: all 25 of the default grid up to n = 46, 9 at n = 64 and
     one from n = 112 up, where a class about fills a group alone.
     """
-    _, _, classes = _size_classes(n, model)
+    *_, classes = _size_classes(n, model)
     return max(1, min(_secular_group(size) // rows.size for size, rows in classes.items()))
 
 
@@ -1061,43 +1132,50 @@ def _secular_group(size: int) -> int:
 
 
 def _size_classes(n: int, model: str):
-    """(beta, counts, {size: rows}): _block_rates of s = 1..N/2 and the rows
-    (s - 1) of each merged size, in increasing size."""
-    beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), model)
+    """(beta, counts, angles, {size: rows}): _block_rates of s = 1..N/2 and
+    the rows (s - 1) of each merged size, in increasing size."""
+    beta, counts, angles = _block_rates(n, np.arange(1, n // 2 + 1), model)
     sizes = np.count_nonzero(counts, axis=1)
     # At most two sizes; np.unique would import numpy.ma on its first call.
-    return beta, counts, {size: np.flatnonzero(sizes == size)
-                          for size in sorted(set(sizes.tolist()))}
+    return beta, counts, angles, {size: np.flatnonzero(sizes == size)
+                                  for size in sorted(set(sizes.tolist()))}
 
 
 def _block_rates(n: int, s, model: str):
-    """Distinct undamped rates i*beta of index-sum block s, with multiplicities.
+    """Distinct undamped rates i*beta of index-sum block s, with multiplicities and grid angles.
 
     Mode (m, s-m) has rate (i/2)(sin 2 pi m/N + sin 2 pi (s-m)/N) in the
     literal-S picture and (i/2)(cos 2 pi (s-m)/N - cos 2 pi m/N) in the
-    density picture.  Writing either as i sin(pi s/N) g(pi (2m - s)/N)
-    shows the only coincidences: m <-> s-m in the literal picture
-    (g = cos), and m <-> s - N/2 - m in the density picture at even N
-    (g = sin).  An array of index sums gives (beta, counts) tables, one
-    row per entry in order of m, padded with zeros to the longest row
-    (a count is never zero otherwise); a single index sum gives its row
-    unpadded.
+    density picture, i sigma cos(theta_m) with sigma = sin(pi s/N) and
+    theta_m = pi (2m - s)/N, less pi/2 in the density picture (see
+    DiagonalPropagator).  The only coincidences are m <-> s-m in the
+    literal picture, and m <-> s - N/2 - m in the density picture at even
+    N: their angles are opposite.  An array of index sums gives (beta,
+    counts, angles) tables, one row per entry holding its kept modes in
+    order of m, padded with zeros to the longest row (a count is never
+    zero otherwise); a single index sum gives its rows unpadded.  The
+    angle is the integer q in [0, 2N] with |theta_m| = pi q/(2N) mod
+    2 pi, which fixes sin and cos of the angle exactly.
     """
     sums = np.atleast_1d(s)[:, None]
     m = np.arange(n)
     if model == "s-literal":
         beta = 0.5 * (np.sin(2 * np.pi * m / n) + np.sin(2 * np.pi * (sums - m) / n))
         partner = (sums - m) % n
+        angle = (4 * m - 2 * sums) % (4 * n)
     else:
         beta = 0.5 * (np.cos(2 * np.pi * (sums - m) / n) - np.cos(2 * np.pi * m / n))
         partner = (sums - n // 2 - m) % n if n % 2 == 0 else np.broadcast_to(m, beta.shape)
+        angle = (4 * m - 2 * sums - n) % (4 * n)
     keep = m <= partner
     counts = np.where(keep, np.where(m == partner, 1.0, 2.0), 0.0)
     # The kept modes of each row first, in order of m.
     order = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
     rows = np.arange(keep.shape[0])[:, None]
-    beta, counts = np.where(keep, beta, 0.0)[rows, order], counts[rows, order]
-    return (beta, counts) if np.ndim(s) else (beta[0], counts[0])
+    angle = np.minimum(angle, 4 * n - angle)  # cos is even: fold into [0, pi]
+    tables = (np.where(keep, beta, 0.0)[rows, order], counts[rows, order],
+              np.where(keep, angle, 0)[rows, order])
+    return tables if np.ndim(s) else tuple(table[0] for table in tables)
 
 
 def _merged_block(beta: np.ndarray, counts: np.ndarray, gamma, n: int) -> np.ndarray:
@@ -1114,31 +1192,33 @@ def _merged_block(beta: np.ndarray, counts: np.ndarray, gamma, n: int) -> np.nda
 
 
 def _block_modes(
-    beta: np.ndarray, counts: np.ndarray, gamma, n: int
+    beta: np.ndarray, counts: np.ndarray, gamma, n: int, roots
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Secular roots and amplitudes of a stack of merged blocks of one size.
 
     beta and counts are (G, k), gamma (G,), the rate of each block, or
-    one rate for all.  The result is (roots (G, k), amplitudes (G, k),
-    trusted (G,)), roots and amplitudes holding only where trusted.
-    Every step acts on the whole stack: one stacked eigvals gives the
-    guesses, which take _NEWTON_STEPS Newton steps on h, and each block
-    is decided on its own, in the bits it would get alone.  Each root is
-    held as anchor + delta, the anchor being the origin or the nearest
-    pole i*beta_k - gamma.  offset[i, m] = anchor_i - pole_m is exact for
-    both kinds of anchor, so z + gamma - lambda_m = delta + offset and
-    lambda_m - z = (gamma - offset) - delta lose no digits to
-    cancellation: neither the slow root near 0 at large gamma (fixed
-    only to eps*gamma by the eigenvalue solver) nor the roots within
-    O(gamma) of a pole at small gamma.  A block's roots are trusted when
-    finite, when each leaves a residual under _SECULAR_RESIDUAL_TOL, and
-    when the amplitudes add up to f_s(0) = N and cancel by at most
-    _CANCEL_TOL.  A defective block (at an exceptional point) fails
-    these, and so does gamma below about 1e-13, where the eigenvalues
-    cannot resolve the O(gamma) offsets.  A block at gamma = 0 is
-    undamped: its roots are the poles i*beta, with amplitudes counts.
-    It holds up to _SECULAR_TABLES tables of G k (k + 1) entries at
-    once; the caller sizes G.
+    one rate for all, and roots the blocks' closed-form roots, (delta
+    (G, k), slow (G, k), solved (G,)) of _closed_form_roots.  The result
+    is (roots (G, k), amplitudes (G, k), trusted (G,)), roots and
+    amplitudes holding only where trusted.  Every step acts on the whole
+    stack, and each block is decided on its own, in the bits it would get
+    alone.  Each root is held as anchor + delta, the anchor being the
+    origin or a pole i*beta_k - gamma: the closed form gives root j at
+    the pole of its own mode j, or at the origin for the slow root.  A
+    block it did not solve takes eigvals of its merged form instead, each
+    guess at the nearest of the origin and the poles.  The roots then
+    take _NEWTON_STEPS Newton steps on h.  offset[i, m] = anchor_i -
+    pole_m is exact for both kinds of anchor, so z + gamma - lambda_m =
+    delta + offset and lambda_m - z = (gamma - offset) - delta lose no
+    digits to cancellation: neither the slow root near 0 at large gamma
+    nor the roots within O(gamma) of a pole at small gamma.  A block's
+    roots are trusted when finite, when each leaves a residual under
+    _SECULAR_RESIDUAL_TOL, and when the amplitudes add up to f_s(0) = N
+    and cancel by at most _CANCEL_TOL.  A defective block (at an
+    exceptional point) fails these.  A block at gamma = 0 is undamped:
+    its roots are the poles i*beta, with amplitudes counts.  It holds up
+    to _SECULAR_TABLES tables of G k (k + 1) entries at once; the caller
+    sizes G.
     """
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), beta.shape[:1])
     if not gamma.all():
@@ -1146,35 +1226,39 @@ def _block_modes(
         trusted = np.ones(gamma.shape, dtype=bool)
         live = gamma != 0
         if live.any():
-            z[live], amp[live], trusted[live] = _block_modes(beta[live], counts[live],
-                                                             gamma[live], n)
+            z[live], amp[live], trusted[live] = _block_modes(
+                beta[live], counts[live], gamma[live], n, [part[live] for part in roots])
         return z, amp, trusted
     rate = gamma[:, None]  # each block's gamma, against its modes
     poles = 1j * beta - rate
-    guess = np.linalg.eigvals(_merged_block(beta, counts, gamma, n))
-    targets = np.concatenate((np.zeros((beta.shape[0], 1), dtype=complex), poles), axis=-1)
-    nearest = np.abs(guess[..., :, None] - targets[..., None, :]).argmin(axis=-1)
-    at_origin = nearest == 0
-    pole = np.maximum(nearest - 1, 0)
+    delta, at_origin, solved = (part.copy() for part in roots)
+    pole = np.broadcast_to(np.arange(beta.shape[1]), beta.shape).copy()
+    if not solved.all():
+        redo = np.flatnonzero(~solved)
+        guess = np.linalg.eigvals(_merged_block(beta[redo], counts[redo], gamma[redo], n))
+        targets = np.concatenate((np.zeros((redo.size, 1), dtype=complex), poles[redo]), axis=-1)
+        nearest = np.abs(guess[..., :, None] - targets[..., None, :]).argmin(axis=-1)
+        at_origin[redo], pole[redo] = nearest == 0, np.maximum(nearest - 1, 0)
+        delta[redo] = guess - np.where(at_origin[redo], 0.0,
+                                       np.take_along_axis(poles[redo], pole[redo], axis=-1))
     anchor = np.where(at_origin, 0.0, np.take_along_axis(poles, pole, axis=-1))
     anchor_beta = np.where(at_origin, 0.0, np.take_along_axis(beta, pole, axis=-1))
     offset = 1j * (anchor_beta[..., None] - beta[..., None, :])
     offset += np.where(at_origin, rate, 0.0)[..., None]
-    counts = counts[..., None, :]
-    # The only (G, k, k) tables held through the Newton steps: offset, w
-    # and the terms, each formed in place (the same operations, so the
-    # same bits, as forming them afresh).
+    counts = counts[..., None, :].astype(complex)  # cast once, not in each product
+    # The only (G, k, k) tables held through the Newton steps: offset,
+    # lambda_m - anchor_i, w and the terms, each formed in place (the same
+    # operations, so the same bits, as forming them afresh).
+    lam = rate[..., None] - offset
     w, terms = np.empty_like(offset), np.empty_like(offset)
 
     def secular_terms(delta: np.ndarray) -> None:
         """w = z + gamma - lambda_m and terms = c_m (lambda_m - z) / w."""
         np.add(delta[..., None], offset, out=w)
-        np.subtract(rate[..., None], offset, out=terms)  # lambda_m - anchor_i
-        np.subtract(terms, delta[..., None], out=terms)
+        np.subtract(lam, delta[..., None], out=terms)
         np.multiply(terms, counts, out=terms)
         np.divide(terms, w, out=terms)
 
-    delta = guess - anchor
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
             secular_terms(delta)
@@ -1199,3 +1283,199 @@ def _block_modes(
             & (np.abs(amp).sum(axis=-1) <= _CANCEL_TOL * n)
         )
     return z, amp, trusted
+
+
+def _closed_form_roots(n: int, model: str, angles: np.ndarray, live: np.ndarray,
+                       sigma: np.ndarray, gammas: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every secular root of S index-sum blocks at gammas, from its closed form.
+
+    angles (S, K) are the blocks' grid angles of _block_rates, live
+    (S, K) their kept modes and sigma (S,) sin(pi s/N).  In
+    DiagonalPropagator's units (c = gamma/sigma, L its length) root j of
+    block s is sigma (i cosh eta - c), eta = i theta_j + d, with d solving
+
+        F(d) = sinh(i theta_j + d) tanh(L d) + i c = 0,
+
+    one scalar equation per root, solved over all of them at once by
+    _closed_form_newton.  The host of a block is its mode nearest
+    theta = pi/2 (the upper one of a tie, for determinism: the grid is
+    symmetric about pi/2 then); the others take their sides
+    (+1 below it, -1 above).  As c grows, root j leaves its pole and
+    moves towards the midpoint theta_j + side pi/(2L) on the host's
+    side, and the host's root becomes the slow root.  The starts follow
+    that path, so that no two of them find the same root:
+
+    * d = the root nearest 0 of (L cos theta) d^2 + (i L sin theta) d +
+      i c, where |L d| < 1/2 (small c, the edges theta = 0, pi at the
+      smallest; there d and -d are one root, and both lie on its path);
+    * d = i side pi/(2L) - sin a / (L c - i cos a), a the midpoint,
+      where c >= 3 sin theta (large c);
+    * else L d = -artanh(w), or -artanh(1/w) + i side pi/2 for |w| > 1,
+      with w = c/sin theta and then once more with w = c/(sin theta -
+      i cos theta d), from tanh(L d) = -c/(sin theta - i cos theta d)
+      to first order in d;
+    * the host, past c = 1 or past the exceptional point c_EP of a pair
+      of modes at pi/2 +- pi/(2L) (_exceptional_point), and a host at
+      pi/2 itself at every c: eta = i pi/2 - u, with u = artanh(c)/L
+      (c up to 0.99), cosh u = c at large c, and u >= u_EP.
+
+    A block is solved when every root leaves |F| under 1e-10 of its
+    terms, each non-host root stays within a quarter spacing of its path
+    (L side Im d / pi in (-1/4, 3/4)), which keeps them apart, and the
+    host's root lies more than 1e-7 (1 + c) from each of the others.
+    Over N = 3..40 and 64, both pictures, every s and 161 values of c
+    in [1e-6, 1e4] every block (138782) was solved, each root within
+    2.2e-10 sigma (1 + c) of one eigenvalue of the merged block.  Blocks
+    whose c lies within a relative 1e-4 (N = 8) to 1e-6 (N = 256) of an
+    exceptional point are not: there the host's root meets another.
+
+    The result is (delta (G, S, K), slow (G, S, K), solved (G, S)):
+    root j minus its anchor, in the rates' units, the anchor being the
+    pole i sigma cos theta_j - gamma of mode j, or the origin where slow
+    (the host nearer the origin than its pole: the slow root).  The
+    offset from the pole, i cos theta 2 sinh^2(d/2) - sin theta sinh d,
+    and the slow root, i (e^eta - (1 + tanh L d) sinh eta) where
+    Re eta < 0 (else its mirror form), lose no digits to cancellation.
+    Padding modes (not live) are left out.  It holds about
+    _CLOSED_FORM_TABLES tables of G S K entries.
+    """
+    turn = 2 * n  # angle units per pi
+    length = n if model == "rho" and n % 2 else n / 2
+    blocks = np.arange(angles.shape[0])
+    sigma = sigma[:, None]
+    host = np.zeros(angles.shape, dtype=bool)
+    host[blocks, np.where(live, 2 * np.abs(angles - n) - (angles > n), 4 * n).argmin(axis=1)] = True
+    side = np.sign(angles[host][:, None] - angles)
+    s, j = np.nonzero(live)  # the roots, per gamma
+    q, side_q, host_q = angles[s, j], side[s, j], host[s, j]
+    sin_t = np.sin(np.pi * np.minimum(q, turn - q) / turn)
+    cos_t = np.sin(np.pi * (n - q) / turn)
+    mid = q + side_q * round(n / length)  # the midpoint, pi/(2L) to the host's side
+    sin_m = np.sin(np.pi * np.minimum(mid, turn - mid) / turn)
+    cos_m = np.sin(np.pi * (n - mid) / turn)
+    c = gammas[:, None] / sigma[s, 0]
+    with np.errstate(all="ignore"):
+        def across(w: np.ndarray, side: np.ndarray) -> np.ndarray:
+            """L d from tanh(L d) = -w: -artanh(w), or -artanh(1/w) + i side pi/2 for |w| > 1,
+            the branch towards the side's midpoint (artanh(w) - artanh(1/w) = +-i pi/2)."""
+            t = np.arctanh(w)
+            return np.where(np.abs(w) > 1, (np.sign(t.imag) + side) * 0.5j * np.pi - t, -t)
+
+        b = 1j * length * sin_t
+        disc = np.sqrt(b * b - 4j * length * cos_t * c)
+        disc = np.where((b.conj() * disc).real < 0, -disc, disc)
+        small = -2j * c / (b + disc)
+        near = np.abs(small) * length < 0.5
+        large = ~near & (c >= 3 * sin_t)
+        delta = np.where(large, 0.5j * np.pi * side_q / length - sin_m / (length * c - 1j * cos_m),
+                         small)
+        between = np.nonzero(~near & ~large)  # the roots that take the artanh start
+        if between[0].size:
+            side_b, c_b = side_q[between[1]], c[between]
+            sin_b, cos_b = sin_t[between[1]], cos_t[between[1]]
+            y = across(c_b / sin_b + 0j, side_b)
+            refined = across(c_b / (sin_b - 1j * cos_b * y / length), side_b)
+            delta[between] = np.where(np.isfinite(refined), refined, y) / length
+        u = np.maximum(np.arctanh(np.minimum(c, 0.99)) / length, np.arccosh(np.maximum(c, 1.0)))
+        switch = np.ones_like(c)
+        pair = host_q & (q != n)
+        if n % 2 == 0 and (pair & (c >= 1)).any():
+            c_ep, u_ep = _exceptional_point(length)
+            u = np.where(pair, np.maximum(u, u_ep), u)
+            switch = np.where(pair, c_ep, 1.0)
+        slow_start = 0.5j * np.pi - u - 1j * np.pi * q / turn
+        delta = np.where(host_q & ~near & ((c >= switch) | (q == n)), slow_start, delta)
+        del b, disc, small, near, large, u, switch, slow_start  # not held through the steps
+        roots, done = _closed_form_newton(delta, cos_t, sin_t, c, length)
+        shape = (gammas.size, *angles.shape)
+        delta, converged = np.zeros(shape, dtype=complex), ~np.broadcast_to(live, shape)
+        delta[:, s, j], converged[:, s, j] = roots, done
+        sin_t = np.sin(np.pi * np.minimum(angles, turn - angles) / turn)
+        cos_t = np.sin(np.pi * (n - angles) / turn)
+        c = gammas[:, None, None] / sigma
+        sinh_d = _sinh_cosh(delta)[0]
+        off = 1j * cos_t * 2 * _sinh_cosh(delta / 2)[0] ** 2 - sin_t * sinh_d
+        zeta = 1j * cos_t - c + off
+        on_path = host | (np.abs(side * delta.imag * (2 * length / np.pi) - 0.5) < 1)
+        apart = np.where(host | ~live, np.inf,
+                         np.abs(zeta - zeta[..., host][..., None])).min(axis=-1)
+        solved = ((np.isfinite(delta) & converged & on_path) | ~live).all(axis=-1)
+        solved &= apart > 1e-7 * (1 + c[..., 0])
+        slow = host & (np.abs(zeta) < np.abs(off))
+        if slow.any():
+            d = delta[slow]
+            sign = np.where(d.real < 0, 1.0, -1.0)
+            eta = 1j * np.pi * np.broadcast_to(angles, slow.shape)[slow] / turn + d
+            rise = np.exp(2 * sign * length * d)
+            off[slow] = 1j * (np.exp(sign * eta) - sign * 2 * rise / (1 + rise) * np.sinh(eta))
+    return sigma * off, slow, solved
+
+
+def _closed_form_newton(delta, cos_t, sin_t, c, length):
+    """Newton steps on _closed_form_roots' equation F(d) = 0 from the starts
+    delta: each root steps until |F| is under 1e-10 of its terms, at most
+    _CLOSED_FORM_STEPS times, and only the roots still stepping are
+    evaluated, so each root's steps are its own.  Returns the roots and
+    whether each converged."""
+    shape = delta.shape
+    delta = delta.ravel().copy()
+    cos_t, sin_t, c = (np.broadcast_to(x, shape).ravel() for x in (cos_t, sin_t, c))
+    converged = np.zeros(delta.size, dtype=bool)
+    live = np.arange(delta.size)
+    d, ct, st, cc = delta, cos_t, sin_t, c
+    for step in range(_CLOSED_FORM_STEPS + 1):
+        sinh_d, cosh_d = _sinh_cosh(d)
+        tanh_r, tan_i = np.tanh(length * d.real), np.tan(length * d.imag)
+        tanh_ld = (tanh_r + 1j * tan_i) / (1 + 1j * (tanh_r * tan_i))
+        sinh_eta = ct * sinh_d + 1j * st * cosh_d
+        value = sinh_eta * tanh_ld + 1j * cc
+        done = np.abs(value) <= 1e-10 * (np.abs(sinh_eta * tanh_ld) + cc)
+        converged[live[done]] = True
+        if step == _CLOSED_FORM_STEPS or done.all():
+            break
+        cosh_eta = ct * cosh_d + 1j * st * sinh_d
+        d = d - value / (cosh_eta * tanh_ld + sinh_eta * length * (1 - tanh_ld**2))
+        keep = ~done
+        live, d, ct, st, cc = live[keep], d[keep], ct[keep], st[keep], cc[keep]
+        delta[live] = d
+    return delta.reshape(shape), converged.reshape(shape)
+
+
+def _sinh_cosh(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sinh d and cosh d of complex d, from the real functions of its parts."""
+    sinh_a, cosh_a, sin_b, cos_b = np.sinh(d.real), np.cosh(d.real), np.sin(d.imag), np.cos(d.imag)
+    return sinh_a * cos_b + 1j * (cosh_a * sin_b), cosh_a * cos_b + 1j * (sinh_a * sin_b)
+
+
+def _exceptional_point(length: float) -> tuple[float, float]:
+    """(c_EP, u_EP): the minimum over u > 0 of cosh(u) coth(L u), and where it lies.
+
+    At even N a block with no mode at theta = pi/2 has two at pi/2 +-
+    pi/(2L).  Their roots are a complex pair below c_EP, meet on the
+    real axis at eta = i pi/2 - u_EP when c = c_EP, and are two real
+    roots, a fast one and the slow one, above it: there they solve
+    cosh(u) coth(L u) = c.  c_EP tends to 1 as N grows (sqrt 2 at
+    N = 4, 1.00782 at 64).  Bisection on the derivative, written in
+    e^(-2 L u) so that it cannot overflow; it changes sign once in
+    (0, 1) for every L >= 2.  Kept per L in _EXCEPTIONAL_POINTS.
+    """
+    if length in _EXCEPTIONAL_POINTS:
+        return _EXCEPTIONAL_POINTS[length]
+
+    def slope(u: float) -> float:
+        e = math.exp(-2 * length * u)
+        gap = -math.expm1(-2 * length * u)
+        return math.sinh(u) * (1 + e) / gap - 4 * length * math.cosh(u) * e / gap**2
+
+    lo, hi = 0.0, 1.0
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+    u = 0.5 * (lo + hi)
+    c = math.cosh(u) * (1 + math.exp(-2 * length * u)) / -math.expm1(-2 * length * u)
+    _EXCEPTIONAL_POINTS[length] = c, u
+    return c, u
+
+
+_EXCEPTIONAL_POINTS: dict[float, tuple[float, float]] = {}

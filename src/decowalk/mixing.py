@@ -47,6 +47,7 @@ from .evolution import (
     ModeSum,
     build_full_operator,  # unused here; the benchmark tracer patches it by this name
     check_table_size,
+    envelope_margin,
     rk4_step_matrix,  # unused here; the benchmark tracer patches it by this name
     secular_mode_sums,
     secular_slab,
@@ -158,7 +159,7 @@ class _Member:
 
     def __init__(self, config: WalkConfig) -> None:
         self.config = config
-        self.horizon = self.grid = self.modes = self.outcome = None
+        self.horizon = self.grid = self.modes = self.reach = self.outcome = None
         self.lo = self.hi = 0.0
 
     def times(self) -> np.ndarray:
@@ -188,8 +189,9 @@ def _mode_sum_route(method: str):
 
 def _attach_routes(members: list[_Member], method: str) -> None:
     """Give each member its grid route, its member of one mode sum stacked
-    over the slab's gammas.  If the stacked build raises, each member
-    builds alone, and only a member whose own build fails records it."""
+    over the slab's gammas, and the reach of that mode sum at its horizon
+    (ModeSum.reach).  If the stacked build raises, each member builds
+    alone, and only a member whose own build fails records it."""
     if not members:
         return
     build, wrap = _mode_sum_route(method)
@@ -201,12 +203,33 @@ def _attach_routes(members: list[_Member], method: str) -> None:
                 m.modes = build(m.config.n, [m.config.gamma])
             except SEARCH_ERRORS as exc:
                 m.outcome = exc
+            else:
+                m.reach = m.modes.reach(np.array([m.horizon]))[0]
     else:
+        reach = stack.reach(np.array([m.horizon for m in members]))
         for g, m in enumerate(members):
-            m.modes = stack.member(g)
+            m.modes, m.reach = stack.member(g), reach[g]
     for m in members:
         if m.modes is not None:
             m.grid = wrap(m.config, m.modes)
+
+
+def _check_resolution(m: _Member, eps: float) -> None:
+    """Refuse a search whose rounding margin at the horizon is not below eps.
+
+    envelope_margin bounds how far rounding can move a computed distance
+    whose exponents z t turn up to the member's reach (over at most N^2/2
+    modes); where that margin is not below eps, no distance on the grid
+    can be told from eps: at n = 5 and gamma = 1e-30 the horizon is 1e32
+    and z t keeps no phase digits there.  Checked before any grid row is
+    evaluated.
+    """
+    n = m.config.n
+    margin = envelope_margin(eps, m.reach, n * (n // 2), n)
+    if not margin < eps:
+        raise ValueError(
+            f"gamma={m.config.gamma:g} is past what the mode sum resolves: at the horizon "
+            f"t={m.horizon:g} the rounding margin {margin:.3g} is not below eps={eps:g}")
 
 
 def _midpoints(members: list[_Member], mids: np.ndarray, uniform: np.ndarray):
@@ -241,6 +264,7 @@ def _search(members: list[_Member], eps: float, method: str, mode: str,
             continue
         times = m.times()
         try:  # the rows past the envelope's cut are left out: they are under eps
+            _check_resolution(m, eps)
             near = _distance(m.grid(times, eps, True), uniform)
         except SEARCH_ERRORS as exc:
             m.outcome = exc
@@ -354,7 +378,9 @@ def mixing_time(
     grid, so both modes give what the whole grid gives.  A row left out
     cannot be non-finite (every rate decays and every amplitude is
     finite), so no IntegrationError is missed.  With no envelope (an
-    expm block, gamma = 0) every row is evaluated.
+    expm block, gamma = 0) every row is evaluated.  A search whose
+    rounding margin at the horizon is not below eps, where no distance
+    can be told from eps, is refused before any row (_check_resolution).
 
     This is the one-config case of LockstepSearch, and raises the
     failure it reports.  search, if given, is a LockstepSearch holding

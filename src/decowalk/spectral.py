@@ -45,22 +45,24 @@ def cycle_eigenvalues(n: int) -> np.ndarray:
     return 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def unitary_amplitudes(n: int, t: float) -> np.ndarray:
+def unitary_amplitudes(n: int, t) -> np.ndarray:
     """Closed walk started at vertex 0, bare adjacency generator.
 
     psi_j(t) = (1/N) sum_m exp(-2it cos(2 pi m / N)) exp(-2 pi i m j / N),
-    global phase dropped.  Note the time unit: this propagates with the
-    full adjacency, while the master equations in this package carry a
-    quarter-rate hopping stencil, so their gamma = 0 trajectories match
-    these amplitudes at t/4 (see checks.zero_dephasing_agreement).
+    global phase dropped.  An array of times gives one row per time, by
+    one batched transform whose rows have the bits of each time alone.
+    Note the time unit: this propagates with the full adjacency, while
+    the master equations in this package carry a quarter-rate hopping
+    stencil, so their gamma = 0 trajectories match these amplitudes at
+    t/4 (see checks.zero_dephasing_agreement).
     """
-    check_times(t)
-    phases = np.exp(-1j * t * cycle_eigenvalues(n))
-    return np.fft.fft(phases) / n
+    phases = np.exp(-1j * np.multiply.outer(check_times(t), cycle_eigenvalues(n)))
+    return np.fft.fft(phases, axis=-1) / n
 
 
-def unitary_distribution(n: int, t: float) -> np.ndarray:
-    """Vertex probabilities |psi_j(t)|^2 of the closed walk."""
+def unitary_distribution(n: int, t) -> np.ndarray:
+    """Vertex probabilities |psi_j(t)|^2 of the closed walk, one row per time
+    for an array of times."""
     amps = unitary_amplitudes(n, t)
     return np.abs(amps) ** 2
 
@@ -135,7 +137,7 @@ def perturbative_modes(n: int, gammas) -> ModeSum:
     """
     _check_modesum_size(n)
     gamma = np.asarray(gammas, dtype=float)[:, None, None]
-    beta, counts = _block_rates(n, np.arange(1, n // 2 + 1), "s-literal")
+    beta, counts, _ = _block_rates(n, np.arange(1, n // 2 + 1), "s-literal")
     return ModeSum(n, 1j * beta - gamma + gamma * counts / n,
                    np.broadcast_to(counts, gamma.shape[:1] + counts.shape))
 

@@ -326,17 +326,23 @@ class TestFailedPoints:
         assert lines[lines.index("n,gamma,t_mix,converged") - 3].startswith("# defaults:")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_sweep_names_a_non_finite_mode_sum(self, tmp_path):
+    def test_sweep_names_an_unresolvable_point(self, tmp_path):
+        # At gamma = 1e-30 and 1e-15 the rounding margin at the horizon is
+        # not below eps: both points are refused before any grid row.
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--n", "5", "--points", "3", "--gamma-min", "1e-30",
                      "--gamma-max", "1", "--output", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert [line for line in lines if line.startswith("# failed")] == [
-            "# failed gamma=9.9999999999999991e-31 reason=IntegrationError: "
-            "mode sum is not finite at t=5.05746e+28"
+            f"# failed gamma={gamma} reason=ValueError: gamma={short} is past what the mode "
+            f"sum resolves: at the horizon t={horizon} the rounding margin {margin} is not "
+            f"below eps=0.01"
+            for gamma, short, horizon, margin in (
+                ("9.9999999999999991e-31", "1e-30", "1.03577e+32", "1.14e+13"),
+                ("1.0000000000000001e-15", "1e-15", "1.03577e+17", "0.0114"))
         ]
         assert lines[-3:] == ["9.9999999999999991e-31,nan,false",
-                              "1.0000000000000001e-15,7733964215502164,true",
+                              "1.0000000000000001e-15,nan,false",
                               "1,26.512073829694437,true"]
 
     def test_clean_sweep_has_no_failure_lines(self, tmp_path):
@@ -499,17 +505,21 @@ class TestRefusedInputs:
         assert stderr == "error: dense exponential is not finite at t=1e+300\n"
         assert stdout == ""
 
-    @pytest.mark.parametrize("gamma, t", [
-        ("1e-30", "5.05746e+28"), ("1e-300", "5.05746e+298"), ("1e300", "3.23688e+299"),
+    @pytest.mark.parametrize("gamma, horizon, margin", [
+        ("1e-30", "1.03577e+32", "1.14e+13"), ("1e-300", "1.03577e+302", "8.75e+284"),
+        ("1e+300", "6.62913e+302", "inf"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_mode_sum_is_a_computation_error(self, gamma, t):
-        # Valid gammas at which every block's expm overflows before the
-        # horizon: a NaN distance must not read as "not converged", and
-        # the error line is all that reaches stderr (no overflow warning).
+    def test_unresolvable_mode_sum_is_refused(self, gamma, horizon, margin):
+        # Valid gammas whose horizon no mode sum resolves: the rounding
+        # margin of the exponents z t there is not below eps, so the search
+        # is refused before any grid row, with the error line all that
+        # reaches stderr (no overflow warning).
         code, stdout, stderr = _run(["mixing", "--n", "5", "--gamma", gamma])
         assert code == 1
-        assert stderr == f"error: mode sum is not finite at t={t}\n"
+        assert stderr == (f"error: gamma={gamma} is past what the mode sum resolves: at the "
+                          f"horizon t={horizon} the rounding margin {margin} is not below "
+                          f"eps=0.01\n")
         assert stdout == ""
 
     @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Generator assembly, RK4 integration and the spectral propagator."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -712,19 +713,40 @@ class TestDiagonalPropagator:
         with pytest.raises(ValueError):
             prop.distributions(np.array([0.0, -1.0]))
 
-    @pytest.mark.parametrize("gamma", [1e-30, 1e-300, 1e300])
+    @pytest.mark.parametrize("gamma, mode, dense", [(1e-30, "eig", 0), (1e-300, "expm", 2),
+                                                    (1e300, "expm", 2)])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_mode_sum_raises(self, gamma):
-        # Every block falls back to expm, whose exponential overflows long
-        # before the distribution mixes; the distance must not read NaN.
-        prop = DiagonalPropagator(WalkConfig(n=5, gamma=gamma))
-        assert len(prop._modes.dense[0]) == 2
-        with pytest.raises(evolution.IntegrationError,
-                           match=r"^mode sum is not finite at t=4\.88281e\+28$"):
-            prop.distributions(np.linspace(0.0, 1e32, 2049))
-        with pytest.raises(evolution.IntegrationError,
-                           match=r"^mode sum is not finite at t=1e\+30$"):
-            prop.distributions(np.array([0.0, 1e30, 2e30]))
+    def test_extreme_gamma_is_solved_or_refused(self, gamma, mode, dense):
+        # The closed form solves the roots at gamma = 1e-30, where eigvals
+        # cannot resolve the offsets; at 1e-300 the polish cannot, and at
+        # 1e300 every block overflows, so both fall back to expm.  Where
+        # the distribution is finite it is the dense exponential's; and no
+        # mixing search is attempted, since its horizon keeps no phase
+        # digits in z t.
+        config = WalkConfig(n=5, gamma=gamma)
+        prop = DiagonalPropagator(config)
+        assert (prop.mode, len(prop._modes.dense[0])) == (mode, dense)
+        if gamma < 1:
+            for t in (0.0, 1.0, 40.0):
+                oracle = np.real(exact_evolve(config, t).diagonal())
+                np.testing.assert_allclose(prop.distribution(t), oracle, rtol=0, atol=1e-12)
+        else:
+            with pytest.raises(evolution.IntegrationError,
+                               match=r"^mode sum is not finite at t=1$"):
+                prop.distribution(1.0)
+        with pytest.raises(ValueError, match=re.escape(f"gamma={gamma:g} is past what the mode "
+                                                       f"sum resolves: at the horizon t=")):
+            mixing.mixing_time(config, 0.01)
+
+    def test_large_gamma_roots_match_the_heat_kernel(self):
+        # Far past the transition the walk is the classical one of hop
+        # rate 1/(8 gamma): at D t = 1 the two differ by O(1/gamma).
+        for gamma in (1e2, 1e4, 1e6):
+            prop = DiagonalPropagator(WalkConfig(n=5, gamma=gamma))
+            assert prop.mode == "eig"
+            t = 8.0 * gamma
+            kernel = large_gamma.classical_heat_kernel(5, 1.0 / (8.0 * gamma), t)
+            np.testing.assert_allclose(prop.distribution(t), kernel, rtol=0, atol=10.0 / gamma)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mode_block_raises(self):
@@ -736,14 +758,17 @@ class TestDiagonalPropagator:
 
 
 def _size_groups(n, model):
-    """The merged blocks of each size: {size: (s values, beta (G, k), counts (G, k))}."""
-    rates = {s: evolution._block_rates(n, s, model) for s in range(1, n // 2 + 1)}
-    groups = {}
-    for s, (beta, counts) in rates.items():
-        groups.setdefault(beta.size, []).append((s, beta, counts))
-    return {size: ([s for s, _, _ in group], np.array([b for _, b, _ in group]),
-                   np.array([c for _, _, c in group]))
-            for size, group in groups.items()}
+    """The merged blocks of each size: {size: (s values, beta (G, k), counts (G, k), angles (G, k))}."""
+    beta, counts, angles, classes = evolution._size_classes(n, model)
+    return {size: (list(rows + 1), beta[rows, :size], counts[rows, :size], angles[rows, :size])
+            for size, rows in classes.items()}
+
+
+def _solve_blocks(n, model, s_values, beta, counts, angles, gamma):
+    """_block_modes of the blocks s_values at one gamma, from their closed-form roots alone."""
+    sigma = np.sin(np.pi * np.asarray(s_values) / n)
+    roots = evolution._closed_form_roots(n, model, angles, counts > 0, sigma, np.array([gamma]))
+    return evolution._block_modes(beta, counts, gamma, n, [part[0] for part in roots])
 
 
 def _per_block(found):
@@ -768,12 +793,12 @@ class TestStackedBlockModes:
     def test_stack_equals_each_block_alone(self, model, n, gamma):
         groups = _size_groups(n, model)
         assert len(groups) <= 2  # split by the parity of s
-        for s_values, beta, counts in groups.values():
-            stacked = _per_block(evolution._block_modes(beta, counts, gamma, n))
+        for s_values, beta, counts, angles in groups.values():
+            stacked = _per_block(_solve_blocks(n, model, s_values, beta, counts, angles, gamma))
             assert len(stacked) == len(s_values)
             for g, found in enumerate(stacked):
-                alone = _per_block(evolution._block_modes(beta[g:g + 1], counts[g:g + 1],
-                                                          gamma, n))[0]
+                alone = _per_block(_solve_blocks(n, model, s_values[g:g + 1], beta[g:g + 1],
+                                                 counts[g:g + 1], angles[g:g + 1], gamma))[0]
                 assert (found is None) == (alone is None)
                 if found is not None:
                     assert [x.tobytes() for x in found] == [x.tobytes() for x in alone]
@@ -782,9 +807,9 @@ class TestStackedBlockModes:
     def test_untrusted_block_leaves_its_group_in_mode_form(self, model):
         # At n = 64, gamma = 0.1957 only block s = 4 is untrusted, and it
         # shares its size with the other 15 even blocks.
-        s_values, beta, counts = _size_groups(64, model)[33]
+        s_values, beta, counts, angles = _size_groups(64, model)[33]
         assert 4 in s_values and len(s_values) == 16
-        found = _per_block(evolution._block_modes(beta, counts, 0.1957, 64))
+        found = _per_block(_solve_blocks(64, model, s_values, beta, counts, angles, 0.1957))
         assert [s for s, modes in zip(s_values, found) if modes is None] == [4]
         prop = DiagonalPropagator(WalkConfig(n=64, gamma=0.1957), model)
         assert [row + 1 for row, _, _ in prop._modes.dense[0]] == [4]
@@ -842,6 +867,136 @@ class TestStackedBlockModes:
             modes, alone = stacked.member(g), evolution.secular_mode_sums(7, [gamma])
             assert modes._rates.tobytes() == alone._rates.tobytes()
             assert modes._amps.tobytes() == alone._amps.tobytes()
+
+
+def _closed_and_eigvals(n, model, s, gammas):
+    """Block s at each of gammas through _block_modes twice, from its closed-form
+    roots and from eigvals of its merged form (the closed form marked
+    unsolved): (solved, closed form's (z, amp, trusted), eigvals')."""
+    beta, counts, angles = evolution._block_rates(n, np.array([s]), model)
+    k = np.count_nonzero(counts)
+    sigma = np.array([np.sin(np.pi * s / n)])
+    delta, slow, solved = (part[:, 0] for part in evolution._closed_form_roots(
+        n, model, angles[:, :k], counts[:, :k] > 0, sigma, gammas))
+    beta, counts = np.repeat(beta[:, :k], gammas.size, axis=0), np.repeat(counts[:, :k],
+                                                                           gammas.size, axis=0)
+    closed = evolution._block_modes(beta, counts, gammas, n, (delta, slow, solved))
+    eig = evolution._block_modes(beta, counts, gammas, n, (delta, slow, np.zeros_like(solved)))
+    return solved, closed, eig
+
+
+class TestClosedFormRoots:
+    """The closed-form secular roots against the polished eigvals roots."""
+
+    @staticmethod
+    def _compare(n, model, s, gammas):
+        """(cases, closed-form fallbacks) of block s at gammas, asserting that
+        wherever eigvals' roots are trusted the closed form's are too and
+        match them root by root and as sets."""
+        solved, (zc, ac, tc), (ze, ae, te) = _closed_and_eigvals(n, model, s, gammas)
+        sigma = np.sin(np.pi * s / n)
+        cases = 0
+        for g in np.flatnonzero(te):
+            assert tc[g], (n, model, s, gammas[g])
+            gap = np.abs(zc[g][:, None] - ze[g][None, :])
+            tol = 1e-11 * min(sigma, gammas[g]) + 4e-16 * np.abs(ze[g]).max()
+            nearest = gap.argmin(axis=1)
+            assert (gap.min(axis=1) <= tol).all() and (gap.min(axis=0) <= tol).all()
+            assert sorted(nearest) == list(range(ze[g].size))  # one to one
+            np.testing.assert_allclose(ac[g], ae[g][nearest], rtol=1e-9, atol=1e-12)
+            cases += 1
+        return cases, int((~solved).sum())
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_roots_match_eigvals(self, model):
+        # N = 3..40 covers every N mod 4 class; c = gamma / sin(pi s/N)
+        # from 1e-6 to 1e4 for every block, none of them left to eigvals.
+        # A block whose eigvals roots are not trusted (near c = 1 their
+        # amplitudes cancel) is not counted.
+        cases = fallbacks = 0
+        for n in range(3, 41):
+            for s in range(1, n // 2 + 1):
+                gammas = np.geomspace(1e-6, 1e4, 11) * np.sin(np.pi * s / n)
+                found, unsolved = self._compare(n, model, s, gammas)
+                cases, fallbacks = cases + found, fallbacks + unsolved
+        assert cases >= 0.95 * 11 * sum(n // 2 for n in range(3, 41))
+        assert fallbacks == 0
+
+    @pytest.mark.parametrize("model", ["s-literal", "rho"])
+    def test_roots_near_the_exceptional_point(self, model):
+        # N = 64, the odd blocks s = 1, 3, 5 that meet an exceptional point
+        # at c_EP = 1.00782: their pair of roots is complex below it and
+        # real above; within 1e-3 of it eigvals may have to solve them.
+        c_ep, _ = evolution._exceptional_point(32.0)
+        assert abs(c_ep - 1.00782) < 1e-5
+        cases = 0
+        for s in (1, 3, 5):
+            c = c_ep * (1 + np.array([-0.3, -0.1, -1e-2, -1e-3, 1e-3, 1e-2, 0.1, 0.3]))
+            found, unsolved = self._compare(64, model, s, c * np.sin(np.pi * s / 64))
+            cases += found
+            assert unsolved <= 2
+        assert cases >= 12
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_an_exceptional_point_is_left_to_eigvals(self, n):
+        # At c = c_EP block s = 1 has a double root (n = 4: gamma = 1,
+        # c_EP = sqrt 2): the closed form does not certify it, the other
+        # blocks it does.
+        c_ep, _ = evolution._exceptional_point(n / 2)
+        beta, counts, angles, _ = evolution._size_classes(n, "s-literal")
+        sigma = np.sin(np.pi * np.arange(1, n // 2 + 1) / n)
+        gamma = np.array([c_ep * sigma[0]])
+        _, _, solved = evolution._closed_form_roots(n, "s-literal", angles, counts > 0, sigma, gamma)
+        assert solved[0].tolist() == [False] + [True] * (n // 2 - 1)
+
+    @pytest.mark.parametrize("strays", ["lowest", "host"])
+    def test_a_root_on_another_path_is_not_certified(self, monkeypatch, strays):
+        # A start that strays lets Newton find a neighbour's root, written
+        # about its own pole: the block must not count as solved.  At
+        # n = 16, s = 2 the host is the mode at pi/2 (angle 16).
+        n, model, gamma = 16, "s-literal", np.array([0.01])
+        beta, counts, angles = evolution._block_rates(n, np.array([2]), model)
+        sigma = np.array([np.sin(2 * np.pi / n)])
+        order = np.argsort(angles[0])
+        host = int(np.flatnonzero(angles[0] == n)[0])
+        moved, found = (order[0], order[1]) if strays == "lowest" else (host, order[0])
+        real = evolution._closed_form_newton
+
+        def stray(*args):
+            roots, done = real(*args)
+            turn = np.pi * (angles[0, found] - angles[0, moved]) / (2 * n)
+            roots[..., moved] = roots[..., found] + 1j * turn
+            return roots, done
+
+        assert evolution._closed_form_roots(n, model, angles, counts > 0, sigma, gamma)[2].all()
+        monkeypatch.setattr(evolution, "_closed_form_newton", stray)
+        assert not evolution._closed_form_roots(n, model, angles, counts > 0, sigma, gamma)[2].any()
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 64])
+    def test_pictures_coincide_at_n_divisible_by_4(self, n):
+        # The density grid is the literal one turned by N pi/2, a whole
+        # number of turns when 4 | N: the same blocks, so the same modes.
+        sums = np.arange(1, n // 2 + 1)
+        literal = evolution._block_rates(n, sums, "s-literal")
+        density = evolution._block_rates(n, sums, "rho")
+        for s in range(sums.size):
+            pairs = [sorted(zip(table[2][s].tolist(), table[1][s].tolist()))
+                     for table in (literal, density)]
+            assert pairs[0] == pairs[1]
+        gammas = np.array([1e-3, 0.3, 3.0])
+        a, b = (evolution.secular_mode_sums(n, gammas, model) for model in ("s-literal", "rho"))
+        times = np.linspace(0.0, 50.0, 11)
+        for g in range(gammas.size):
+            np.testing.assert_allclose(a.member(g).distributions(times),
+                                       b.member(g).distributions(times), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 10])
+    def test_pictures_differ_otherwise(self, n):
+        sums = np.arange(1, n // 2 + 1)
+        literal = evolution._block_rates(n, sums, "s-literal")
+        density = evolution._block_rates(n, sums, "rho")
+        assert any(sorted(literal[2][s].tolist()) != sorted(density[2][s].tolist())
+                   for s in range(sums.size))
 
 
 def _spy_lags(patch):

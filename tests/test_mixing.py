@@ -205,6 +205,17 @@ class TestMixingTime:
         assert result.converged
         assert 0.9 * bounds.t_lower <= result.t_mix <= 1.1 * bounds.t_upper
 
+    @pytest.mark.parametrize("gamma", [1e7, 1e10, 1e13])
+    def test_far_strong_dephasing_is_resolved(self, gamma):
+        # The fast modes turn by gamma t_end, far past what the phases
+        # resolve, but they have decayed long before: only the modes that
+        # have not count in the rounding margin (ModeSum.reach), and the
+        # crossing still lies in the diffusive bracket.
+        result = mixing_time(WalkConfig(n=5, gamma=gamma), 0.01)
+        bounds = large_gamma_bounds(5, gamma, 0.01)
+        assert result.converged
+        assert bounds.t_lower <= result.t_mix <= bounds.t_upper
+
     def test_result_metadata(self):
         result = mixing_time(WalkConfig(n=6, gamma=1.0), 0.05, method="exact", horizon=100.0)
         assert result.method == "exact"

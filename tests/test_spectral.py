@@ -68,6 +68,17 @@ class TestUnitaryWalk:
         assert probs.min() >= 0.0 and probs.max() <= 1.0
         assert probs.max() - probs.min() > 0.5
 
+    @pytest.mark.parametrize("n", [4, 5, 17, 64])
+    def test_an_array_of_times_gives_each_time_its_own_row(self, n):
+        # One batched transform, each row with the bits of its time alone.
+        times = np.linspace(0.0, 40.0, 97)
+        rows = unitary_distribution(n, times)
+        assert rows.shape == (times.size, n)
+        alone = np.array([unitary_distribution(n, float(t)) for t in times])
+        assert rows.tobytes() == alone.tobytes()
+        with pytest.raises(ValueError):
+            unitary_distribution(n, np.array([0.0, -1.0]))
+
 
 class TestMFunction:
     def test_delta_at_time_zero(self):
@@ -183,21 +194,21 @@ class TestDegeneracyClasses:
     """The eigenvalue coincidences that _block_rates merges in each index-sum block."""
 
     def test_origin_is_zero_class(self):
-        beta, _ = _block_rates(6, 0, "s-literal")
+        beta, _, _ = _block_rates(6, 0, "s-literal")
         np.testing.assert_allclose(beta, 0.0, atol=1e-15)
 
     def test_congruent_sum_is_zero_class(self):
         # (3, 5) on the 8-cycle sits in block 0, where every rate vanishes.
-        beta, _ = _block_rates(8, (3 + 5) % 8, "s-literal")
+        beta, _, _ = _block_rates(8, (3 + 5) % 8, "s-literal")
         np.testing.assert_allclose(beta, 0.0, atol=1e-15)
 
     def test_equal_indices(self):
-        beta, counts = _block_rates(8, 6, "s-literal")
+        beta, counts, _ = _block_rates(8, 6, "s-literal")
         (row,) = np.flatnonzero(np.isclose(beta, torus_eigenvalue(3, 3, 8).imag, atol=1e-15))
         assert counts[row] == 1.0
 
     def test_swap_paired(self):
-        beta, counts = _block_rates(8, 3, "s-literal")
+        beta, counts, _ = _block_rates(8, 3, "s-literal")
         (row,) = np.flatnonzero(np.isclose(beta, torus_eigenvalue(2, 1, 8).imag, atol=1e-15))
         assert counts[row] == 2.0
 
@@ -206,7 +217,7 @@ class TestDegeneracyClasses:
         # swap pair, and is counted exactly once.
         for n in range(3, 11):
             for s in range(1, n):
-                _, counts = _block_rates(n, s, "s-literal")
+                _, counts, _ = _block_rates(n, s, "s-literal")
                 assert set(counts) <= {1.0, 2.0}
                 assert counts.sum() == n
 

@@ -60,6 +60,20 @@ class TestDefaults:
                               text=True, check=True)
         assert done.stdout == "True False\n"
 
+    def test_the_default_transition_leaves_scipy_unloaded(self):
+        # SciPy serves only the expm fallback, which no block of the
+        # default exact transition takes; loading it would add several MB
+        # of resident memory to the benchmark's mode-sum workload.
+        src = pathlib.Path(sweep.__file__).resolve().parents[1]
+        probe = ("import os, sys; from decowalk.cli import main; "
+                 "code = main(['transition', '--ns', '5,10,15,20', '--output', os.devnull]); "
+                 "print(code, 'scipy' in sys.modules)")
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "0 False\n"
+
 
 class TestSweepGamma:
     def test_five_cycle_default_grid(self):
@@ -97,21 +111,18 @@ class TestSweepGamma:
             sweep_gamma(5, gammas=np.array([0.1, 1.0]))
 
     def test_failed_slab_solve_fails_only_its_own_point(self, monkeypatch):
-        # eigvals refuses every stack holding a block of one gamma: the
+        # The closed-form solver refuses every call holding one gamma: the
         # slab's stacked solve fails, and each of its points solves alone.
         want = sweep_gamma(5)
         chosen = want.points[7].gamma
-        real = np.linalg.eigvals
+        real = evolution._closed_form_roots
 
-        def refuse_chosen(blocks):
-            # Each merged block of size k has trace real part gamma (1 - k).
-            k = blocks.shape[-1]
-            gammas = np.trace(blocks, axis1=-2, axis2=-1).real / (1 - k)
-            if np.isclose(gammas, chosen, rtol=1e-9, atol=0).any():
+        def refuse_chosen(n, model, angles, live, sigma, gammas):
+            if (gammas == chosen).any():
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(blocks)
+            return real(n, model, angles, live, sigma, gammas)
 
-        monkeypatch.setattr(evolution.np.linalg, "eigvals", refuse_chosen)
+        monkeypatch.setattr(evolution, "_closed_form_roots", refuse_chosen)
         got = sweep_gamma(5)
         failed = [p for p in got.points if not p.converged]
         assert [p.gamma for p in failed] == [chosen]
@@ -126,9 +137,9 @@ class TestSweepGamma:
         stacks = []
         real = evolution._block_modes
 
-        def spy(beta, counts, gamma, n):
+        def spy(beta, counts, gamma, n, roots):
             stacks.append((*beta.shape, evolution._CHUNK_ENTRIES))
-            return real(beta, counts, gamma, n)
+            return real(beta, counts, gamma, n, roots)
 
         monkeypatch.setattr(evolution, "_block_modes", spy)
         assert evolution.secular_slab(48) == 22
