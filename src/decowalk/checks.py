@@ -249,48 +249,49 @@ def degenerate_zero_coupling() -> list[CheckOutcome]:
 
 
 def closed_form_secular_roots() -> list[CheckOutcome]:
-    """The closed-form roots of every secular block against eigvals of its merged form.
+    """The closed-form roots and amplitudes of every secular block against eig of its merged form.
 
-    Each root comes from its own scalar equation (evolution._closed_form_roots),
-    before any polish: it must leave the secular equation h a relative
-    residual |h| / sum_m |term_m| under 1e-8 (the closed form stops at 1e-10
-    of its own terms; two digits are left for the rewriting of the sum), and
-    the roots must match the eigenvalues of the merged block one to one,
-    within 1e-9 (sigma + gamma).
+    Each root and its amplitude come from the root's own scalar equation
+    (evolution._closed_form_roots), which must trust every block.  The
+    roots must match the eigenvalues of the merged block B one to one,
+    within 1e-12 (sigma + gamma), and the amplitudes the residues
+    (r^T V)_k (V^-1 r)_k of its eigenvectors V, r = sqrt(counts), within
+    1e-11 N.
     """
-    worst_residual = worst_gap = 0.0
-    cases = solved_blocks = 0
-    gammas = np.array([1e-3, 0.05, 0.3, 3.0, 100.0])
+    worst_root = worst_amp = 0.0
+    cases = trusted_blocks = 0
+    gammas = np.array([1e-3, 0.05, 0.3, 3.0, 100.0, 1e4, 1e6, 1e8, 1e10])
     for model in ("s-literal", "rho"):
         for n in (*range(3, 17), 32, 64):
             sums = np.arange(1, n // 2 + 1)
             beta, counts, angles = _block_rates(n, sums, model)
             sigma = np.sin(np.pi * sums / n)
-            delta, slow, solved = _closed_form_roots(n, model, angles, counts > 0, sigma, gammas)
+            rates, amps, trusted = _closed_form_roots(n, model, angles, counts > 0, sigma, gammas)
             for g, gamma in enumerate(gammas):
                 for s in range(sums.size):
                     cases += 1
-                    if not solved[g, s]:
+                    if not trusted[g, s]:
                         continue
-                    solved_blocks += 1
+                    trusted_blocks += 1
                     k = np.count_nonzero(counts[s])
-                    poles = 1j * beta[s, :k] - gamma
-                    z = np.where(slow[g, s, :k], 0.0, poles) + delta[g, s, :k]
-                    w = z[:, None] + gamma - 1j * beta[s, :k]
-                    terms = counts[s, :k] * (1j * beta[s, :k] - z[:, None]) / w
-                    residual = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
-                    worst_residual = max(worst_residual, float(residual.max()))
-                    eig = np.linalg.eigvals(_merged_block(beta[s, :k], counts[s, :k], gamma, n))
-                    gap = np.abs(z[:, None] - eig[None, :])
-                    one_to_one = sorted(gap.argmin(axis=1)) == list(range(k))
-                    worst_gap = max(worst_gap, float(gap.min(axis=1).max() / (sigma[s] + gamma)),
-                                    0.0 if one_to_one else np.inf)
-    ok = solved_blocks == cases and worst_residual <= 1e-8 and worst_gap <= 1e-9
+                    root = np.sqrt(counts[s, :k])
+                    eig, vectors = np.linalg.eig(
+                        _merged_block(beta[s, :k], counts[s, :k], gamma, n))
+                    residues = (root @ vectors) * np.linalg.solve(vectors, root)
+                    gap = np.abs(rates[g, s, :k, None] - eig[None, :])
+                    nearest = gap.argmin(axis=1)
+                    one_to_one = sorted(nearest) == list(range(k))
+                    worst_root = max(worst_root, float(gap.min(axis=1).max() / (sigma[s] + gamma)),
+                                     0.0 if one_to_one else np.inf)
+                    worst_amp = max(worst_amp,
+                                    float(np.abs(amps[g, s, :k] - residues[nearest]).max() / n))
+    ok = trusted_blocks == cases and worst_root <= 1e-12 and worst_amp <= 1e-11
     return [_outcome("closed-form-secular-roots", cases, ok,
-                     f"{solved_blocks} of {cases} (n, s, gamma, picture) cases solved, max "
-                     f"relative residual of h {worst_residual:.3e} (tol 1e-8), max gap to "
-                     f"eigvals of the merged block {worst_gap:.3e} (sigma + gamma) (tol 1e-9), "
-                     f"n = 3..16, 32, 64, gamma in {{1e-3, 0.05, 0.3, 3, 100}}, both pictures")]
+                     f"{trusted_blocks} of {cases} (n, s, gamma, picture) cases trusted, max gap "
+                     f"to eig of the merged block {worst_root:.3e} (sigma + gamma) in roots "
+                     f"(tol 1e-12) and {worst_amp:.3e} N in amplitudes (tol 1e-11), "
+                     "n = 3..16, 32, 64, gamma in {1e-3, 0.05, 0.3, 3, 100, 1e4, 1e6, 1e8, "
+                     "1e10}, both pictures")]
 
 
 def pictures_coincide_at_n_mod_4() -> list[CheckOutcome]:

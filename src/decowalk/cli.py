@@ -9,8 +9,9 @@ byte-identical files.  Numbers are serialized with 17 significant
 digits, so doubles round-trip exactly; CSV metadata lines are prefixed
 with '#' and always record the package defaults.  Trajectory tables
 (evolve, unitary) are printed by one vectorised kernel, _csv_rows, whose
-every cell is byte-identical to format(x, ".17g"); they are written in row
-chunks of at most _CHUNK_CELLS cells, so their text is never held whole.
+every cell is byte-identical to format(x, ".17g"); they are written in
+chunks of at most _CHUNK_CELLS cells (whole rows, or pieces of a wider row),
+so their text is never held whole.
 Exit codes: 0 success, 2 usage error (any flag value outside its domain,
 checked by the validators of decowalk.model), 1 computation failure.
 """
@@ -58,8 +59,8 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-# Trajectory tables print in row chunks of at most this many cells (at
-# least one row), so their text is never held whole.
+# Trajectory tables print in chunks of at most this many cells, so their
+# text is never held whole.
 _CHUNK_CELLS = 1 << 16
 
 # _csv_rows lays each cell out in _CELL bytes: a sign column, up to 24
@@ -279,11 +280,21 @@ def _trajectory_header(meta: list[str], n: int) -> str:
 
 
 def _trajectory_rows(times: np.ndarray, dists: np.ndarray) -> Iterator[str]:
-    """The rows "time,p_0,...", in chunks of at most _CHUNK_CELLS cells or one row."""
-    step = max(1, _CHUNK_CELLS // (dists.shape[1] + 1))
-    for start in range(0, len(times), step):
-        rows = slice(start, start + step)
-        yield _csv_rows(np.column_stack((times[rows], dists[rows])))
+    """The rows "time,p_0,...", in chunks of at most _CHUNK_CELLS cells: whole
+    rows, or the cells of a row wider than a chunk, each piece but the last
+    ending in its separator."""
+    width = dists.shape[1] + 1
+    step = _CHUNK_CELLS // width
+    if step:
+        for start in range(0, len(times), step):
+            rows = slice(start, start + step)
+            yield _csv_rows(np.column_stack((times[rows], dists[rows])))
+        return
+    for time, dist in zip(times, dists):
+        row = np.concatenate(([time], dist))
+        for lo in range(0, width, _CHUNK_CELLS):
+            text = _csv_rows(row[None, lo:lo + _CHUNK_CELLS])
+            yield text if lo + _CHUNK_CELLS >= width else text[:-1] + ","
 
 
 def _trajectory_csv(meta: list[str], times, dists) -> str:

@@ -11,13 +11,11 @@ are computed three ways,
   index sum, so the distribution is a sum of about N^2/4 decaying modes,
   summed block by block over times split as lead + lag.  A time costs
   O(N^2) exponentials and a uniform grid of T times O(N^2 sqrt(T)) (see
-  ModeSum).  Its setup solves each of the about N^2/4 secular roots
-  from a closed form, one scalar equation per root, across all the
-  gammas of a sweep, and polishes every root with Newton steps on its
-  block's secular equation, the blocks stacked in at most two sizes
-  (secular_mode_sums): O(N^2) and O(N^3) per gamma, with no eigenvalue
-  problem (1.3 s at n = 512, gamma = 3, against 22 s for one O(N^3)
-  eigvals per block).
+  ModeSum).  Its setup solves each of the about N^2/4 secular roots,
+  with its amplitude, from a closed form, one scalar equation per root,
+  across all the gammas of a sweep (secular_mode_sums): O(N^2) per
+  gamma, with no eigenvalue problem (0.07 s at n = 512, gamma = 3,
+  against 22 s for one O(N^3) eigvals per block).
 
 Only the oracle builds the N^2 x N^2 generator (build_full_operator,
 also the tests' reference), and it is guarded to n <= MAX_DENSE_N.  The
@@ -83,10 +81,10 @@ MAX_DENSE_N = 64
 # each) and evaluate in temporaries of at most _CHUNK_ENTRIES entries.
 # Setup plus one 2049-time grid at gamma = 3 peaked at 36 / 70 MiB of
 # traced allocations (45 / 71 MiB of resident growth) at n = 256 / 512
-# (BENCH_8.json).  Setup alone, the closed-form roots and their O(N^3)
-# polish, takes 0.18 / 1.3 s there, against 2.0 / 22 s with one eigvals
-# per block (BENCH_24.json); the bound is kept until a larger size is
-# measured.
+# (BENCH_8.json).  Setup alone, the closed-form roots and amplitudes,
+# takes 0.018 / 0.067 s there, against 2.0 / 22 s with one eigvals per
+# block (BENCH_24.json, BENCH_25.json); the bound is kept until a larger
+# size is measured.
 MAX_MODESUM_N = 512
 # A trajectory table is held whole in memory before it is written out,
 # and is refused above this budget before any work starts, by
@@ -662,21 +660,20 @@ def integrate(
     return TimeSeries(times=times, dists=dists, dt_used=dt_eff, states=states)
 
 
-# Newton steps that polish each secular root from its closed-form value
-# (or eigenvalue guess).
-_NEWTON_STEPS = 3
 # Most Newton steps on a root's closed-form equation (_closed_form_roots;
-# a root stops once converged): from its starts, 7 left no block unsolved
-# over N = 3..40 and 64, both pictures, every s and 161 values of c in
-# [1e-6, 1e4] (138782 blocks), 6 left 157 and 5 left 266.
+# a root takes one more step once converged, then stops): from its
+# starts, 7 left no block unsolved over N = 3..40 and 64, both pictures,
+# every s and 161 values of c in [1e-6, 1e4] (138782 blocks), 6 left 157
+# and 5 left 266.
 _CLOSED_FORM_STEPS = 8
 # Complex tables of G S K entries _closed_form_roots holds at once,
-# counted with room to spare (its traced peak was 19 to 24 of them at
+# counted with room to spare (its traced peak was 26 to 33 of them at
 # n = 20..512): secular_mode_sums hands it at most _CHUNK_ENTRIES /
 # _CLOSED_FORM_TABLES roots at a time.
-_CLOSED_FORM_TABLES = 32
-# A block's roots are trusted when each leaves |h(z)| below this fraction
-# of sum_m |term_m| and the amplitudes add up to N within this fraction.
+_CLOSED_FORM_TABLES = 40
+# A block's roots are trusted when the amplitudes add up to N within
+# this fraction of N, and sum amp z^2 to -sigma^2 N / 2 within this
+# fraction of sum |amp| |z|^2 (_closed_form_roots),
 _SECULAR_RESIDUAL_TOL = 1e-12
 # ... and when sum |amplitude| <= _CANCEL_TOL * N.  Near an exceptional
 # point the amplitudes grow and cancel, and their rounding shows in the
@@ -688,14 +685,6 @@ _CANCEL_TOL = 10.0
 # evaluation may hold: times, blocks and batched expm slices are split to
 # stay at or below it.
 _CHUNK_ENTRIES = 1 << 20
-# Complex (G, k, k + 1) tables _block_modes holds at once, counted with
-# room to spare (the offsets, lambda_m - anchor, w and the terms of h,
-# formed in place; the merged blocks and pole distances of a block left
-# to eigvals).  The setup stacks G blocks, of one gamma or of a slab of
-# them, so that all of them fit in _CHUNK_ENTRIES entries: sized per
-# table, G = 62 blocks at n = 256 peaked at 96.5 MiB traced, against
-# 16.4 MiB for G = 10, in the same setup time (eigvals-bound then).
-_SECULAR_TABLES = 6
 
 
 def _expm_flows(times: np.ndarray, block: np.ndarray, root: np.ndarray) -> np.ndarray:
@@ -825,8 +814,7 @@ class ModeSum:
     (G, S, 1, K) @ (G, S, K, 1) product and one inverse real FFT of the
     G half spectra, so row g is bitwise what member g alone gives at its
     time.  Its (G, S, 1, K) temporaries stay within _CHUNK_ENTRIES
-    entries because a slab of LockstepSearch does (secular_slab,
-    stack_slab).
+    entries because a slab of LockstepSearch does (stack_slab).
 
     The distance sum_j |P_j - 1/N| is at most the envelope
     E(t) = n sum_s c_s sum_k |amp_sk| exp(Re z_sk t), since each
@@ -1030,17 +1018,18 @@ class DiagonalPropagator:
         sinh(i theta_j + d) tanh(L d) = -i c,
 
     with L = N/2, or L = N in the density picture at odd N
-    (_closed_form_roots solves them all).  The setup solves every root
-    of the blocks s = 1..N/2 across a sweep's gammas so (secular_mode_sums;
-    a propagator built alone is its one-gamma case) and polishes them on
-    h in stacks of equal block size, in groups whose temporaries
-    together hold at most _CHUNK_ENTRIES entries: O(N^2) for the closed
-    form and O(N^3) for the polish per gamma (measured 0.004 / 0.18 /
-    1.3 s at n = 64 / 256 / 512, gamma = 3).  A block whose roots cannot
-    be trusted is evaluated instead with expm of its merged form, and
-    mode then reads "expm" rather than "eig"; at the same lead + lag
-    split as the modes, it takes about 2 sqrt(T) expm on a grid of T
-    times and one per other time.
+    (_closed_form_roots solves them all).  The same identity gives each
+    amplitude: as 1/S(x) = sinh(eta) tanh(L d) in eta, the sum of c_m /
+    (zeta + c - i cos theta_m)^2 is N S'(x), so amp = N sinh(eta) / F'(d)
+    for F(d) = sinh(i theta_j + d) tanh(L d) + i c.  The setup solves
+    every root of the blocks s = 1..N/2 across a sweep's gammas so, with
+    its amplitude and its block's trust verdict, at O(1) per root and
+    O(N^2) per gamma (secular_mode_sums; a propagator built alone is its
+    one-gamma case).  A block whose roots cannot be trusted is evaluated
+    instead with expm of its merged form, and mode then reads "expm"
+    rather than "eig"; at the same lead + lag split as the modes, it
+    takes about 2 sqrt(T) expm on a grid of T times and one per other
+    time.
 
     modes, if given, is config's mode sum, a ModeSum of one member: a
     member of the stack secular_mode_sums solved with other gammas.  It
@@ -1067,78 +1056,43 @@ class DiagonalPropagator:
 def secular_mode_sums(n: int, gammas, model: str = "s-literal") -> ModeSum:
     """The exact mode sums of the index-sum blocks at gammas, one member each, solved as one stack.
 
-    The undamped rates of the blocks s = 1..N/2, their grid angles and
-    their size classes do not depend on gamma (_size_classes) and are
-    built once.  _closed_form_roots solves every root of every block at
-    every gamma, at most _CHUNK_ENTRIES / _CLOSED_FORM_TABLES roots at a
-    time.  Then each size class is stacked across all gammas, block s of
-    gamma g in one row, and polished by _block_modes in groups of at
-    most _secular_group rows, so each block gets the bits it would get
-    alone.  A block whose roots are untrusted is kept in merged form for
-    expm (ModeSum.dense).  The members share one (gammas, S, K) rate and
-    amplitude table; secular_slab sizes a sweep's stacks.
+    The undamped rates of the blocks s = 1..N/2 and their grid angles do
+    not depend on gamma (_block_rates) and are built once.
+    _closed_form_roots solves every root of every block at every gamma,
+    with its amplitude and its block's trust verdict, at most
+    _CHUNK_ENTRIES / _CLOSED_FORM_TABLES roots at a time; each root's
+    bits are its own, so a block gets the bits it would get alone.  A
+    block at gamma = 0 is undamped: its roots are the poles i beta, with
+    amplitudes counts.  A block whose roots are untrusted is kept in
+    merged form for expm (ModeSum.dense), its table rows zero.  The
+    members share one (gammas, S, K) rate and amplitude table.
     """
     _check_modesum_size(n)
     _check_model(model)
     gammas = np.asarray(gammas, dtype=float)
-    beta, counts, angles, classes = _size_classes(n, model)
-    rates = np.zeros((gammas.size, *beta.shape), dtype=complex)
-    amps = np.zeros_like(rates)
-    delta, slow = np.empty_like(rates), np.empty(rates.shape, dtype=bool)
-    solved = np.empty(rates.shape[:2], dtype=bool)
-    sigma, live = np.sin(np.pi * np.arange(1, n // 2 + 1) / n), counts > 0
+    sums = np.arange(1, n // 2 + 1)
+    beta, counts, angles = _block_rates(n, sums, model)
+    sigma, live = np.sin(np.pi * sums / n), counts > 0
+    rates = np.empty((gammas.size, *beta.shape), dtype=complex)
+    amps = np.empty_like(rates)
+    trusted = np.empty(rates.shape[:2], dtype=bool)
     rows = max(1, _CHUNK_ENTRIES // (_CLOSED_FORM_TABLES * beta.shape[1]))  # (gamma, s) per solve
     width, depth = min(rows, sigma.size), max(1, rows // sigma.size)
     for g in range(0, gammas.size, depth):
         for s in range(0, sigma.size, width):
             part = np.s_[g:g + depth, s:s + width]
-            delta[part], slow[part], solved[part] = _closed_form_roots(
+            rates[part], amps[part], trusted[part] = _closed_form_roots(
                 n, model, angles[s:s + width], live[s:s + width], sigma[s:s + width],
                 gammas[g:g + depth])
+    undamped = gammas == 0
+    rates[undamped], amps[undamped], trusted[undamped] = 1j * beta, counts, True
+    rates[~trusted] = amps[~trusted] = 0.0
     dense: list[list] = [[] for _ in gammas]
-    for size, rows in classes.items():
-        which = np.repeat(np.arange(gammas.size), rows.size)  # the gamma of each stacked block
-        blocks = np.tile(rows, gammas.size)
-        step = _secular_group(size)
-        for lo in range(0, blocks.size, step):
-            g, s = which[lo:lo + step], blocks[lo:lo + step]
-            b, c = beta[s, :size], counts[s, :size]
-            roots = delta[g, s, :size], slow[g, s, :size], solved[g, s]
-            z, amp, trusted = _block_modes(b, c, gammas[g], n, roots)
-            rates[g[trusted], s[trusted], :size] = z[trusted]
-            amps[g[trusted], s[trusted], :size] = amp[trusted]
-            for i in np.flatnonzero(~trusted):
-                dense[g[i]].append((s[i], _merged_block(b[i], c[i], gammas[g[i]], n),
-                                    np.sqrt(c[i])))
+    for g, s in zip(*np.nonzero(~trusted)):
+        k = np.count_nonzero(counts[s])
+        dense[g].append((s, _merged_block(beta[s, :k], counts[s, :k], gammas[g], n),
+                         np.sqrt(counts[s, :k])))
     return ModeSum(n, rates, amps, dense)
-
-
-def secular_slab(n: int, model: str = "s-literal") -> int:
-    """How many gammas secular_mode_sums stacks into one group per size class.
-
-    As many as keep every class's stack across them within one group of
-    _block_modes, _SECULAR_TABLES G k (k + 1) <= _CHUNK_ENTRIES, and at
-    least one: all 25 of the default grid up to n = 46, 9 at n = 64 and
-    one from n = 112 up, where a class about fills a group alone.
-    """
-    *_, classes = _size_classes(n, model)
-    return max(1, min(_secular_group(size) // rows.size for size, rows in classes.items()))
-
-
-def _secular_group(size: int) -> int:
-    """Blocks of size k that _block_modes takes at once, the largest G with
-    _SECULAR_TABLES G k (k + 1) <= _CHUNK_ENTRIES (at least one)."""
-    return max(1, _CHUNK_ENTRIES // (_SECULAR_TABLES * size * (size + 1)))
-
-
-def _size_classes(n: int, model: str):
-    """(beta, counts, angles, {size: rows}): _block_rates of s = 1..N/2 and
-    the rows (s - 1) of each merged size, in increasing size."""
-    beta, counts, angles = _block_rates(n, np.arange(1, n // 2 + 1), model)
-    sizes = np.count_nonzero(counts, axis=1)
-    # At most two sizes; np.unique would import numpy.ma on its first call.
-    return beta, counts, angles, {size: np.flatnonzero(sizes == size)
-                                  for size in sorted(set(sizes.tolist()))}
 
 
 def _block_rates(n: int, s, model: str):
@@ -1191,159 +1145,83 @@ def _merged_block(beta: np.ndarray, counts: np.ndarray, gamma, n: int) -> np.nda
     return block
 
 
-def _block_modes(
-    beta: np.ndarray, counts: np.ndarray, gamma, n: int, roots
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Secular roots and amplitudes of a stack of merged blocks of one size.
-
-    beta and counts are (G, k), gamma (G,), the rate of each block, or
-    one rate for all, and roots the blocks' closed-form roots, (delta
-    (G, k), slow (G, k), solved (G,)) of _closed_form_roots.  The result
-    is (roots (G, k), amplitudes (G, k), trusted (G,)), roots and
-    amplitudes holding only where trusted.  Every step acts on the whole
-    stack, and each block is decided on its own, in the bits it would get
-    alone.  Each root is held as anchor + delta, the anchor being the
-    origin or a pole i*beta_k - gamma: the closed form gives root j at
-    the pole of its own mode j, or at the origin for the slow root.  A
-    block it did not solve takes eigvals of its merged form instead, each
-    guess at the nearest of the origin and the poles.  The roots then
-    take _NEWTON_STEPS Newton steps on h.  offset[i, m] = anchor_i -
-    pole_m is exact for both kinds of anchor, so z + gamma - lambda_m =
-    delta + offset and lambda_m - z = (gamma - offset) - delta lose no
-    digits to cancellation: neither the slow root near 0 at large gamma
-    nor the roots within O(gamma) of a pole at small gamma.  A block's
-    roots are trusted when finite, when each leaves a residual under
-    _SECULAR_RESIDUAL_TOL, and when the amplitudes add up to f_s(0) = N
-    and cancel by at most _CANCEL_TOL.  A defective block (at an
-    exceptional point) fails these.  A block at gamma = 0 is undamped:
-    its roots are the poles i*beta, with amplitudes counts.  It holds up
-    to _SECULAR_TABLES tables of G k (k + 1) entries at once; the caller
-    sizes G.
-    """
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), beta.shape[:1])
-    if not gamma.all():
-        z, amp = 1j * beta, counts.astype(complex)
-        trusted = np.ones(gamma.shape, dtype=bool)
-        live = gamma != 0
-        if live.any():
-            z[live], amp[live], trusted[live] = _block_modes(
-                beta[live], counts[live], gamma[live], n, [part[live] for part in roots])
-        return z, amp, trusted
-    rate = gamma[:, None]  # each block's gamma, against its modes
-    poles = 1j * beta - rate
-    delta, at_origin, solved = (part.copy() for part in roots)
-    pole = np.broadcast_to(np.arange(beta.shape[1]), beta.shape).copy()
-    if not solved.all():
-        redo = np.flatnonzero(~solved)
-        guess = np.linalg.eigvals(_merged_block(beta[redo], counts[redo], gamma[redo], n))
-        targets = np.concatenate((np.zeros((redo.size, 1), dtype=complex), poles[redo]), axis=-1)
-        nearest = np.abs(guess[..., :, None] - targets[..., None, :]).argmin(axis=-1)
-        at_origin[redo], pole[redo] = nearest == 0, np.maximum(nearest - 1, 0)
-        delta[redo] = guess - np.where(at_origin[redo], 0.0,
-                                       np.take_along_axis(poles[redo], pole[redo], axis=-1))
-    anchor = np.where(at_origin, 0.0, np.take_along_axis(poles, pole, axis=-1))
-    anchor_beta = np.where(at_origin, 0.0, np.take_along_axis(beta, pole, axis=-1))
-    offset = 1j * (anchor_beta[..., None] - beta[..., None, :])
-    offset += np.where(at_origin, rate, 0.0)[..., None]
-    counts = counts[..., None, :].astype(complex)  # cast once, not in each product
-    # The only (G, k, k) tables held through the Newton steps: offset,
-    # lambda_m - anchor_i, w and the terms, each formed in place (the same
-    # operations, so the same bits, as forming them afresh).
-    lam = rate[..., None] - offset
-    w, terms = np.empty_like(offset), np.empty_like(offset)
-
-    def secular_terms(delta: np.ndarray) -> None:
-        """w = z + gamma - lambda_m and terms = c_m (lambda_m - z) / w."""
-        np.add(delta[..., None], offset, out=w)
-        np.subtract(lam, delta[..., None], out=terms)
-        np.multiply(terms, counts, out=terms)
-        np.divide(terms, w, out=terms)
-
-    with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            secular_terms(delta)
-            h = terms.sum(axis=-1)
-            np.square(w, out=terms)
-            np.divide(counts, terms, out=terms)
-            slope = -rate * terms.sum(axis=-1)
-            delta = delta - h / slope
-        secular_terms(delta)
-        residual = np.abs(terms.sum(axis=-1)) / np.abs(terms).sum(axis=-1)
-        w *= n  # then gamma / (n w), squared, times c_m
-        np.divide(rate[..., None], w, out=w)
-        np.square(w, out=w)
-        w *= counts
-        amp = 1.0 / w.sum(axis=-1)
-        z = anchor + delta
-        trusted = (
-            np.isfinite(z).all(axis=-1)
-            & np.isfinite(amp).all(axis=-1)
-            & (residual.max(axis=-1) <= _SECULAR_RESIDUAL_TOL)
-            & (np.abs(amp.sum(axis=-1) - n) <= _SECULAR_RESIDUAL_TOL * n)
-            & (np.abs(amp).sum(axis=-1) <= _CANCEL_TOL * n)
-        )
-    return z, amp, trusted
-
-
 def _closed_form_roots(n: int, model: str, angles: np.ndarray, live: np.ndarray,
                        sigma: np.ndarray, gammas: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every secular root of S index-sum blocks at gammas, from its closed form.
+    """Every secular root of S index-sum blocks at gammas, with its amplitude, from its closed form.
 
     angles (S, K) are the blocks' grid angles of _block_rates, live
     (S, K) their kept modes and sigma (S,) sin(pi s/N).  In
     DiagonalPropagator's units (c = gamma/sigma, L its length) root j of
-    block s is sigma (i cosh eta - c), eta = i theta_j + d, with d solving
+    block s is sigma (i cosh eta - c), with eta = i alpha + e solving
 
-        F(d) = sinh(i theta_j + d) tanh(L d) + i c = 0,
+        F(e) = sinh(eta) T(L e) + i c = 0,
 
     one scalar equation per root, solved over all of them at once by
-    _closed_form_newton.  The host of a block is its mode nearest
-    theta = pi/2 (the upper one of a tie, for determinism: the grid is
-    symmetric about pi/2 then); the others take their sides
-    (+1 below it, -1 above).  As c grows, root j leaves its pole and
-    moves towards the midpoint theta_j + side pi/(2L) on the host's
+    _closed_form_newton.  The anchor alpha is the root's pole theta_j,
+    with T = tanh, or, for a root that starts next to its midpoint
+    theta_j + side pi/(2L) (large c, below), that midpoint, with T = coth:
+    tanh(L e + i side pi/2) = coth(L e).  A root at large c sits at that
+    pole of tanh, where a pole-anchored e would keep only about u c of
+    its offset (e is O(1/(L c))); about the midpoint it keeps them all.
+    The host of a block is its mode nearest theta = pi/2 (the upper one
+    of a tie, for determinism: the grid is symmetric about pi/2 then);
+    the others take their sides (+1 below it, -1 above).  As c grows,
+    root j leaves its pole and moves towards its midpoint on the host's
     side, and the host's root becomes the slow root.  The starts follow
     that path, so that no two of them find the same root:
 
-    * d = the root nearest 0 of (L cos theta) d^2 + (i L sin theta) d +
-      i c, where |L d| < 1/2 (small c, the edges theta = 0, pi at the
-      smallest; there d and -d are one root, and both lie on its path);
-    * d = i side pi/(2L) - sin a / (L c - i cos a), a the midpoint,
-      where c >= 3 sin theta (large c);
-    * else L d = -artanh(w), or -artanh(1/w) + i side pi/2 for |w| > 1,
+    * e = the root nearest 0 of (L cos theta) e^2 + (i L sin theta) e +
+      i c, where |L e| < 1/2 (small c, the edges theta = 0, pi at the
+      smallest; there e and -e are one root, and both lie on its path);
+    * e = -sin a / (L c - i cos a) about the midpoint a, where
+      c >= 3 sin theta (large c);
+    * else L e = -artanh(w), or -artanh(1/w) + i side pi/2 for |w| > 1,
       with w = c/sin theta and then once more with w = c/(sin theta -
-      i cos theta d), from tanh(L d) = -c/(sin theta - i cos theta d)
-      to first order in d;
+      i cos theta e), from tanh(L e) = -c/(sin theta - i cos theta e)
+      to first order in e;
     * the host, past c = 1 or past the exceptional point c_EP of a pair
       of modes at pi/2 +- pi/(2L) (_exceptional_point), and a host at
       pi/2 itself at every c: eta = i pi/2 - u, with u = artanh(c)/L
       (c up to 0.99), cosh u = c at large c, and u >= u_EP.
 
-    A block is solved when every root leaves |F| under 1e-10 of its
-    terms, each non-host root stays within a quarter spacing of its path
-    (L side Im d / pi in (-1/4, 3/4)), which keeps them apart, and the
-    host's root lies more than 1e-7 (1 + c) from each of the others.
-    Over N = 3..40 and 64, both pictures, every s and 161 values of c
-    in [1e-6, 1e4] every block (138782) was solved, each root within
-    2.2e-10 sigma (1 + c) of one eigenvalue of the merged block.  Blocks
-    whose c lies within a relative 1e-4 (N = 8) to 1e-6 (N = 256) of an
-    exceptional point are not: there the host's root meets another.
+    Since 1/S(x) = sinh(eta) T(L e) is an identity in eta, the amplitude
+    of a root is N sinh(eta) / F'(e) (DiagonalPropagator), taken where
+    the root lands after one Newton step past its convergence.  A block
+    is trusted when
 
-    The result is (delta (G, S, K), slow (G, S, K), solved (G, S)):
-    root j minus its anchor, in the rates' units, the anchor being the
-    pole i sigma cos theta_j - gamma of mode j, or the origin where slow
-    (the host nearer the origin than its pole: the slow root).  The
-    offset from the pole, i cos theta 2 sinh^2(d/2) - sin theta sinh d,
-    and the slow root, i (e^eta - (1 + tanh L d) sinh eta) where
-    Re eta < 0 (else its mirror form), lose no digits to cancellation.
-    Padding modes (not live) are left out.  It holds about
-    _CLOSED_FORM_TABLES tables of G S K entries.
+    * it is certified: every root leaves |F| under 1e-10 of its terms,
+      each non-host root stays within a quarter spacing of its path
+      (L side Im(eta - i theta_j) / pi in (-1/4, 3/4)), which keeps them
+      apart, and the host's root lies more than 1e-7 (sigma + gamma)
+      from each of the others;
+    * its roots and amplitudes are finite;
+    * the amplitudes add up to f_s(0) = N within _SECULAR_RESIDUAL_TOL N
+      and cancel by at most _CANCEL_TOL: sum |amp| <= _CANCEL_TOL N;
+    * sum amp z^2 = f_s''(0) = 1^T B^2 1 = -sigma^2 N/2 (B 1 = i beta 1,
+      and the grid's cos^2 average 1/2) within _SECULAR_RESIDUAL_TOL
+      sum |amp| |z|^2, a check of the roots against the block itself
+      that scales with their rounding.
+
+    A block within a relative 1e-4 (N = 8) to 1e-6 (N = 256) of an
+    exceptional point is not certified: there the host's root meets
+    another.  Over the default grid at n = 5..64 in both pictures 39 of
+    51000 blocks were not trusted, and over n = 3..40, 64 and 128 with
+    gamma / sin(pi/N) from 1e-6 to 1e12 16 of 36630, every one with c
+    within 3% of 1, where the amplitudes cancel.
+
+    The result is (rates (G, S, K), amps (G, S, K), trusted (G, S)),
+    zero at the padding modes (not live).  A rate is written
+    about its anchor, the pole or midpoint i sigma cos alpha - gamma plus
+    sigma (i cos alpha 2 sinh^2(e/2) - sin alpha sinh e), or, for the
+    slow root (the host nearer the origin than its pole), about the
+    origin, sigma i (e^eta - (1 + tanh L e) sinh eta) where Re eta < 0
+    (else its mirror form): neither loses digits to cancellation.  It
+    holds about _CLOSED_FORM_TABLES tables of G S K entries.
     """
     turn = 2 * n  # angle units per pi
     length = n if model == "rho" and n % 2 else n / 2
     blocks = np.arange(angles.shape[0])
-    sigma = sigma[:, None]
     host = np.zeros(angles.shape, dtype=bool)
     host[blocks, np.where(live, 2 * np.abs(angles - n) - (angles > n), 4 * n).argmin(axis=1)] = True
     side = np.sign(angles[host][:, None] - angles)
@@ -1354,10 +1232,11 @@ def _closed_form_roots(n: int, model: str, angles: np.ndarray, live: np.ndarray,
     mid = q + side_q * round(n / length)  # the midpoint, pi/(2L) to the host's side
     sin_m = np.sin(np.pi * np.minimum(mid, turn - mid) / turn)
     cos_m = np.sin(np.pi * (n - mid) / turn)
-    c = gammas[:, None] / sigma[s, 0]
+    rate = sigma[s]
+    c = gammas[:, None] / rate
     with np.errstate(all="ignore"):
         def across(w: np.ndarray, side: np.ndarray) -> np.ndarray:
-            """L d from tanh(L d) = -w: -artanh(w), or -artanh(1/w) + i side pi/2 for |w| > 1,
+            """L e from tanh(L e) = -w: -artanh(w), or -artanh(1/w) + i side pi/2 for |w| > 1,
             the branch towards the side's midpoint (artanh(w) - artanh(1/w) = +-i pi/2)."""
             t = np.arctanh(w)
             return np.where(np.abs(w) > 1, (np.sign(t.imag) + side) * 0.5j * np.pi - t, -t)
@@ -1368,15 +1247,15 @@ def _closed_form_roots(n: int, model: str, angles: np.ndarray, live: np.ndarray,
         small = -2j * c / (b + disc)
         near = np.abs(small) * length < 0.5
         large = ~near & (c >= 3 * sin_t)
-        delta = np.where(large, 0.5j * np.pi * side_q / length - sin_m / (length * c - 1j * cos_m),
-                         small)
+        e = np.where(large, -sin_m / (length * c - 1j * cos_m), small)
         between = np.nonzero(~near & ~large)  # the roots that take the artanh start
         if between[0].size:
             side_b, c_b = side_q[between[1]], c[between]
             sin_b, cos_b = sin_t[between[1]], cos_t[between[1]]
-            y = across(c_b / sin_b + 0j, side_b)
+            w = c_b / sin_b  # at w = 1 (c = sin theta) the double below 1 stands in
+            y = across(np.where(w == 1, 1 - 2.0**-53, w) + 0j, side_b)
             refined = across(c_b / (sin_b - 1j * cos_b * y / length), side_b)
-            delta[between] = np.where(np.isfinite(refined), refined, y) / length
+            e[between] = np.where(np.isfinite(refined), refined, y) / length
         u = np.maximum(np.arctanh(np.minimum(c, 0.99)) / length, np.arccosh(np.maximum(c, 1.0)))
         switch = np.ones_like(c)
         pair = host_q & (q != n)
@@ -1385,61 +1264,99 @@ def _closed_form_roots(n: int, model: str, angles: np.ndarray, live: np.ndarray,
             u = np.where(pair, np.maximum(u, u_ep), u)
             switch = np.where(pair, c_ep, 1.0)
         slow_start = 0.5j * np.pi - u - 1j * np.pi * q / turn
-        delta = np.where(host_q & ~near & ((c >= switch) | (q == n)), slow_start, delta)
+        e = np.where(host_q & ~near & ((c >= switch) | (q == n)), slow_start, e)
+        # No host is anchored at a midpoint: where c >= 3 sin theta >= 1.5 > c_EP
+        # it takes the slow start.
+        flip = large & ~host_q
+        cos_a, sin_a = np.where(flip, cos_m, cos_t), np.where(flip, sin_m, sin_t)
         del b, disc, small, near, large, u, switch, slow_start  # not held through the steps
-        roots, done = _closed_form_newton(delta, cos_t, sin_t, c, length)
-        shape = (gammas.size, *angles.shape)
-        delta, converged = np.zeros(shape, dtype=complex), ~np.broadcast_to(live, shape)
-        delta[:, s, j], converged[:, s, j] = roots, done
-        sin_t = np.sin(np.pi * np.minimum(angles, turn - angles) / turn)
-        cos_t = np.sin(np.pi * (n - angles) / turn)
-        c = gammas[:, None, None] / sigma
-        sinh_d = _sinh_cosh(delta)[0]
-        off = 1j * cos_t * 2 * _sinh_cosh(delta / 2)[0] ** 2 - sin_t * sinh_d
-        zeta = 1j * cos_t - c + off
-        on_path = host | (np.abs(side * delta.imag * (2 * length / np.pi) - 0.5) < 1)
-        apart = np.where(host | ~live, np.inf,
-                         np.abs(zeta - zeta[..., host][..., None])).min(axis=-1)
-        solved = ((np.isfinite(delta) & converged & on_path) | ~live).all(axis=-1)
-        solved &= apart > 1e-7 * (1 + c[..., 0])
-        slow = host & (np.abs(zeta) < np.abs(off))
+        e, converged = _closed_form_newton(e, cos_a, sin_a, flip, c, length)
+        sinh_eta, _, slope = _closed_form_terms(e, cos_a, sin_a, flip, length)
+        amp = n * sinh_eta / slope
+        del sinh_eta, slope
+        off = 1j * cos_a * 2 * _sinh_cosh(e / 2)[0] ** 2 - sin_a * _sinh_cosh(e)[0]
+        z = (1j * rate * cos_a - gammas[:, None]) + rate * off
+        slow = host_q & (np.abs(1j * cos_a - c + off) < np.abs(off))
         if slow.any():
-            d = delta[slow]
+            d = e[slow]
             sign = np.where(d.real < 0, 1.0, -1.0)
-            eta = 1j * np.pi * np.broadcast_to(angles, slow.shape)[slow] / turn + d
+            eta = 1j * np.pi * np.broadcast_to(q, slow.shape)[slow] / turn + d
             rise = np.exp(2 * sign * length * d)
-            off[slow] = 1j * (np.exp(sign * eta) - sign * 2 * rise / (1 + rise) * np.sinh(eta))
-    return sigma * off, slow, solved
+            z[slow] = np.broadcast_to(rate, slow.shape)[slow] * 1j * (
+                np.exp(sign * eta) - sign * 2 * rise / (1 + rise) * np.sinh(eta))
+        on_path = host_q | (np.abs(side_q * e.imag * (2 * length / np.pi) + flip - 0.5) < 1)
+        good = converged & on_path & np.isfinite(z) & np.isfinite(amp)
+        del e, off, flip, cos_a, sin_a, converged, on_path
+        shape = (gammas.size, *angles.shape)
+        rates, amps = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+        certified = np.array(np.broadcast_to(~live, shape))
+        rates[:, s, j], amps[:, s, j], certified[:, s, j] = z, amp, good
+        del z, amp, good
+        apart = np.where(host | ~live, np.inf,
+                         np.abs(rates - rates[..., host][..., None])).min(axis=-1)
+        square = rates * rates
+        moment = np.abs((amps * square).sum(axis=-1) + sigma**2 * (n / 2))
+        square = np.abs(square)
+        square *= np.abs(amps)
+        trusted = (certified.all(axis=-1)
+                   & (apart > 1e-7 * (sigma + gammas[:, None]))
+                   & (np.abs(amps.sum(axis=-1) - n) <= _SECULAR_RESIDUAL_TOL * n)
+                   & (np.abs(amps).sum(axis=-1) <= _CANCEL_TOL * n)
+                   & (moment <= _SECULAR_RESIDUAL_TOL * square.sum(axis=-1)))
+    return rates, amps, trusted
 
 
-def _closed_form_newton(delta, cos_t, sin_t, c, length):
-    """Newton steps on _closed_form_roots' equation F(d) = 0 from the starts
-    delta: each root steps until |F| is under 1e-10 of its terms, at most
-    _CLOSED_FORM_STEPS times, and only the roots still stepping are
-    evaluated, so each root's steps are its own.  Returns the roots and
-    whether each converged."""
-    shape = delta.shape
-    delta = delta.ravel().copy()
-    cos_t, sin_t, c = (np.broadcast_to(x, shape).ravel() for x in (cos_t, sin_t, c))
-    converged = np.zeros(delta.size, dtype=bool)
-    live = np.arange(delta.size)
-    d, ct, st, cc = delta, cos_t, sin_t, c
+def _closed_form_newton(e, cos_a, sin_a, flip, c, length):
+    """Newton steps on _closed_form_roots' equation F(e) = 0 from the starts
+    e: each root steps until |F| is under 1e-10 of its terms, at most
+    _CLOSED_FORM_STEPS times, then takes one step more, and only the roots
+    still stepping are evaluated, so each root's steps are its own.
+    Returns the roots and whether each converged."""
+    shape = e.shape
+    e = e.ravel().copy()
+    cos_a, sin_a, flip, c = (np.broadcast_to(x, shape).ravel() for x in (cos_a, sin_a, flip, c))
+    converged = np.zeros(e.size, dtype=bool)
+    live = np.arange(e.size)
+    d, ca, sa, fl, cc = e, cos_a, sin_a, flip, c
     for step in range(_CLOSED_FORM_STEPS + 1):
-        sinh_d, cosh_d = _sinh_cosh(d)
-        tanh_r, tan_i = np.tanh(length * d.real), np.tan(length * d.imag)
-        tanh_ld = (tanh_r + 1j * tan_i) / (1 + 1j * (tanh_r * tan_i))
-        sinh_eta = ct * sinh_d + 1j * st * cosh_d
-        value = sinh_eta * tanh_ld + 1j * cc
-        done = np.abs(value) <= 1e-10 * (np.abs(sinh_eta * tanh_ld) + cc)
+        _, term, slope = _closed_form_terms(d, ca, sa, fl, length)
+        value = term + 1j * cc
+        done = np.abs(value) <= 1e-10 * (np.abs(term) + cc)
         converged[live[done]] = True
+        d = d - value / slope
+        e[live] = d
         if step == _CLOSED_FORM_STEPS or done.all():
             break
-        cosh_eta = ct * cosh_d + 1j * st * sinh_d
-        d = d - value / (cosh_eta * tanh_ld + sinh_eta * length * (1 - tanh_ld**2))
         keep = ~done
-        live, d, ct, st, cc = live[keep], d[keep], ct[keep], st[keep], cc[keep]
-        delta[live] = d
-    return delta.reshape(shape), converged.reshape(shape)
+        live, d, ca, sa, fl, cc = live[keep], d[keep], ca[keep], sa[keep], fl[keep], cc[keep]
+    return e.reshape(shape), converged.reshape(shape)
+
+
+def _closed_form_terms(e, cos_a, sin_a, flip, length):
+    """(sinh eta, sinh(eta) T(L e), F'(e)) at eta = i alpha + e for
+    _closed_form_roots' equation, T = tanh, or coth where flip.
+
+    With L e = a + i b, tanh(L e) = (tanh a + i k)/(cos^2 b + tanh^2 a
+    sin^2 b) and coth(L e) = (tanh a - i k)/(tanh^2 a cos^2 b + sin^2 b),
+    k = sin b cos b sech^2 a, and their derivatives are sech^2 a/p^2 and
+    -sech^2 a/m^2, p = cos b + i tanh a sin b and m = tanh a cos b + i sin b
+    (cosh and sinh of L e over cosh a).  Every denominator is a sum of
+    squares, zero only at a pole of T, and sech^2 a underflows to 0 where
+    cosh a overflows: neither T nor T' cancels or overflows, as 1 - T^2
+    or cosh(L e) would.
+    """
+    sinh_e, cosh_e = _sinh_cosh(e)
+    sinh_eta = cos_a * sinh_e + 1j * (sin_a * cosh_e)
+    cosh_eta = cos_a * cosh_e + 1j * (sin_a * sinh_e)
+    x = length * e
+    tanh_a, sech2_a = np.tanh(x.real), 1.0 / np.cosh(x.real) ** 2
+    sin_b, cos_b = np.sin(x.imag), np.cos(x.imag)
+    k = sin_b * cos_b * sech2_a
+    p, m = cos_b + 1j * (tanh_a * sin_b), tanh_a * cos_b + 1j * sin_b
+    t = np.where(flip, (tanh_a - 1j * k) / (m.real**2 + sin_b**2),
+                 (tanh_a + 1j * k) / (cos_b**2 + p.imag**2))
+    dt = sech2_a / np.where(flip, -m * m, p * p)
+    return sinh_eta, sinh_eta * t, cosh_eta * t + length * sinh_eta * dt
 
 
 def _sinh_cosh(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

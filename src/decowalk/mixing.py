@@ -50,7 +50,6 @@ from .evolution import (
     envelope_margin,
     rk4_step_matrix,  # unused here; the benchmark tracer patches it by this name
     secular_mode_sums,
-    secular_slab,
     stack_slab,
     _check_modesum_size,
 )
@@ -142,15 +141,10 @@ def _picture(method: str) -> str:
 
 
 def _slab(n: int, method: str) -> int:
-    """How many configs one lockstep search takes at once.
-
-    The exact methods and perturbative hold (G, S, K) block tables of
-    their picture, which secular_slab sizes for the stacked secular
-    solve; the closed form holds one mode per block (stack_slab).
-    """
-    if method == "large-gamma-closed-form":
-        return stack_slab(n // 2)
-    return secular_slab(n, _picture(method))
+    """How many configs one lockstep search takes at once: stack_slab of
+    the entries of one config's (S, K) mode tables, S = N/2 blocks of one
+    mode each on the closed form and of at most N modes otherwise."""
+    return stack_slab(n // 2 * (1 if method == "large-gamma-closed-form" else n))
 
 
 class _Member:
@@ -302,9 +296,10 @@ def _search(members: list[_Member], eps: float, method: str, mode: str,
 class LockstepSearch:
     """The mixing-time searches of configs of one n, run slab by slab in lockstep.
 
-    A slab (_slab) holds secular_slab(n) gammas on the exact methods and
-    perturbative (all 25 of the default grid up to n = 46 in the literal-S
-    picture) and stack_slab(N/2) on the closed form.  It is searched at
+    A slab (_slab) holds as many gammas as keep their (S, K) mode tables
+    within _CHUNK_ENTRIES entries together (stack_slab: all 25 of the
+    default grid up to n = 289 on the exact methods and perturbative, 8
+    at n = 512).  It is searched at
     the first outcome asked of any of its configs: it builds its routes,
     the exact methods in one stacked secular solve
     (evolution.secular_mode_sums) and the other mode sums in one table

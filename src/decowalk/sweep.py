@@ -9,15 +9,15 @@ optimum, and fits the two tail slopes on a log-log scale.
 
 Every point is one mixing_time search, answered by one
 mixing.LockstepSearch over the whole grid.  It searches the grid in
-slabs of gammas (all 25 of the default grid up to n = 46 on exact and
-perturbative).  A slab builds its mode sums at once: on the exact
-methods one stacked secular solve (evolution.secular_mode_sums),
-in which the blocks of every gamma share their undamped rates and size
-classes, so a slab takes one eigenvalue call and one Newton polish per
-size class, not one per gamma.  Each gamma's grid is then scanned on
-its own, and the bisections run in lockstep, one stacked call per level
-for the whole slab.  Each point gets the bits it would get alone, and a
-point that fails records the reason it gives alone.
+slabs of gammas (all 25 of the default grid up to n = 289 on the exact
+methods and perturbative).  A slab builds its mode sums at once: on the
+exact methods one closed-form secular solve (evolution.secular_mode_sums),
+in which the blocks of every gamma share their undamped rates and grid
+angles and every root of every gamma is solved in the same vectorised
+steps.  Each gamma's grid is then scanned on its own, and the
+bisections run in lockstep, one stacked call per level for the whole
+slab.  Each point gets the bits it would get alone, and a point that
+fails records the reason it gives alone.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def sweep_gamma(
 
     The points are searched by one mixing.LockstepSearch, in slabs
     searched in lockstep (one stacked secular solve per slab on the
-    exact method, all 25 of the default grid up to n = 46); a slab whose
+    exact method, all 25 of the default grid up to n = 289); a slab whose
     stacked solve fails has each of its points solve alone.
     """
     if gammas is None:

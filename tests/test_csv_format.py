@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,36 @@ class TestChunks:
         assert len(writes) == 1 + 101
         assert max(writes[1:]) <= 10 * 7 * 25
         assert out.getvalue() == _capture(self.ARGV)
+
+    @pytest.mark.parametrize("cells", [1, 7, 20, 21, 22])
+    def test_a_row_wider_than_a_chunk_prints_in_pieces(self, monkeypatch, cells):
+        # 21 cells a row: pieces of at most `cells` cells, the same bytes.
+        times = np.array([0.0, 0.25, 1e-300])
+        dists = np.random.default_rng(5).standard_normal((3, 20))
+        whole = cli._csv_rows(np.column_stack((times, dists)))
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
+        pieces = list(cli._trajectory_rows(times, dists))
+        assert "".join(pieces) == whole
+        assert len(pieces) == (3 * -(-21 // cells) if cells < 21 else -(-3 // (cells // 21)))
+        assert max(piece.count(",") + piece.count("\n") for piece in pieces) <= cells
+
+    def test_wide_rows_hold_one_chunk_at_a_time(self):
+        # Three rows of 200001 cells once printed as one chunk each, at a
+        # traced peak of about three chunks of 2**16 cells of narrow rows.
+        rng = np.random.default_rng(6)
+
+        def peak(times, dists):
+            tracemalloc.start()
+            try:
+                for _ in cli._trajectory_rows(times, dists):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        narrow = peak(np.arange(2048.0), rng.random((2048, 63)))  # two whole chunks
+        wide = peak(np.arange(3.0), rng.random((3, 200000)))
+        assert wide <= 1.5 * narrow
 
     def test_benchmark_table_is_one_chunk(self):
         times = np.arange(501.0)

@@ -713,13 +713,13 @@ class TestDiagonalPropagator:
         with pytest.raises(ValueError):
             prop.distributions(np.array([0.0, -1.0]))
 
-    @pytest.mark.parametrize("gamma, mode, dense", [(1e-30, "eig", 0), (1e-300, "expm", 2),
+    @pytest.mark.parametrize("gamma, mode, dense", [(1e-30, "eig", 0), (1e-300, "eig", 0),
                                                     (1e300, "expm", 2)])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_gamma_is_solved_or_refused(self, gamma, mode, dense):
-        # The closed form solves the roots at gamma = 1e-30, where eigvals
-        # cannot resolve the offsets; at 1e-300 the polish cannot, and at
-        # 1e300 every block overflows, so both fall back to expm.  Where
+        # The closed form solves the roots at gamma = 1e-30 and 1e-300, where
+        # eigvals cannot resolve the offsets; at 1e300 every block overflows
+        # and falls back to expm.  Where
         # the distribution is finite it is the dense exponential's; and no
         # mixing search is attempted, since its horizon keeps no phase
         # digits in z t.
@@ -741,7 +741,7 @@ class TestDiagonalPropagator:
     def test_large_gamma_roots_match_the_heat_kernel(self):
         # Far past the transition the walk is the classical one of hop
         # rate 1/(8 gamma): at D t = 1 the two differ by O(1/gamma).
-        for gamma in (1e2, 1e4, 1e6):
+        for gamma in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12):
             prop = DiagonalPropagator(WalkConfig(n=5, gamma=gamma))
             assert prop.mode == "eig"
             t = 8.0 * gamma
@@ -757,24 +757,21 @@ class TestDiagonalPropagator:
             modes.distributions(np.array([0.0, 1.0, 1000.0]))
 
 
-def _size_groups(n, model):
-    """The merged blocks of each size: {size: (s values, beta (G, k), counts (G, k), angles (G, k))}."""
-    beta, counts, angles, classes = evolution._size_classes(n, model)
-    return {size: (list(rows + 1), beta[rows, :size], counts[rows, :size], angles[rows, :size])
-            for size, rows in classes.items()}
+def _solve_blocks(n, model, sums, gammas):
+    """_closed_form_roots of the blocks sums at gammas: (rates, amps, trusted)."""
+    sums = np.asarray(sums)
+    _, counts, angles = evolution._block_rates(n, sums, model)
+    sigma = np.sin(np.pi * sums / n)
+    return evolution._closed_form_roots(n, model, angles, counts > 0, sigma, np.asarray(gammas))
 
 
-def _solve_blocks(n, model, s_values, beta, counts, angles, gamma):
-    """_block_modes of the blocks s_values at one gamma, from their closed-form roots alone."""
-    sigma = np.sin(np.pi * np.asarray(s_values) / n)
-    roots = evolution._closed_form_roots(n, model, angles, counts > 0, sigma, np.array([gamma]))
-    return evolution._block_modes(beta, counts, gamma, n, [part[0] for part in roots])
-
-
-def _per_block(found):
-    """_block_modes' (roots, amplitudes, trusted) as (roots, amplitudes) or None per block."""
-    z, amp, trusted = found
-    return [(z[g], amp[g]) if ok else None for g, ok in enumerate(trusted)]
+def _eig_modes(n, model, s, gamma):
+    """Block s's roots and amplitudes from np.linalg.eig of its merged form B:
+    the eigenvalues, and (r^T V)_k (V^-1 r)_k with r = sqrt(counts)."""
+    beta, counts, _ = evolution._block_rates(n, s, model)
+    root = np.sqrt(counts)
+    roots, vectors = np.linalg.eig(evolution._merged_block(beta, counts, gamma, n))
+    return roots, (root @ vectors) * np.linalg.solve(vectors, root)
 
 
 def _mode_tables(prop):
@@ -785,51 +782,47 @@ def _mode_tables(prop):
 
 
 class TestStackedBlockModes:
-    """_block_modes on a stack of equal-size blocks against each block alone."""
+    """The closed form on a stack of blocks and gammas against each alone."""
 
-    @pytest.mark.parametrize("gamma", [1e-3, 0.1957, 1.0, 3.0])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1957, 1.0, 3.0, 1e10])
     @pytest.mark.parametrize("n", [4, 10, 20, 64])
     @pytest.mark.parametrize("model", ["s-literal", "rho"])
     def test_stack_equals_each_block_alone(self, model, n, gamma):
-        groups = _size_groups(n, model)
-        assert len(groups) <= 2  # split by the parity of s
-        for s_values, beta, counts, angles in groups.values():
-            stacked = _per_block(_solve_blocks(n, model, s_values, beta, counts, angles, gamma))
-            assert len(stacked) == len(s_values)
-            for g, found in enumerate(stacked):
-                alone = _per_block(_solve_blocks(n, model, s_values[g:g + 1], beta[g:g + 1],
-                                                 counts[g:g + 1], angles[g:g + 1], gamma))[0]
-                assert (found is None) == (alone is None)
-                if found is not None:
-                    assert [x.tobytes() for x in found] == [x.tobytes() for x in alone]
+        sums = np.arange(1, n // 2 + 1)
+        stacked = _solve_blocks(n, model, sums, [gamma])
+        for s in sums:
+            alone = _solve_blocks(n, model, [s], [gamma])
+            width = alone[0].shape[-1]
+            for part, got in zip(stacked[:2], alone[:2]):
+                assert part[0, s - 1, :width].tobytes() == got[0, 0].tobytes()
+                assert not part[0, s - 1, width:].any()  # padding
+            assert stacked[2][0, s - 1] == alone[2][0, 0]
 
     @pytest.mark.parametrize("model", ["s-literal", "rho"])
-    def test_untrusted_block_leaves_its_group_in_mode_form(self, model):
-        # At n = 64, gamma = 0.1957 only block s = 4 is untrusted, and it
-        # shares its size with the other 15 even blocks.
-        s_values, beta, counts, angles = _size_groups(64, model)[33]
-        assert 4 in s_values and len(s_values) == 16
-        found = _per_block(_solve_blocks(64, model, s_values, beta, counts, angles, 0.1957))
-        assert [s for s, modes in zip(s_values, found) if modes is None] == [4]
+    def test_an_untrusted_block_leaves_the_others_in_mode_form(self, model):
+        # At n = 64, gamma = 0.1957 only block s = 4 is untrusted.
+        _, _, trusted = _solve_blocks(64, model, np.arange(1, 33), [0.1957])
+        assert list(np.flatnonzero(~trusted[0]) + 1) == [4]
         prop = DiagonalPropagator(WalkConfig(n=64, gamma=0.1957), model)
         assert [row + 1 for row, _, _ in prop._modes.dense[0]] == [4]
+        assert not prop._modes._rates[0, 3].any() and not prop._modes._amps[0, 3].any()
 
-    @pytest.mark.parametrize("entries", [1, evolution._SECULAR_TABLES * 3 * 33 * 34 + 1])
+    @pytest.mark.parametrize("entries", [1, evolution._CLOSED_FORM_TABLES * 3 * 33 + 1])
     @pytest.mark.parametrize("n, gamma, model", [(20, 0.3, "rho"), (64, 0.1957, "s-literal"),
                                                  (4, 1.0, "s-literal")])
     def test_chunk_size_changes_no_table(self, monkeypatch, n, gamma, model, entries):
-        # One block per group, or three at n = 64 with a short last group.
+        # One block per solve, or three at n = 64 (33 modes) with a short last one.
         config = WalkConfig(n=n, gamma=gamma)
         want = _mode_tables(DiagonalPropagator(config, model))
         calls = []
-        real = evolution._block_modes
+        real = evolution._closed_form_roots
 
-        def counted(beta, counts, *args):
-            calls.append(beta.shape[0])
-            return real(beta, counts, *args)
+        def counted(n, model, angles, *args):
+            calls.append(angles.shape[0])
+            return real(n, model, angles, *args)
 
         monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", entries)
-        monkeypatch.setattr(evolution, "_block_modes", counted)
+        monkeypatch.setattr(evolution, "_closed_form_roots", counted)
         assert _mode_tables(DiagonalPropagator(config, model)) == want
         assert sum(calls) == n // 2
         if entries == 1:
@@ -868,95 +861,97 @@ class TestStackedBlockModes:
             assert modes._rates.tobytes() == alone._rates.tobytes()
             assert modes._amps.tobytes() == alone._amps.tobytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_eigenvalue_problem_is_solved(self, monkeypatch):
+        # Every root and amplitude comes from the closed form: the default
+        # grid at n = 5..64 and two far strong-dephasing rates run with
+        # both eigenvalue routines refusing.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue problem was solved")
 
-def _closed_and_eigvals(n, model, s, gammas):
-    """Block s at each of gammas through _block_modes twice, from its closed-form
-    roots and from eigvals of its merged form (the closed form marked
-    unsolved): (solved, closed form's (z, amp, trusted), eigvals')."""
-    beta, counts, angles = evolution._block_rates(n, np.array([s]), model)
-    k = np.count_nonzero(counts)
-    sigma = np.array([np.sin(np.pi * s / n)])
-    delta, slow, solved = (part[:, 0] for part in evolution._closed_form_roots(
-        n, model, angles[:, :k], counts[:, :k] > 0, sigma, gammas))
-    beta, counts = np.repeat(beta[:, :k], gammas.size, axis=0), np.repeat(counts[:, :k],
-                                                                           gammas.size, axis=0)
-    closed = evolution._block_modes(beta, counts, gammas, n, (delta, slow, solved))
-    eig = evolution._block_modes(beta, counts, gammas, n, (delta, slow, np.zeros_like(solved)))
-    return solved, closed, eig
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        gammas = np.append(sweep.default_gamma_grid(), [1e6, 1e12])
+        fallbacks = 0
+        for model in ("s-literal", "rho"):
+            for n in range(5, 65):
+                modes = evolution.secular_mode_sums(n, gammas, model)
+                assert np.isfinite(modes._rates).all() and np.isfinite(modes._amps).all()
+                assert not modes.dense[-1] and not modes.dense[-2]
+                fallbacks += sum(len(dense) for dense in modes.dense)
+        assert fallbacks <= 39
 
 
 class TestClosedFormRoots:
-    """The closed-form secular roots against the polished eigvals roots."""
+    """The closed-form roots and amplitudes against np.linalg.eig of the merged block."""
 
     @staticmethod
     def _compare(n, model, s, gammas):
-        """(cases, closed-form fallbacks) of block s at gammas, asserting that
-        wherever eigvals' roots are trusted the closed form's are too and
-        match them root by root and as sets."""
-        solved, (zc, ac, tc), (ze, ae, te) = _closed_and_eigvals(n, model, s, gammas)
-        sigma = np.sin(np.pi * s / n)
-        cases = 0
-        for g in np.flatnonzero(te):
-            assert tc[g], (n, model, s, gammas[g])
-            gap = np.abs(zc[g][:, None] - ze[g][None, :])
-            tol = 1e-11 * min(sigma, gammas[g]) + 4e-16 * np.abs(ze[g]).max()
+        """(trusted, compared) of block s at gammas, asserting that every
+        block whose eig amplitudes cancel by at most half _CANCEL_TOL is
+        trusted, and that every trusted one matches eig: roots one to one
+        within 256 u max |z|, amplitudes within 1e-12 sum |amp|."""
+        rates, amps, trusted = _solve_blocks(n, model, [s], gammas)
+        compared = 0
+        for g, gamma in enumerate(gammas):
+            roots, weights = _eig_modes(n, model, s, gamma)
+            spread = np.abs(weights).sum()
+            if not trusted[g, 0]:
+                assert spread > 0.5 * evolution._CANCEL_TOL * n, (n, model, s, gamma)
+                continue
+            gap = np.abs(rates[g, 0][:, None] - roots[None, :])
             nearest = gap.argmin(axis=1)
-            assert (gap.min(axis=1) <= tol).all() and (gap.min(axis=0) <= tol).all()
-            assert sorted(nearest) == list(range(ze[g].size))  # one to one
-            np.testing.assert_allclose(ac[g], ae[g][nearest], rtol=1e-9, atol=1e-12)
-            cases += 1
-        return cases, int((~solved).sum())
+            assert (gap.min(axis=1) <= 256 * 2.0**-52 * np.abs(roots).max()).all()
+            assert sorted(nearest) == list(range(roots.size))  # one to one
+            assert np.abs(amps[g, 0] - weights[nearest]).max() <= 1e-12 * spread
+            compared += 1
+        return int(trusted.sum()), compared
 
     @pytest.mark.parametrize("model", ["s-literal", "rho"])
-    def test_roots_match_eigvals(self, model):
+    def test_roots_match_eig(self, model):
         # N = 3..40 covers every N mod 4 class; c = gamma / sin(pi s/N)
-        # from 1e-6 to 1e4 for every block, none of them left to eigvals.
-        # A block whose eigvals roots are not trusted (near c = 1 their
-        # amplitudes cancel) is not counted.
-        cases = fallbacks = 0
+        # from 1e-6 to 1e12 for every block.  The blocks left out are those
+        # near c = 1, where the amplitudes cancel.
+        cases = 0
         for n in range(3, 41):
             for s in range(1, n // 2 + 1):
-                gammas = np.geomspace(1e-6, 1e4, 11) * np.sin(np.pi * s / n)
-                found, unsolved = self._compare(n, model, s, gammas)
-                cases, fallbacks = cases + found, fallbacks + unsolved
-        assert cases >= 0.95 * 11 * sum(n // 2 for n in range(3, 41))
-        assert fallbacks == 0
+                gammas = np.geomspace(1e-6, 1e12, 13) * np.sin(np.pi * s / n)
+                cases += self._compare(n, model, s, gammas)[1]
+        assert cases >= 0.98 * 13 * sum(n // 2 for n in range(3, 41))
 
     @pytest.mark.parametrize("model", ["s-literal", "rho"])
     def test_roots_near_the_exceptional_point(self, model):
         # N = 64, the odd blocks s = 1, 3, 5 that meet an exceptional point
         # at c_EP = 1.00782: their pair of roots is complex below it and
-        # real above; within 1e-3 of it eigvals may have to solve them.
+        # real above; near it the amplitudes cancel, and such a block is
+        # left to expm.
         c_ep, _ = evolution._exceptional_point(32.0)
         assert abs(c_ep - 1.00782) < 1e-5
         cases = 0
         for s in (1, 3, 5):
             c = c_ep * (1 + np.array([-0.3, -0.1, -1e-2, -1e-3, 1e-3, 1e-2, 0.1, 0.3]))
-            found, unsolved = self._compare(64, model, s, c * np.sin(np.pi * s / 64))
-            cases += found
-            assert unsolved <= 2
+            cases += self._compare(64, model, s, c * np.sin(np.pi * s / 64))[1]
         assert cases >= 12
 
     @pytest.mark.parametrize("n", [4, 8])
-    def test_an_exceptional_point_is_left_to_eigvals(self, n):
+    def test_an_exceptional_point_is_left_to_expm(self, n):
         # At c = c_EP block s = 1 has a double root (n = 4: gamma = 1,
-        # c_EP = sqrt 2): the closed form does not certify it, the other
+        # c_EP = sqrt 2): the closed form does not trust it, the other
         # blocks it does.
         c_ep, _ = evolution._exceptional_point(n / 2)
-        beta, counts, angles, _ = evolution._size_classes(n, "s-literal")
-        sigma = np.sin(np.pi * np.arange(1, n // 2 + 1) / n)
-        gamma = np.array([c_ep * sigma[0]])
-        _, _, solved = evolution._closed_form_roots(n, "s-literal", angles, counts > 0, sigma, gamma)
-        assert solved[0].tolist() == [False] + [True] * (n // 2 - 1)
+        gamma = c_ep * np.sin(np.pi / n)
+        _, _, trusted = _solve_blocks(n, "s-literal", np.arange(1, n // 2 + 1), [gamma])
+        assert trusted[0].tolist() == [False] + [True] * (n // 2 - 1)
+        prop = DiagonalPropagator(WalkConfig(n=n, gamma=gamma))
+        assert prop.mode == "expm" and [row for row, _, _ in prop._modes.dense[0]] == [0]
 
     @pytest.mark.parametrize("strays", ["lowest", "host"])
-    def test_a_root_on_another_path_is_not_certified(self, monkeypatch, strays):
+    def test_a_root_on_another_path_is_not_trusted(self, monkeypatch, strays):
         # A start that strays lets Newton find a neighbour's root, written
-        # about its own pole: the block must not count as solved.  At
-        # n = 16, s = 2 the host is the mode at pi/2 (angle 16).
-        n, model, gamma = 16, "s-literal", np.array([0.01])
-        beta, counts, angles = evolution._block_rates(n, np.array([2]), model)
-        sigma = np.array([np.sin(2 * np.pi / n)])
+        # about its own pole: the block must not be trusted.  At n = 16,
+        # s = 2 the host is the mode at pi/2 (angle 16).
+        n, model, gamma = 16, "s-literal", [0.01]
+        _, _, angles = evolution._block_rates(n, np.array([2]), model)
         order = np.argsort(angles[0])
         host = int(np.flatnonzero(angles[0] == n)[0])
         moved, found = (order[0], order[1]) if strays == "lowest" else (host, order[0])
@@ -968,9 +963,34 @@ class TestClosedFormRoots:
             roots[..., moved] = roots[..., found] + 1j * turn
             return roots, done
 
-        assert evolution._closed_form_roots(n, model, angles, counts > 0, sigma, gamma)[2].all()
+        assert _solve_blocks(n, model, [2], gamma)[2].all()
         monkeypatch.setattr(evolution, "_closed_form_newton", stray)
-        assert not evolution._closed_form_roots(n, model, angles, counts > 0, sigma, gamma)[2].any()
+        assert not _solve_blocks(n, model, [2], gamma)[2].any()
+
+    @pytest.mark.parametrize("n", [6, 10, 14, 18])
+    def test_a_root_with_c_equal_to_sin_theta(self, n):
+        # Block s = N/2 (sigma = 1) at gamma = sin(pi/N) has c = sin(theta_j)
+        # for the modes at theta = pi/N, where the first-order start
+        # -artanh(c / sin theta) is infinite.
+        assert self._compare(n, "s-literal", n // 2, np.array([np.sin(np.pi / n)])) == (1, 1)
+
+    def test_the_second_moment_rejects_amplitudes_on_the_wrong_roots(self, monkeypatch):
+        # Amplitudes rolled by one root within the block still add up to N
+        # and cancel as little; only sum amp z^2 = -sigma^2 N / 2 tells.
+        n, model, gamma = 16, "s-literal", [0.3]
+        real = evolution._closed_form_terms
+
+        def rolled(e, *args):
+            sinh_eta, term, slope = real(e, *args)
+            if e.ndim == 2:  # the amplitudes' evaluation, not a Newton step
+                sinh_eta, slope = np.roll(sinh_eta, 1, axis=-1), np.roll(slope, 1, axis=-1)
+            return sinh_eta, term, slope
+
+        assert _solve_blocks(n, model, [2], gamma)[2].all()
+        monkeypatch.setattr(evolution, "_closed_form_terms", rolled)
+        _, amps, trusted = _solve_blocks(n, model, [2], gamma)
+        assert abs(amps.sum() - n) <= 1e-12 * n and np.abs(amps).sum() <= 2 * n
+        assert not trusted.any()
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 64])
     def test_pictures_coincide_at_n_divisible_by_4(self, n):
@@ -1352,7 +1372,7 @@ class TestModeSumSizeGuard:
         def refuse(*args, **kwargs):
             raise AssertionError("a block was built")
 
-        monkeypatch.setattr(evolution, "_block_modes", refuse)
+        monkeypatch.setattr(evolution, "_closed_form_roots", refuse)
         monkeypatch.setattr(evolution, "_block_rates", refuse)
         monkeypatch.setattr(spectral, "_block_rates", refuse)
         monkeypatch.setattr(sweep, "mixing_time", refuse)

@@ -131,27 +131,24 @@ class TestSweepGamma:
             p for p in want.points if p.gamma != chosen]
 
     def test_one_gamma_slabs_change_no_result(self, monkeypatch):
-        # At n = 48 a chunk of 2**16 entries leaves one gamma per slab and
-        # splits no mode-sum evaluation that the default chunk keeps whole.
+        # At n = 48 the three gammas are one slab, solved in one closed-form
+        # call; slabs of one gamma each change no result.
         gammas = default_gamma_grid(3, 0.03, 30.0)
-        stacks = []
-        real = evolution._block_modes
+        solves = []
+        real = evolution._closed_form_roots
 
-        def spy(beta, counts, gamma, n, roots):
-            stacks.append((*beta.shape, evolution._CHUNK_ENTRIES))
-            return real(beta, counts, gamma, n, roots)
+        def spy(n, model, angles, live, sigma, gammas):
+            solves.append(gammas.size)
+            return real(n, model, angles, live, sigma, gammas)
 
-        monkeypatch.setattr(evolution, "_block_modes", spy)
-        assert evolution.secular_slab(48) == 22
+        monkeypatch.setattr(evolution, "_closed_form_roots", spy)
+        assert mixing._slab(48, "exact") >= 3
         want = transition_report([48], gammas=gammas, method="exact")
-        assert len(stacks) == 2  # one stack per size class, across all three gammas
-        monkeypatch.setattr(evolution, "_CHUNK_ENTRIES", 1 << 16)
-        assert evolution.secular_slab(48) == 1
+        assert solves == [3]
+        monkeypatch.setattr(mixing, "_slab", lambda n, method: 1)
         assert sweep_gamma(48, gammas=gammas, method="exact") == want.entries[0].sweep
         assert transition_report([48], gammas=gammas, method="exact") == want
-        assert len(stacks) == 2 + 2 * 3 * 2  # one stack per class and gamma
-        for rows, size, entries in stacks:
-            assert evolution._SECULAR_TABLES * rows * size * (size + 1) <= entries
+        assert solves == [3] + [1] * 6
 
     def test_a_point_that_is_not_finite_records_its_reason_alone(self, monkeypatch):
         # Block s = 1 of n = 4 is defective at gamma = 1 and falls back to
@@ -185,7 +182,7 @@ class TestSweepGamma:
             return real(self, times)
 
         monkeypatch.setattr(evolution.ModeSum, "at", counted)
-        assert evolution.secular_slab(20) >= DEFAULT_GAMMA_POINTS
+        assert mixing._slab(20, "exact") >= DEFAULT_GAMMA_POINTS
         result = sweep_gamma(20)
         assert all(p.converged for p in result.points)
         assert calls[0] == DEFAULT_GAMMA_POINTS
