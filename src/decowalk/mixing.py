@@ -15,10 +15,11 @@ default and is what the sweep module uses.
 Every search is a LockstepSearch over a list of configs of one n;
 mixing_time is its one-config case, and sweep_gamma hands it a whole
 gamma grid.  The configs go in slabs.  A slab builds every config's
-route, scans each config's grid on its own, then bisects in lockstep:
-each level evaluates the midpoint of every bracket still open in one
-call, so that a slab of G gammas takes about 14 calls, not 14 G, and
-each config gets the bits it gets alone.
+mode sum, scans every config's grid in one pass (ModeSum.scan), then
+bisects in lockstep: each level evaluates the midpoint of every bracket
+still open in one call, so that a slab of G gammas takes one scan and
+about 14 calls, not G scans and 14 G calls, and each config gets the
+bits it gets alone.
 Every method is one evolution.ModeSum member per gamma, over the index
 sums s = 1..N/2, built for a slab at once: `exact` (`s-literal` is its
 other name) and `rho` hold the exact blocks of the literal-S and of the
@@ -27,12 +28,15 @@ per slab, evolution.secular_mode_sums), `perturbative` the literal-S
 blocks at first order (spectral.perturbative_modes), and
 `large-gamma-closed-form` one heat-kernel mode per block
 (large_gamma.heat_kernel_modes, the mode sum of closed_form_a).  Every
-mode sum reads the grid as lead x lag: about 2 sqrt(T) exponentials per
-mode for T times.  A bisection level is one ModeSum.at over the slab:
-one stacked (G, S, 1, K) @ (G, S, K, 1) product of one exponential per
-mode, one inverse real FFT and one row sum.
-The distance of a grid is taken in place on the method's table, so a
-search holds one T x n table, not two.
+mode sum reads the grid as lead x lag: about sqrt(T) + log2 sqrt(T)
+exponentials per mode for T times, the lag factors by doubling.  The
+scan takes every config's envelope cut in one evaluation, then, per
+group of configs within a small entry budget, one stacked product, one
+inverse real FFT and one row sum; the distance is taken in place on
+that table, so a group holds one table, not two.  A bisection level is
+one ModeSum.at over the slab: one stacked (G, S, 1, K) @ (G, S, K, 1)
+product of one exponential per mode, one inverse real FFT and one row
+sum.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import (
-    DiagonalPropagator,
     IntegrationError,
     ModeSum,
     build_full_operator,  # unused here; the benchmark tracer patches it by this name
@@ -59,7 +62,7 @@ from .large_gamma import (
     large_gamma_bounds,
 )
 from .model import WalkConfig, check_cycle_size, check_eps, check_positive
-from .spectral import _PerturbativeKernel, perturbative_modes, small_gamma_mixing_bound
+from .spectral import perturbative_modes, small_gamma_mixing_bound
 
 METHODS = ("exact", "s-literal", "rho", "perturbative", "large-gamma-closed-form")
 MODES = ("first-crossing", "sustained")
@@ -148,47 +151,45 @@ def _slab(n: int, method: str) -> int:
 
 
 class _Member:
-    """One config of a lockstep search: its grid and route, then its
-    bracket, then its outcome (a MixingResult or the exception it failed with)."""
+    """One config of a lockstep search: its mode sum, then its bracket, then
+    its outcome (a MixingResult or the exception it failed with)."""
 
     def __init__(self, config: WalkConfig) -> None:
         self.config = config
-        self.horizon = self.grid = self.modes = self.reach = self.outcome = None
+        self.horizon = self.modes = self.reach = self.outcome = None
         self.lo = self.hi = 0.0
 
-    def times(self) -> np.ndarray:
-        """The coarse grid over the search horizon, made afresh, so a slab holds one at a time."""
-        return np.linspace(0.0, self.horizon, GRID_INTERVALS + 1)
+    def time(self, k: int) -> float:
+        """Time k of the coarse grid over the search horizon: bitwise
+        np.linspace(0, horizon, GRID_INTERVALS + 1)[k]."""
+        return self.horizon if k == GRID_INTERVALS else float(k * (self.horizon / GRID_INTERVALS))
 
 
 def _distance(table: np.ndarray, uniform: np.ndarray) -> np.ndarray:
-    """sum_j |P_j - 1/N| per row, taken in place: every route returns a fresh table."""
+    """sum_j |P_j - 1/N| per row (last axis), taken in place on a table that is the caller's to spend."""
     table -= uniform
     np.abs(table, out=table)
-    return table.sum(axis=1)
+    return table.sum(axis=-1)
 
 
 def _mode_sum_route(method: str):
-    """(build, wrap) of a method: build(n, gammas) gives the ModeSum of a
-    slab's gammas, one member each, and wrap(config, member) the grid
-    route of one config."""
+    """build(n, gammas) of a method: the ModeSum of a slab's gammas, one member each."""
     if method == "perturbative":
-        return perturbative_modes, lambda c, m: _PerturbativeKernel(c, m).distributions
+        return perturbative_modes
     if method == "large-gamma-closed-form":
-        return heat_kernel_modes, lambda c, m: m.distributions
+        return heat_kernel_modes
     picture = _picture(method)
-    return (lambda n, gammas: secular_mode_sums(n, gammas, picture),
-            lambda c, m: DiagonalPropagator(c, picture, modes=m).distributions)
+    return lambda n, gammas: secular_mode_sums(n, gammas, picture)
 
 
-def _attach_routes(members: list[_Member], method: str) -> None:
-    """Give each member its grid route, its member of one mode sum stacked
-    over the slab's gammas, and the reach of that mode sum at its horizon
-    (ModeSum.reach).  If the stacked build raises, each member builds
-    alone, and only a member whose own build fails records it."""
+def _attach_modes(members: list[_Member], method: str) -> None:
+    """Give each member its member of one mode sum stacked over the slab's
+    gammas, and the reach of that mode sum at its horizon (ModeSum.reach).
+    If the stacked build raises, each member builds alone, and only a
+    member whose own build fails records it."""
     if not members:
         return
-    build, wrap = _mode_sum_route(method)
+    build = _mode_sum_route(method)
     try:
         stack = build(members[0].config.n, [m.config.gamma for m in members])
     except SEARCH_ERRORS:
@@ -203,9 +204,6 @@ def _attach_routes(members: list[_Member], method: str) -> None:
         reach = stack.reach(np.array([m.horizon for m in members]))
         for g, m in enumerate(members):
             m.modes, m.reach = stack.member(g), reach[g]
-    for m in members:
-        if m.modes is not None:
-            m.grid = wrap(m.config, m.modes)
 
 
 def _check_resolution(m: _Member, eps: float) -> None:
@@ -235,6 +233,30 @@ def _midpoints(members: list[_Member], mids: np.ndarray, uniform: np.ndarray):
                                        for ok, t in zip(finite, mids)]
 
 
+def _bracket(m: _Member, cells: np.ndarray, near: np.ndarray, eps: float, mode: str,
+             result) -> None:
+    """Leave m's outcome or grid bracket from its grid rows before its
+    envelope's cut, cells |P_j - 1/N| and their sums near: the failure at
+    its first row that is not finite, else the bracket of the crossing of
+    the given mode.  A sum can overflow where every cell is finite."""
+    if not np.isfinite(near).all():
+        finite = np.isfinite(cells).all(axis=1)  # as P_j is
+        if not finite.all():
+            m.outcome = ModeSum.failure(m.time(int(np.argmin(finite))))
+            return
+    below = np.ones(GRID_INTERVALS + 1, dtype=bool)
+    below[:near.size] = near <= eps
+    if mode == "sustained":
+        below = np.logical_and.accumulate(below[::-1])[::-1]
+    hits = np.flatnonzero(below)
+    if hits.size == 0:
+        m.outcome = result(m, m.horizon, False, 0.0)
+    elif hits[0] == 0:
+        m.outcome = result(m, 0.0, True, 0.0)
+    else:
+        m.lo, m.hi = m.time(int(hits[0]) - 1), m.time(int(hits[0]))
+
+
 def _search(members: list[_Member], eps: float, method: str, mode: str,
             horizon: float | None) -> None:
     """Search one slab in lockstep, leaving each member's outcome."""
@@ -251,29 +273,26 @@ def _search(members: list[_Member], eps: float, method: str, mode: str,
             m.outcome = exc
             continue
         m.horizon = float(span)
-    _attach_routes([m for m in members if m.outcome is None], method)
+    _attach_modes([m for m in members if m.outcome is None], method)
     uniform = uniform_distribution(members[0].config.n)
+    scanned = []
     for m in members:
-        if m.outcome is not None:
-            continue
-        times = m.times()
-        try:  # the rows past the envelope's cut are left out: they are under eps
-            _check_resolution(m, eps)
-            near = _distance(m.grid(times, eps, True), uniform)
-        except SEARCH_ERRORS as exc:
-            m.outcome = exc
-            continue
-        below = np.ones(times.size, dtype=bool)
-        below[:near.size] = near <= eps
-        if mode == "sustained":
-            below = np.logical_and.accumulate(below[::-1])[::-1]
-        hits = np.flatnonzero(below)
-        if hits.size == 0:
-            m.outcome = result(m, m.horizon, False, 0.0)
-        elif hits[0] == 0:
-            m.outcome = result(m, 0.0, True, 0.0)
-        else:
-            m.lo, m.hi = float(times[hits[0] - 1]), float(times[hits[0]])
+        if m.outcome is None:
+            try:
+                _check_resolution(m, eps)
+            except SEARCH_ERRORS as exc:
+                m.outcome = exc
+            else:
+                scanned.append(m)
+    if scanned:  # one scan of every open grid, each cut at its envelope: the rest is under eps
+        spans = np.array([m.horizon for m in scanned])
+        stack = ModeSum.stack([m.modes for m in scanned])
+        for index, table, rows in stack.scan(spans, GRID_INTERVALS + 1, eps):
+            distances = _distance(table, uniform)
+            for k, g in enumerate(index):
+                _bracket(scanned[g], table[k, :rows[k]], distances[k, :rows[k]], eps, mode, result)
+            del table  # not held while the next group is evaluated
+        del stack  # nor during the bisection
     # Bisection in lockstep: each level is one midpoint per open member.
     open_ = [m for m in members if m.outcome is None]
     while open_ := [m for m in open_ if m.outcome is None
@@ -290,7 +309,7 @@ def _search(members: list[_Member], eps: float, method: str, mode: str,
     for m in members:
         if m.outcome is None:
             m.outcome = result(m, m.hi, True, m.hi - m.lo)
-        m.grid = m.modes = None  # a searched slab keeps its outcomes only
+        m.modes = None  # a searched slab keeps its outcomes only
 
 
 class LockstepSearch:
@@ -300,14 +319,15 @@ class LockstepSearch:
     within _CHUNK_ENTRIES entries together (stack_slab: all 25 of the
     default grid up to n = 289 on the exact methods and perturbative, 8
     at n = 512).  It is searched at
-    the first outcome asked of any of its configs: it builds its routes,
-    the exact methods in one stacked secular solve
+    the first outcome asked of any of its configs: it builds its mode
+    sums, the exact methods in one stacked secular solve
     (evolution.secular_mode_sums) and the other mode sums in one table
-    build, then scans each config's grid on its own, and then bisects
-    in lockstep: each level takes the midpoint of every bracket still
-    open in one stacked call (ModeSum.at), whose rows are bitwise the
-    single-time evaluations of each config alone, so a slab of G gammas
-    takes about 14 calls, not 14 G.
+    build, then scans every config's grid in one pass (ModeSum.scan,
+    whose rows are bitwise those of each config's grid alone), and then
+    bisects in lockstep: each level takes the midpoint of every bracket
+    still open in one stacked call (ModeSum.at), whose rows are bitwise
+    the single-time evaluations of each config alone, so a slab of G
+    gammas takes about 14 calls, not 14 G.
 
     outcome(k) is config k's MixingResult, or the ValueError,
     IntegrationError or LinAlgError its own search failed with (any

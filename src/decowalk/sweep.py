@@ -14,9 +14,9 @@ methods and perturbative).  A slab builds its mode sums at once: on the
 exact methods one closed-form secular solve (evolution.secular_mode_sums),
 in which the blocks of every gamma share their undamped rates and grid
 angles and every root of every gamma is solved in the same vectorised
-steps.  Each gamma's grid is then scanned on its own, and the
-bisections run in lockstep, one stacked call per level for the whole
-slab.  Each point gets the bits it would get alone, and a point that
+steps.  Every gamma's grid is then scanned in one pass
+(evolution.ModeSum.scan), and the bisections run in lockstep, one
+stacked call per level for the whole slab.  Each point gets the bits it would get alone, and a point that
 fails records the reason it gives alone.
 """
 

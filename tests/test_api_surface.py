@@ -20,7 +20,9 @@ import decowalk
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 ALLOWED = {
-    "optimal_gamma": "the refined optimum; ROADMAP item 4 (scaling of the optimum) calls it",
+    "DiagonalPropagator": "the exact propagator of one config, the reference the tests hold "
+                          "every search route to; perfbench/tracing.py patches its methods",
+    "optimal_gamma": "the refined optimum; ROADMAP item 3 (scaling of the optimum) calls it",
     "rho_to_s": "the change of variables S = i^(k-j) rho that the intertwining tests check",
 }
 

@@ -1020,13 +1020,13 @@ class TestClosedFormRoots:
 
 
 def _spy_lags(patch):
-    """The lag.size of every ModeSum._sums call made while patch holds."""
+    """The lag count of every ModeSum._sums call made while patch holds."""
     sizes = []
     real = evolution.ModeSum._sums
 
-    def spy(self, lead, lag, size):
-        sizes.append(lag.size)
-        return real(self, lead, lag, size)
+    def spy(self, lead, step, inner, size):
+        sizes.append(inner)
+        return real(self, lead, step, inner, size)
 
     patch.setattr(evolution.ModeSum, "_sums", spy)
     return sizes
@@ -1175,6 +1175,111 @@ class TestModeSumAt:
         assert stack.member(1).distributions(np.array([1.0])).shape == (1, 8)
 
 
+def _special_slab():
+    """One slab at n = 4 with an expm block (gamma = 1), an undamped member
+    (gamma = 0), a member whose largest mode is made to grow, so that its
+    sum overflows near t = 709 / 0.05, and a plain one; and its grid ends."""
+    stack = evolution.secular_mode_sums(4, [1.0, 0.0, 0.5, 2.0])
+    rates = stack._rates.copy()
+    rates[2].flat[np.abs(stack._amps[2]).argmax()] = 0.05
+    return evolution.ModeSum(4, rates, stack._amps, stack.dense), np.full(4, 2e4)
+
+
+def _scan_rows(stack, t_end, eps=0.01):
+    """Each member's rows of stack.scan on the mixing grid, and the sizes of its groups."""
+    rows, sizes = [None] * len(stack.dense), []
+    for index, table, kept in stack.scan(t_end, mixing.GRID_INTERVALS + 1, eps):
+        sizes.append(index.size)
+        for k, g in enumerate(index):
+            rows[g] = table[k, :kept[k]]
+    return rows, sizes
+
+
+def _horizons(n, gammas):
+    return np.array([mixing.default_horizon(WalkConfig(n=n, gamma=g), 0.01) for g in gammas])
+
+
+def _long_horizons(n, gammas):
+    """Every third horizon 60 times longer: its envelope cuts the grid after one lead row."""
+    return _horizons(n, gammas) * np.where(np.arange(len(gammas)) % 3, 1.0, 60.0)
+
+
+class TestModeSumScan:
+    """ModeSum.scan, every member's grid in one pass, against each member's grid alone."""
+
+    def test_lag_factors_match_direct_exponentials(self):
+        # Within the first-order bound of envelope_margin's 4 d term, on top
+        # of the exponents' rounding that reach counts: u (|z| t + 4 d) for
+        # the doubled factors, u (2 |z| t + 2) for exp of z (b step).
+        rng = np.random.default_rng(5)
+        u = 2.0**-53
+        for count in (1, 2, 3, 5, 46, 64, 100):
+            rates = -rng.uniform(0.0, 3.0, (2, 3, 4)) + 1j * rng.uniform(-50.0, 50.0, (2, 3, 4))
+            step = rng.uniform(0.01, 2.0, 2)
+            table = evolution._lag_factors(rates, step, count)
+            t = (step[:, None] * np.arange(count))[:, None, None, :]
+            direct = np.exp(rates[..., None] * t)
+            reach, d = np.abs(rates)[..., None] * t, (count - 1).bit_length()
+            assert table.shape == direct.shape and (table[..., 0] == 1.0).all()
+            assert (np.abs(table - direct) <= u * (3 * reach + 4 * d + 2) * np.abs(direct)).all()
+            if np.finfo(np.longdouble).nmant > 52:  # an extended reference: the doubled bound alone
+                exact = np.exp(rates.astype(np.clongdouble)[..., None]
+                               * step.astype(np.longdouble)[:, None, None, None]
+                               * np.arange(count, dtype=np.longdouble))
+                assert (np.abs(table - exact) <= u * (reach + 4 * d) * np.abs(exact)).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_equal_each_member_alone(self):
+        # The transition, perturbative and large-gamma slabs of the benchmark
+        # (block s = 4 of n = 64, rho, falls back to expm at gamma = 0.1957);
+        # a slab whose long grids keep one lead row next to members of more;
+        # and the special slab, whose growing member fails alone.
+        gammas, grid = np.geomspace(3.0, 100.0, 13), sweep.default_gamma_grid()
+        cases = [
+            (evolution.secular_mode_sums(20, sweep.default_gamma_grid()),
+             _horizons(20, sweep.default_gamma_grid())),
+            (evolution.secular_mode_sums(64, [0.1, 0.1957, 1.0], "rho"),
+             _horizons(64, [0.1, 0.1957, 1.0])),
+            (spectral.perturbative_modes(64, np.geomspace(1e-5, 1e-3, 7)),
+             _horizons(64, np.geomspace(1e-5, 1e-3, 7))),
+            (large_gamma.heat_kernel_modes(256, gammas), _horizons(256, gammas)),
+            (evolution.secular_mode_sums(10, grid), _long_horizons(10, grid)),
+            _special_slab(),
+        ]
+        failed, shared, mixed = [], 0, 0
+        for stack, t_end in cases:
+            rows, sizes = _scan_rows(stack, t_end)
+            shared += sum(size > 1 for size in sizes)
+            lead_rows = {got.shape[0] // 46 for got in rows}
+            mixed += 1 in lead_rows and max(lead_rows) > 1
+            for g, got in enumerate(rows):
+                times = np.linspace(0.0, t_end[g], mixing.GRID_INTERVALS + 1)
+                try:
+                    alone = stack.member(g).distributions(times, 0.01, True)
+                except evolution.IntegrationError as exc:
+                    bad = np.argmin(np.isfinite(got).all(axis=1))
+                    assert str(exc) == str(evolution.ModeSum.failure(times[bad]))
+                    failed.append((stack.n, g, str(exc)))
+                    continue
+                assert got.tobytes() == alone.tobytes()
+        assert failed == [(4, 2, "mode sum is not finite at t=14179.7")]
+        assert shared >= 4 and mixed >= 1
+
+    def test_stacking_budget_changes_no_row(self, monkeypatch):
+        gammas, grid = np.geomspace(3.0, 100.0, 13), sweep.default_gamma_grid()
+        cases = [
+            (evolution.secular_mode_sums(10, grid), _long_horizons(10, grid)),
+            (large_gamma.heat_kernel_modes(16, gammas), _horizons(16, gammas)),
+        ]
+        want = [_scan_rows(stack, t_end) for stack, t_end in cases]
+        assert all(max(sizes) > 1 for _, sizes in want)
+        monkeypatch.setattr(evolution, "_STACK_ENTRIES", 1)
+        for (stack, t_end), (rows, _) in zip(cases, want):
+            got, sizes = _scan_rows(stack, t_end)
+            assert set(sizes) == {1}
+            assert [r.tobytes() for r in got] == [r.tobytes() for r in rows]
+
+
 def _phase_table_sum(n, rates, amps, dense, times):
     """1/N + Re sum_s c_s omega^(s j) f_s(t), c_s = 2/N^2 (1/N^2 at s = N/2),
     summed term by term through the n x S phase table: the reference combine."""
@@ -1250,7 +1355,7 @@ class TestModeSumCombine:
         block += 1j * np.diag(rng.uniform(-1.0, 1.0, 3))
         root = np.sqrt(np.array([1.0, 2.0, 2.0]))
         modes = evolution.ModeSum(n, rates[None], amps[None], [[(row, block, root)]])
-        assert modes._envelope is None
+        assert not modes._envelope()[2].any()
         ts = _COMBINE_TIMES[times]
         want = _phase_table_sum(n, rates, amps, [(row, block, root)], ts)
         assert np.abs(modes.distributions(ts) - want).max() <= 1e-14

@@ -429,6 +429,29 @@ class TestLockstepSearch:
         assert _bits(got[1]) == ("IntegrationError", str(alone.value))
         assert [_bits(got[0]), _bits(got[2])] == [_bits(want[0]), _bits(want[2])]
 
+    def test_a_grid_row_that_is_not_finite_fails_alone(self, monkeypatch):
+        # One scan of a slab with an expm block (gamma = 1), an undamped
+        # member (gamma = 0, no envelope) and a member whose largest mode
+        # grows so that its sum overflows in mid grid.
+        configs = [WalkConfig(n=4, gamma=g) for g in (1.0, 0.0, 0.5, 2.0)]
+        want = [mixing_time(c, 0.01) for c in configs]
+        assert DiagonalPropagator(configs[0]).mode == "expm"
+        growth = 2000.0 / default_horizon(configs[2], 0.01)
+        real = mixing.secular_mode_sums
+
+        def grown(n, gammas, picture):
+            stack = real(n, gammas, picture)
+            for g in np.flatnonzero(np.asarray(gammas) == 0.5):
+                stack._rates[g].flat[np.abs(stack._amps[g]).argmax()] = growth
+            return stack
+
+        monkeypatch.setattr(mixing, "secular_mode_sums", grown)
+        with pytest.raises(IntegrationError, match="^mode sum is not finite at t=") as alone:
+            mixing_time(configs[2], 0.01)
+        got = mixing_times(configs, 0.01)
+        assert _bits(got[2]) == ("IntegrationError", str(alone.value))
+        assert [_bits(got[g]) for g in (0, 1, 3)] == [_bits(want[g]) for g in (0, 1, 3)]
+
     def test_input_guards(self):
         config = WalkConfig(n=5, gamma=1.0)
         for configs in ([], [config, WalkConfig(n=6, gamma=1.0)]):
@@ -458,7 +481,7 @@ def _rk4_distance(config, picture, t, dt=1e-3):
 
 class TestPictureRoutes:
     """The s-literal and rho searches read the exact mode sum of their
-    picture: on the coarse grid through the propagator, and at bisection
+    picture: on the coarse grid through ModeSum.scan, and at bisection
     midpoints through ModeSum.at.  Each must equal the dense exponential
     of that picture's generator, applied to the vertex-0 start."""
 
@@ -470,7 +493,7 @@ class TestPictureRoutes:
         # hops from the start gives every grid row.  Each method is named
         # after its picture.
         config = WalkConfig(n=n, gamma=1.0)
-        build, wrap = mixing._mode_sum_route(method)
+        build = mixing._mode_sum_route(method)
         times = np.linspace(0.0, default_horizon(config, 0.01), points)
         hop = scipy.linalg.expm(build_full_operator(config, method) * times[1])
         state = _dense_start(config, method)
@@ -479,8 +502,8 @@ class TestPictureRoutes:
         for k in range(points):
             chain[k] = state[diag].real
             state = hop @ state
-        grid = wrap(config, build(n, [config.gamma]).member(0))(times, None, True)
-        np.testing.assert_allclose(grid, chain, rtol=0, atol=1e-12)
+        [(_, grid, _)] = build(n, [config.gamma]).scan(times[-1:], points, None)
+        np.testing.assert_allclose(grid[0], chain, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("method", ["s-literal", "rho"])
     @pytest.mark.parametrize("n", range(5, 13))
@@ -488,7 +511,7 @@ class TestPictureRoutes:
         # Off-grid times, one per stacked member, as a bisection level
         # evaluates them.
         config = WalkConfig(n=n, gamma=1.0)
-        build, _ = mixing._mode_sum_route(method)
+        build = mixing._mode_sum_route(method)
         span = default_horizon(config, 0.01) / mixing.GRID_INTERVALS
         mids = span * np.array([0.5, 37.25, 614.4, 1000.5, 2047.75])
         modes = build(n, [config.gamma]).member(0)
@@ -532,10 +555,11 @@ class TestEnvelopeCut:
             config = WalkConfig(n=n, gamma=gamma)
             route = DiagonalPropagator(config) if method == "exact" else (
                 spectral._PerturbativeKernel(config))
-            if route._modes._envelope is None:
+            rates, weights, bounded = route._modes._envelope()
+            if not bounded[0]:
                 assert route._modes.dense[0]  # n = 64, gamma = 1: expm blocks, no envelope
                 continue
-            rates, weights = route._modes._envelope
+            rates, weights = rates[0][weights[0] > 0], weights[0][weights[0] > 0]
             times = _grid(config)
             distance = _distance(route.distributions(times), n)
             envelope = np.exp(np.outer(times, rates.real)) @ weights
@@ -579,42 +603,39 @@ class TestEnvelopeCut:
         cut = [mixing_time(config, eps, method=method, mode=mode) for config, method in cases]
 
         def whole(lead, *args):
-            return lead.size
+            return np.full(lead.shape[0], lead.shape[1])
 
         monkeypatch.setattr(evolution, "envelope_leads", whole)
         assert cut == [mixing_time(config, eps, method=method, mode=mode)
                        for config, method in cases]
 
     @staticmethod
-    def _grid_rows(monkeypatch, owner, config, method):
-        """Rows of the first table the search's distributions return."""
+    def _grid_rows(monkeypatch, config, method):
+        """Grid rows the search evaluates before its envelope's cut (ModeSum.scan)."""
         rows = []
-        real = owner.distributions
+        real = evolution.ModeSum.scan
 
-        def recorded(self, times, *args):
-            table = real(self, times, *args)
-            rows.append(table.shape[0])
-            return table
+        def recorded(self, *args):
+            for index, table, kept in real(self, *args):
+                rows.extend(kept)
+                yield index, table, kept
 
-        monkeypatch.setattr(owner, "distributions", recorded)
-        mixing_time(config, 0.01, method=method)
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution.ModeSum, "scan", recorded)
+            mixing_time(config, 0.01, method=method)
         return rows[0]
 
     def test_mode_sums_cut_their_grid(self, monkeypatch):
         config = WalkConfig(n=10, gamma=1.0)
-        assert self._grid_rows(monkeypatch, DiagonalPropagator, config, "exact") < 2049
-        assert self._grid_rows(monkeypatch, spectral._PerturbativeKernel, config,
-                               "perturbative") < 2049
+        assert self._grid_rows(monkeypatch, config, "exact") < 2049
+        assert self._grid_rows(monkeypatch, config, "perturbative") < 2049
 
-    @pytest.mark.parametrize("owner, method", [
-        (DiagonalPropagator, "exact"),
-        (spectral._PerturbativeKernel, "perturbative"),
-    ])
-    def test_undamped_mode_sum_evaluates_the_whole_grid(self, monkeypatch, owner, method):
+    @pytest.mark.parametrize("method", ["exact", "perturbative"])
+    def test_undamped_mode_sum_evaluates_the_whole_grid(self, monkeypatch, method):
         config = WalkConfig(n=5, gamma=0.0)
-        assert self._grid_rows(monkeypatch, owner, config, method) == 2049
+        assert self._grid_rows(monkeypatch, config, method) == 2049
 
     def test_expm_block_evaluates_the_whole_grid(self, monkeypatch):
         config = WalkConfig(n=4, gamma=1.0)
         assert DiagonalPropagator(config).mode == "expm"
-        assert self._grid_rows(monkeypatch, DiagonalPropagator, config, "exact") == 2049
+        assert self._grid_rows(monkeypatch, config, "exact") == 2049
